@@ -52,6 +52,7 @@ from .mlp import (
     softmax,
 )
 from .training import (
+    DivergenceError,
     GradCheckReport,
     Metrics,
     TrainConfig,

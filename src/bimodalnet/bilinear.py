@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import ShapeError, as_vector, matmul
-from .mlp import MlpTower, backward, forward, softmax, target_delta
+from .mlp import PROB_FLOOR, MlpTower, backward, forward, softmax, target_delta
 
 FULL = "full"
 FACTORED = "factored"
@@ -309,11 +309,13 @@ def _grads_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray,
         a1 = f1 @ head.u1
         a2 = f2 @ head.u2
         wd = delta_eff @ head.w.T  # rows W delta_G, (B, F)
+        wd_a2 = wd * a2
+        wd_a1 = wd * a1
         grads["w"] = ((a1 * a2).T @ delta_eff)
-        grads["U1"] = f1.T @ (wd * a2)
-        grads["U2"] = f2.T @ (wd * a1)
-        delta1 = (wd * a2) @ head.u1.T
-        delta2 = (wd * a1) @ head.u2.T
+        grads["U1"] = f1.T @ wd_a2
+        grads["U2"] = f2.T @ wd_a1
+        delta1 = wd_a2 @ head.u1.T
+        delta2 = wd_a1 @ head.u2.T
     delta1 += delta_l @ head.v1.T
     delta2 += delta_l @ head.v2.T
     return probs, grads, delta1, delta2
@@ -416,7 +418,7 @@ class BilinearClassifier:
         probs, head_grads, delta1, delta2 = _grads_batch(
             self.head, tr1.features, tr2.features, targets, 1.0 / n
         )
-        loglik = float(np.log(np.maximum(probs[np.arange(n), targets], 1e-300)).mean())
+        loglik = float(np.log(np.maximum(probs[np.arange(n), targets], PROB_FLOOR)).mean())
         tg1 = backward(self.tower1, tr1, delta1)
         tg2 = backward(self.tower2, tr2, delta2)
         grads: dict[str, np.ndarray] = {}

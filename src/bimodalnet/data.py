@@ -448,6 +448,14 @@ def _dims_from(meta: dict[str, str], key: str) -> tuple[int, ...]:
         raise FormatError(f"malformed {key!r} header field {raw!r}") from exc
 
 
+def _number_from(meta: dict[str, str], key: str, default: str, kind=int):
+    raw = meta.get(key, default)
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise FormatError(f"malformed {key!r} header field {raw!r}") from exc
+
+
 def _take_tower(arrays: dict[str, np.ndarray], prefix: str,
                 dims: tuple[int, ...], output_mode: str) -> MlpTower:
     weights, biases = [], []
@@ -477,15 +485,15 @@ def load_model(path):
     meta, specs, payload_off = _parse_model_header(buf)
     arrays = _read_arrays(buf, specs, payload_off)
     kind = meta.get("kind", "")
-    classes = int(meta.get("classes", "0"))
-    seed = int(meta.get("seed", "0"))
+    classes = _number_from(meta, "classes", "0")
+    seed = _number_from(meta, "seed", "0")
     arch = meta.get("arch", "")
     try:
         if kind == "unimodal":
             dims = _dims_from(meta, "dims")
             tower = _take_tower(arrays, "tower", dims, STANDALONE_SOFTMAX)
             out = SoftmaxLayer(_require(arrays, "out.W"), _require(arrays, "out.b"))
-            model = UnimodalClassifier(tower, out, int(meta.get("modality", "1")),
+            model = UnimodalClassifier(tower, out, _number_from(meta, "modality", "1"),
                                        seed=seed, arch=arch)
         elif kind == "fused":
             tower_a = _take_tower(arrays, "tower_a", _dims_from(meta, "dims_a"), HIDDEN_FEATURES)
@@ -502,12 +510,12 @@ def load_model(path):
             if "group_of" in meta:
                 tree = LabelTree(
                     np.asarray(_dims_from(meta, "group_of"), dtype=np.int64),
-                    int(meta.get("groups", "0")),
+                    _number_from(meta, "groups", "0"),
                 )
             kwargs = dict(
                 v1=_require(arrays, "head.V1"), v2=_require(arrays, "head.V2"),
                 b=_require(arrays, "head.b"),
-                lam=float(meta.get("lambda", "2.0")), tree=tree,
+                lam=_number_from(meta, "lambda", "2.0", float), tree=tree,
             )
             if variant == FULL:
                 kwargs["w_stack"] = _require(arrays, "head.W")

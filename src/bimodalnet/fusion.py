@@ -8,6 +8,7 @@ import numpy as np
 
 from .linalg import ShapeError, as_vector
 from .mlp import (
+    PROB_FLOOR,
     MlpTower,
     SoftmaxLayer,
     backward,
@@ -105,7 +106,7 @@ class FusedClassifier:
         feats = top_trace.features if top_trace is not None else fused
         probs = self.out.probabilities(feats)
         n = probs.shape[0]
-        loglik = float(np.log(np.maximum(probs[np.arange(n), targets], 1e-300)).mean())
+        loglik = float(np.log(np.maximum(probs[np.arange(n), targets], PROB_FLOOR)).mean())
         delta = target_delta(probs, targets, 1.0 / n)
         grad_w, grad_b, delta_feats = self.out.gradients(feats, delta)
         grads = {"out.W": grad_w, "out.b": grad_b}

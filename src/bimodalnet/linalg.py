@@ -41,8 +41,9 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False) -> np.ndarray:
     """Matrix product with optional transposition of either operand.
 
-    Each output cell is a single fixed-order reduction, so identical inputs
-    give bit-identical results regardless of thread count.
+    Identical inputs give bit-identical results at a fixed BLAS thread
+    count. Across thread counts the last bits can differ: OpenBLAS moves
+    output columns between kernels that sum in different orders.
     """
     a = as_matrix(a, "left operand")
     b = as_matrix(b, "right operand")
@@ -65,7 +66,13 @@ def hadamard(u, v) -> np.ndarray:
 
 
 def frobenius_norm(m) -> float:
-    return float(np.sqrt(np.sum(np.square(np.asarray(m, dtype=np.float64)))))
+    """sqrt(m . m) over the raveled entries.
+
+    The dot product is einsum's own loop, which sums in one fixed order; a
+    threaded BLAS dot splits its sum by thread count.
+    """
+    v = np.asarray(m, dtype=np.float64).ravel()
+    return float(np.sqrt(np.einsum("i,i", v, v)))
 
 
 def frobenius_project(m, lam: float) -> np.ndarray:

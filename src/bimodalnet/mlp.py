@@ -8,8 +8,14 @@ with ``weights[l]`` of shape ``(K_l, K_{l+1})``. The last post-activation is
 the tower's feature vector ``v_L``, consumed either by a fusion/bilinear head
 or by a standalone softmax output layer.
 
+The forward pass keeps every post-activation ``h_l``; the backward pass
+takes sigma'(u_l) = h_l (1 - h_l) from them, so training evaluates one
+sigmoid per layer.
+
 All forward/backward code accepts a single input (1-D) or a batch of row
-vectors (2-D) through the same code path.
+vectors (2-D) through the same code path. No function writes to its
+arguments: the in-place operations act only on buffers a function allocated
+itself.
 """
 
 from __future__ import annotations
@@ -22,19 +28,25 @@ from .linalg import ShapeError
 
 DEFAULT_INIT_SCALE = 0.05
 
+# floor on a target's probability before its log is taken
+PROB_FLOOR = 1e-300
+
 HIDDEN_FEATURES = "hidden-features"
 STANDALONE_SOFTMAX = "standalone-softmax"
 OUTPUT_MODES = (HIDDEN_FEATURES, STANDALONE_SOFTMAX)
 
 
 def sigmoid(u) -> np.ndarray:
-    """Componentwise 1 / (1 + exp(-u)), stable for |u| well past 700."""
+    """Componentwise 1 / (1 + exp(-u)), computed as 0.5 * (1 + tanh(u / 2)).
+
+    The tanh form never overflows and saturates to exactly 0 and 1 for
+    large |u|; it is within 2.3e-16 of the exact logistic function.
+    """
     u = np.asarray(u, dtype=np.float64)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
+    out = np.multiply(u, 0.5, out=np.empty_like(u))
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -47,9 +59,10 @@ def sigmoid_prime(u) -> np.ndarray:
 def softmax(logits) -> np.ndarray:
     """Row-wise softmax with max-logit subtraction (1-D input gives 1-D output)."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @dataclass
@@ -102,10 +115,9 @@ class MlpTower:
 
 @dataclass
 class ForwardTrace:
-    """Input plus per-layer pre-activations ``u_l`` and post-activations ``h_l``."""
+    """Input plus per-layer post-activations ``h_l = sigmoid(u_l)``."""
 
     x: np.ndarray
-    pre: list[np.ndarray]
     post: list[np.ndarray]
 
     @property
@@ -139,28 +151,29 @@ def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE,
 
 
 def forward(tower: MlpTower, x) -> ForwardTrace:
-    """Run the tower, keeping every pre/post-activation for the backward pass."""
+    """Run the tower, keeping every post-activation for the backward pass."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != tower.input_dim:
         raise ShapeError(
             f"input dim {x.shape[-1]} does not match tower input {tower.input_dim}"
         )
-    pre, post = [], []
+    post = []
     h = x
     for w, b in zip(tower.weights, tower.biases):
-        u = h @ w + b
+        u = h @ w
+        u += b
         h = sigmoid(u)
-        pre.append(u)
         post.append(h)
-    return ForwardTrace(x, pre, post)
+    return ForwardTrace(x, post)
 
 
 def backward(tower: MlpTower, trace: ForwardTrace, delta_top) -> TowerGradients:
     """Gradients of a scalar objective E from delta_top = dE/d(features).
 
     Follows the ascent convention: the returned arrays are dE/dW_l, dE/db_l
-    and dE/dx. The delta recursion applies sigma'(u_l) before projecting
-    through W_l; this placement is pinned by the finite-difference suite.
+    and dE/dx. The delta recursion applies sigma'(u_l) = h_l (1 - h_l),
+    taken from the trace's post-activations, before projecting through W_l;
+    this placement is pinned by the finite-difference suite.
     For a batched trace, gradients are summed over rows, so pre-scale
     delta_top by 1/B to get batch means.
     """
@@ -173,7 +186,10 @@ def backward(tower: MlpTower, trace: ForwardTrace, delta_top) -> TowerGradients:
     grad_w: list[np.ndarray] = [np.empty(0)] * n
     grad_b: list[np.ndarray] = [np.empty(0)] * n
     for l in reversed(range(n)):
-        s = sigmoid_prime(trace.pre[l]) * delta  # dE/du_l
+        h = trace.post[l]
+        s = 1.0 - h
+        s *= h
+        s *= delta  # dE/du_l
         h_prev = trace.x if l == 0 else trace.post[l - 1]
         if s.ndim == 1:
             grad_w[l] = np.outer(h_prev, s)
@@ -302,7 +318,7 @@ class UnimodalClassifier:
         trace = forward(self.tower, x)
         probs = self.out.probabilities(trace.features)
         n = probs.shape[0]
-        loglik = float(np.log(np.maximum(probs[np.arange(n), targets], 1e-300)).mean())
+        loglik = float(np.log(np.maximum(probs[np.arange(n), targets], PROB_FLOOR)).mean())
         delta = target_delta(probs, targets, 1.0 / n)
         grad_w, grad_b, delta_features = self.out.gradients(trace.features, delta)
         tg = backward(self.tower, trace, delta_features)

@@ -31,6 +31,7 @@ from .data import Dataset
 from .fusion import FusedClassifier
 from .linalg import frobenius_norm
 from .mlp import (
+    PROB_FLOOR,
     STANDALONE_SOFTMAX,
     UnimodalClassifier,
     init_softmax_layer,
@@ -39,7 +40,6 @@ from .mlp import (
 
 logger = logging.getLogger("bimodalnet.training")
 
-PROB_FLOOR = 1e-300
 EVAL_CHUNK = 1024
 
 MODES = ("audio", "visual", "fused", "bilinear")
@@ -51,6 +51,10 @@ _SEED_HEAD = 2
 _SEED_TOP = 3
 _SEED_OUT = 4
 _SEED_SHUFFLE = 5
+
+
+class DivergenceError(ValueError):
+    """A training step produced a non-finite gradient."""
 
 
 def _child_seed(seed: int, slot: int) -> np.random.SeedSequence:
@@ -134,11 +138,14 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              learning_rate: float, lam: float,
              project: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
     """In-place ascent update of every parameter, then Frobenius projection
-    of the named matrices onto the ball of radius lam."""
+    of the named matrices onto the ball of radius lam.
+
+    Raises DivergenceError, naming the parameter, on a non-finite gradient.
+    """
     for name in params:
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
         params[name] += learning_rate * g
     for name in project:
         if name in params:
@@ -278,9 +285,7 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
             try:
                 sgd_step(params, grads, config.learning_rate, config.lam,
                          model.project_names())
-            except ValueError as exc:
-                if "non-finite" not in str(exc):
-                    raise
+            except DivergenceError:
                 diverged = True
                 break
         finite = False

@@ -215,6 +215,33 @@ class TestModelRoundTrip:
             load_model(path)
 
 
+class TestModelHeaderFields:
+    """Every numeric header field that fails to parse is a FormatError."""
+
+    @pytest.mark.parametrize("tag,field", [
+        ("unimodal", "classes"),
+        ("unimodal", "seed"),
+        ("unimodal", "modality"),
+        (FACTORED_SHARED, "classes"),
+        (FACTORED_SHARED, "seed"),
+        (FACTORED_SHARED, "groups"),
+        (FACTORED_SHARED, "lambda"),
+    ])
+    def test_unparsable_field_is_format_error(self, tmp_path, tag, field):
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
+        path = tmp_path / "corrupt.model"
+        save_model(model, path)
+        head, sep, payload = path.read_bytes().partition(b"\nbinary\n")
+        lines = head.split(b"\n")
+        key = field.encode() + b": "
+        hits = [i for i, line in enumerate(lines) if line.startswith(key)]
+        assert len(hits) == 1
+        lines[hits[0]] = key + b"x"
+        path.write_bytes(b"\n".join(lines) + sep + payload)
+        with pytest.raises(FormatError, match=repr(field)):
+            load_model(path)
+
+
 class TestDatasetValidation:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):

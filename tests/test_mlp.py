@@ -1,4 +1,6 @@
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -34,6 +36,20 @@ class TestSigmoid:
 
     def test_log3(self):
         assert sigmoid(np.array([math.log(3.0)]))[0] == pytest.approx(0.75, abs=1e-15)
+
+    def test_saturation_exact_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = sigmoid(np.array([-1000.0, 1000.0]))
+        assert out[0] == 0.0 and out[1] == 1.0
+
+    @given(st.floats(-700, 700))
+    @settings(max_examples=500, deadline=None)
+    def test_close_to_exact_logistic(self, u):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = 1 / (1 + (-Decimal(u)).exp())
+            assert abs(Decimal(float(sigmoid(np.array([u]))[0])) - exact) <= Decimal("2.3e-16")
 
     @given(st.floats(-700, 700))
     @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from bimodalnet.fusion import FusedClassifier
 from bimodalnet.linalg import frobenius_norm
 from bimodalnet.mlp import SoftmaxLayer, init_tower
 from bimodalnet.training import (
+    DivergenceError,
     Metrics,
     TrainConfig,
     build_model,
@@ -72,6 +74,14 @@ class TestSgdStep:
         params = {"tower.W0": np.ones((2, 2))}
         with pytest.raises(ValueError, match="tower.W0"):
             sgd_step(params, {"tower.W0": np.array([[1.0, np.nan], [0, 0]])}, 0.1, 2.0)
+
+
+    def test_nonfinite_gradient_raises_divergence_error(self):
+        params = {"head.U1": np.ones((2, 2))}
+        with pytest.raises(DivergenceError, match="head.U1") as info:
+            sgd_step(params, {"head.U1": np.array([[np.inf, 0], [0, 0]])}, 0.1, 2.0)
+        assert type(info.value) is DivergenceError
+        assert isinstance(info.value, ValueError)
 
 
 class _StubModel:
@@ -170,6 +180,34 @@ class TestTrainJoint:
         assert any(r.get("event") == "diverged" for r in records)
         for arr in model.params().values():
             assert np.all(np.isfinite(arr))
+
+    def test_nonfinite_gradient_records_divergence_and_rolls_back(self):
+        # finite E but a NaN gradient on the third step of epoch 2: only
+        # sgd_step's DivergenceError can stop this run
+        train, _ = sanity_task()
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED,
+                          dims_a=(6, 4), dims_v=(6, 4), fused_dim=2,
+                          epochs=3, learning_rate=0.5, seed=3)
+        reference, _ = train_joint(dataclasses.replace(cfg, epochs=1), train)
+        model = build_model(cfg, 6, 6, 2, train.tree)
+        steps_per_epoch = -(-train.n // cfg.minibatch_size)
+        exact = model.loglik_and_grads
+        calls = []
+
+        def poisoned(x1, x2, targets):
+            loglik, grads = exact(x1, x2, targets)
+            calls.append(1)
+            if len(calls) == steps_per_epoch + 3:
+                grads["head.w"] = np.full_like(grads["head.w"], np.nan)
+            return loglik, grads
+
+        model.loglik_and_grads = poisoned
+        records = train_model(model, cfg, train)
+        assert records[-1] == {"epoch": 2, "event": "diverged"}
+        assert [r["epoch"] for r in records[:-1]] == [0, 1]
+        assert len(calls) == steps_per_epoch + 3
+        for name, arr in model.params().items():
+            assert np.array_equal(arr, reference.params()[name]), name
 
     def test_mode_equivalence_with_zeroed_bilinear_block(self):
         # bilinear-joint with U, w frozen at zero must trade exactly like the
