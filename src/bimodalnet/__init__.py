@@ -4,7 +4,6 @@ from .bilinear import (
     FACTORED,
     FACTORED_SHARED,
     FULL,
-    BilinearClassifier,
     BilinearHead,
     HeadGradients,
     LabelTree,
@@ -30,20 +29,21 @@ from .data import (
     save_dataset,
     save_model,
 )
-from .fusion import Ensemble, FusedClassifier, average_posteriors, fuse_features
-from .linalg import (
-    ShapeError,
-    frobenius_norm,
-    frobenius_project,
-    hadamard,
-    matmul,
+from .fusion import (
+    BilinearClassifier,
+    Classifier,
+    Ensemble,
+    FusedClassifier,
+    SoftmaxHead,
+    UnimodalClassifier,
+    average_posteriors,
+    fuse_features,
 )
+from .linalg import ShapeError, frobenius_norm, frobenius_project
 from .mlp import (
     ForwardTrace,
     MlpTower,
-    SoftmaxLayer,
     TowerGradients,
-    UnimodalClassifier,
     backward,
     forward,
     init_tower,

@@ -30,13 +30,16 @@ delta_v1 = M^{2->1} delta_G + V1 delta_L, and symmetrically for v2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linalg import ShapeError, as_vector, matmul
-from .mlp import PROB_FLOOR, MlpTower, backward, forward, softmax, target_delta
+from .fusion import BilinearClassifier  # noqa: F401  the bilinear kind of fusion.Classifier
+from .linalg import ShapeError, as_vector
+from .mlp import backward, forward  # noqa: F401  bound here only for perfbench's span-wiring test
+from .mlp import softmax, target_delta
 
 FULL = "full"
 FACTORED = "factored"
@@ -46,6 +49,14 @@ VARIANTS = (FULL, FACTORED, FACTORED_SHARED)
 
 class VariantError(ValueError):
     """Operation not defined for this head variant."""
+
+
+def check_lam(lam) -> float:
+    """lam as a float; the radius of the lambda-ball must be finite and positive."""
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    return lam
 
 
 @dataclass
@@ -122,6 +133,7 @@ class BilinearHead:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise VariantError(f"unknown variant {self.variant!r}")
+        self.lam = check_lam(self.lam)
         k1, k2, c = self.dim1, self.dim2, self.num_classes
         if self.v1 is None:
             self.v1 = np.zeros((k1, c))
@@ -164,14 +176,12 @@ class BilinearHead:
     def num_groups(self) -> int:
         return self.tree.num_groups if self.tree is not None else self.num_classes
 
-    def copy(self) -> "BilinearHead":
-        arr = lambda a: None if a is None else a.copy()
-        return BilinearHead(
-            self.variant, self.dim1, self.dim2, self.num_classes,
-            w_stack=arr(self.w_stack), u1=arr(self.u1), u2=arr(self.u2), w=arr(self.w),
-            v1=self.v1.copy(), v2=self.v2.copy(), b=self.b.copy(),
-            lam=self.lam, tree=self.tree,
-        )
+    def check_features(self, dims) -> None:
+        if tuple(dims) != (self.dim1, self.dim2):
+            raise ShapeError(
+                f"tower feature dims {tuple(dims)} do not match head dims "
+                f"({self.dim1}, {self.dim2})"
+            )
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         if self.variant == FULL:
@@ -180,6 +190,14 @@ class BilinearHead:
             named = {"U1": self.u1, "U2": self.u2, "w": self.w}
         named.update({"V1": self.v1, "V2": self.v2, "b": self.b})
         return named
+
+    def probabilities(self, features) -> np.ndarray:
+        return posterior_batch(self, *features)
+
+    def gradients(self, features, targets, scale: float):
+        """(probs, gradients by array name, error signal for each tower)."""
+        probs, grads, delta1, delta2 = _grads_batch(self, *features, targets, scale)
+        return probs, grads, [delta1, delta2]
 
 
 def init_head(variant: str, dim1: int, dim2: int, num_classes: int,
@@ -223,7 +241,7 @@ def materialize_w(head: BilinearHead, leaf: int) -> np.ndarray:
     if not 0 <= leaf < head.num_classes:
         raise ValueError(f"leaf {leaf} out of range [0, {head.num_classes})")
     col = head.tree.group_of[leaf] if head.variant == FACTORED_SHARED else leaf
-    return matmul(head.u1 * head.w[:, col], head.u2, transpose_b=True)
+    return (head.u1 * head.w[:, col]) @ head.u2.T
 
 
 def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -355,75 +373,3 @@ def param_count(head: BilinearHead) -> dict[str, int]:
         "bias": bias,
         "total": bilinear + linear + bias,
     }
-
-
-class BilinearClassifier:
-    """Two towers trained jointly under a bilinear softmax head."""
-
-    kind = "bilinear"
-
-    def __init__(self, tower1: MlpTower, tower2: MlpTower, head: BilinearHead,
-                 frozen: frozenset[str] = frozenset(), seed: int = 0, arch: str = ""):
-        if tower1.feature_dim != head.dim1 or tower2.feature_dim != head.dim2:
-            raise ShapeError(
-                f"tower feature dims ({tower1.feature_dim}, {tower2.feature_dim}) "
-                f"do not match head dims ({head.dim1}, {head.dim2})"
-            )
-        self.tower1 = tower1
-        self.tower2 = tower2
-        self.head = head
-        self.frozen = frozenset(frozen)
-        self.seed = seed
-        self.arch = arch
-
-    @property
-    def num_classes(self) -> int:
-        return self.head.num_classes
-
-    @property
-    def tree(self) -> Optional[LabelTree]:
-        return self.head.tree
-
-    def posterior_batch(self, x1, x2) -> np.ndarray:
-        f1 = forward(self.tower1, np.asarray(x1, dtype=np.float64)).features
-        f2 = forward(self.tower2, np.asarray(x2, dtype=np.float64)).features
-        return posterior_batch(self.head, f1, f2)
-
-    def posterior(self, x1, x2) -> np.ndarray:
-        return self.posterior_batch(np.atleast_2d(x1), np.atleast_2d(x2))[0]
-
-    def params(self) -> dict[str, np.ndarray]:
-        named: dict[str, np.ndarray] = {}
-        for prefix, tower in (("tower1", self.tower1), ("tower2", self.tower2)):
-            for l, (w, b) in enumerate(zip(tower.weights, tower.biases)):
-                named[f"{prefix}.W{l}"] = w
-                named[f"{prefix}.b{l}"] = b
-        for name, arr in self.head.param_arrays().items():
-            named[f"head.{name}"] = arr
-        return named
-
-    def trainable_params(self) -> dict[str, np.ndarray]:
-        return {k: v for k, v in self.params().items() if k not in self.frozen}
-
-    def project_names(self) -> tuple[str, ...]:
-        if self.head.variant == FULL:
-            return ()
-        return ("head.U1", "head.U2")
-
-    def loglik_and_grads(self, x1, x2, targets):
-        targets = np.asarray(targets)
-        tr1 = forward(self.tower1, np.asarray(x1, dtype=np.float64))
-        tr2 = forward(self.tower2, np.asarray(x2, dtype=np.float64))
-        n = tr1.features.shape[0]
-        probs, head_grads, delta1, delta2 = _grads_batch(
-            self.head, tr1.features, tr2.features, targets, 1.0 / n
-        )
-        loglik = float(np.log(np.maximum(probs[np.arange(n), targets], PROB_FLOOR)).mean())
-        tg1 = backward(self.tower1, tr1, delta1)
-        tg2 = backward(self.tower2, tr2, delta2)
-        grads: dict[str, np.ndarray] = {}
-        for prefix, tg in (("tower1", tg1), ("tower2", tg2)):
-            grads.update({f"{prefix}.W{l}": g for l, g in enumerate(tg.weights)})
-            grads.update({f"{prefix}.b{l}": g for l, g in enumerate(tg.biases)})
-        grads.update({f"head.{k}": v for k, v in head_grads.items()})
-        return loglik, grads

@@ -12,22 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinear import (
-    FACTORED,
-    FACTORED_SHARED,
-    FULL,
-    BilinearClassifier,
-    BilinearHead,
-    LabelTree,
-)
-from .fusion import FusedClassifier
-from .mlp import (
-    HIDDEN_FEATURES,
-    STANDALONE_SOFTMAX,
-    MlpTower,
-    SoftmaxLayer,
-    UnimodalClassifier,
-)
+from .bilinear import FULL, BilinearHead, LabelTree, check_lam
+from .fusion import KINDS, OUT, TOP, SoftmaxHead, stack_names
+from .mlp import MlpTower
 
 DATASET_MAGIC = b"BMDATSET"
 DATASET_VERSION = 1
@@ -328,48 +315,43 @@ def _csv(values) -> str:
     return ",".join(str(int(v)) for v in values)
 
 
-def _tower_meta(tower: MlpTower) -> str:
-    return _csv(tower.layer_dims)
+def _softmax_fields(head: SoftmaxHead) -> dict[str, str]:
+    return {"top_dims": _csv(head.top.layer_dims) if head.top is not None else ""}
 
 
-def _model_metadata(model) -> list[tuple[str, str]]:
-    meta: list[tuple[str, str]] = [
-        ("kind", model.kind),
-        ("classes", str(model.num_classes)),
-        ("seed", str(int(getattr(model, "seed", 0)))),
-        ("arch", str(getattr(model, "arch", ""))),
-    ]
-    if model.kind == "unimodal":
-        meta.append(("modality", str(model.modality)))
-        meta.append(("dims", _tower_meta(model.tower)))
-    elif model.kind == "fused":
-        meta.append(("dims_a", _tower_meta(model.tower_a)))
-        meta.append(("dims_v", _tower_meta(model.tower_v)))
-        meta.append(("top_dims", _tower_meta(model.top) if model.top is not None else ""))
-    elif model.kind == "bilinear":
-        head = model.head
-        meta.append(("variant", head.variant))
-        meta.append(("dims_a", _tower_meta(model.tower1)))
-        meta.append(("dims_v", _tower_meta(model.tower2)))
-        if head.variant != FULL:
-            meta.append(("fused_dim", str(head.fused_dim)))
-        meta.append(("lambda", repr(float(head.lam))))
-        if head.tree is not None:
-            meta.append(("groups", str(head.tree.num_groups)))
-            meta.append(("group_of", _csv(head.tree.group_of)))
-    else:
-        raise ValueError(f"cannot serialize model kind {model.kind!r}")
-    return meta
+def _bilinear_fields(head: BilinearHead) -> dict[str, str]:
+    fields = {"variant": head.variant, "lambda": repr(float(head.lam))}
+    if head.variant != FULL:
+        fields["fused_dim"] = str(head.fused_dim)
+    if head.tree is not None:
+        fields["groups"] = str(head.tree.num_groups)
+        fields["group_of"] = _csv(head.tree.group_of)
+    return fields
 
 
 def save_model(model, path) -> None:
     """Write an ASCII header plus a raw float64 little-endian payload."""
+    spec = KINDS.get(model.kind)
+    if spec is None:
+        raise ValueError(f"cannot serialize model kind {model.kind!r}")
+    fields = {
+        "kind": model.kind,
+        "classes": str(model.num_classes),
+        "seed": str(int(model.seed)),
+        "arch": str(model.arch),
+        "modality": str(model.inputs[0] + 1),
+    }
+    for field, tower in zip(spec.dims, model.towers):
+        fields[field] = _csv(tower.layer_dims)
+    fields.update(_HEADS[spec.head][0](model.head))
     arrays = model.params()
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
-    for key, value in _model_metadata(model):
-        if "\n" in value:
+    for key in ("kind", "classes", "seed", "arch") + spec.fields:
+        if key not in fields:
+            continue
+        if "\n" in fields[key]:
             raise ValueError(f"metadata value for {key!r} must be single-line")
-        lines.append(f"{key}: {value}")
+        lines.append(f"{key}: {fields[key]}")
     for name, arr in arrays.items():
         lines.append(f"array: {name} {_csv(arr.shape)}")
     lines.append("binary")
@@ -453,20 +435,14 @@ def _number_from(meta: dict[str, str], key: str, default: str, kind=int):
     try:
         return kind(raw)
     except ValueError as exc:
-        raise FormatError(f"malformed {key!r} header field {raw!r}") from exc
+        raise FormatError(f"invalid {key!r} header field {raw!r}") from exc
 
 
 def _take_tower(arrays: dict[str, np.ndarray], prefix: str,
-                dims: tuple[int, ...], output_mode: str) -> MlpTower:
-    weights, biases = [], []
-    for l in range(len(dims) - 1):
-        try:
-            weights.append(arrays.pop(f"{prefix}.W{l}"))
-            biases.append(arrays.pop(f"{prefix}.b{l}"))
-        except KeyError as exc:
-            raise FormatError(f"missing array for tower layer {prefix}.{l}") from exc
+                dims: tuple[int, ...]) -> MlpTower:
+    stack = [_require(arrays, name) for name in stack_names(prefix, len(dims) - 1)]
     try:
-        return MlpTower(dims, weights, biases, output_mode)
+        return MlpTower(dims, stack[0::2], stack[1::2])
     except ValueError as exc:
         raise FormatError(f"inconsistent tower {prefix!r}: {exc}") from exc
 
@@ -476,6 +452,43 @@ def _require(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
         return arrays.pop(name)
     except KeyError as exc:
         raise FormatError(f"missing array {name!r}") from exc
+
+
+def _read_softmax_head(meta, arrays, towers, classes, prefix) -> SoftmaxHead:
+    top_dims = _dims_from(meta, "top_dims")
+    top = _take_tower(arrays, prefix + TOP, top_dims) if top_dims else None
+    return SoftmaxHead(_require(arrays, f"{prefix}{OUT}.W"),
+                       _require(arrays, f"{prefix}{OUT}.b"), top)
+
+
+def _read_bilinear_head(meta, arrays, towers, classes, prefix) -> BilinearHead:
+    variant = meta.get("variant", "")
+    tree = None
+    if "group_of" in meta:
+        tree = LabelTree(
+            np.asarray(_dims_from(meta, "group_of"), dtype=np.int64),
+            _number_from(meta, "groups", "0"),
+        )
+    kwargs = dict(
+        v1=_require(arrays, prefix + "V1"), v2=_require(arrays, prefix + "V2"),
+        b=_require(arrays, prefix + "b"),
+        lam=_number_from(meta, "lambda", "2.0", check_lam), tree=tree,
+    )
+    if variant == FULL:
+        kwargs["w_stack"] = _require(arrays, prefix + "W")
+    else:
+        kwargs["u1"] = _require(arrays, prefix + "U1")
+        kwargs["u2"] = _require(arrays, prefix + "U2")
+        kwargs["w"] = _require(arrays, prefix + "w")
+    return BilinearHead(variant, towers[0].feature_dim, towers[1].feature_dim,
+                        classes, **kwargs)
+
+
+# header fields and reader of each head type of the kind table
+_HEADS = {
+    "softmax": (_softmax_fields, _read_softmax_head),
+    "bilinear": (_bilinear_fields, _read_bilinear_head),
+}
 
 
 def load_model(path):
@@ -488,48 +501,17 @@ def load_model(path):
     classes = _number_from(meta, "classes", "0")
     seed = _number_from(meta, "seed", "0")
     arch = meta.get("arch", "")
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise FormatError(f"unknown model kind {kind!r}")
     try:
-        if kind == "unimodal":
-            dims = _dims_from(meta, "dims")
-            tower = _take_tower(arrays, "tower", dims, STANDALONE_SOFTMAX)
-            out = SoftmaxLayer(_require(arrays, "out.W"), _require(arrays, "out.b"))
-            model = UnimodalClassifier(tower, out, _number_from(meta, "modality", "1"),
-                                       seed=seed, arch=arch)
-        elif kind == "fused":
-            tower_a = _take_tower(arrays, "tower_a", _dims_from(meta, "dims_a"), HIDDEN_FEATURES)
-            tower_v = _take_tower(arrays, "tower_v", _dims_from(meta, "dims_v"), HIDDEN_FEATURES)
-            top_dims = _dims_from(meta, "top_dims")
-            top = _take_tower(arrays, "top", top_dims, HIDDEN_FEATURES) if top_dims else None
-            out = SoftmaxLayer(_require(arrays, "out.W"), _require(arrays, "out.b"))
-            model = FusedClassifier(tower_a, tower_v, out, top, seed=seed, arch=arch)
-        elif kind == "bilinear":
-            tower1 = _take_tower(arrays, "tower1", _dims_from(meta, "dims_a"), HIDDEN_FEATURES)
-            tower2 = _take_tower(arrays, "tower2", _dims_from(meta, "dims_v"), HIDDEN_FEATURES)
-            variant = meta.get("variant", "")
-            tree = None
-            if "group_of" in meta:
-                tree = LabelTree(
-                    np.asarray(_dims_from(meta, "group_of"), dtype=np.int64),
-                    _number_from(meta, "groups", "0"),
-                )
-            kwargs = dict(
-                v1=_require(arrays, "head.V1"), v2=_require(arrays, "head.V2"),
-                b=_require(arrays, "head.b"),
-                lam=_number_from(meta, "lambda", "2.0", float), tree=tree,
-            )
-            if variant == FULL:
-                kwargs["w_stack"] = _require(arrays, "head.W")
-            elif variant in (FACTORED, FACTORED_SHARED):
-                kwargs["u1"] = _require(arrays, "head.U1")
-                kwargs["u2"] = _require(arrays, "head.U2")
-                kwargs["w"] = _require(arrays, "head.w")
-            else:
-                raise FormatError(f"unknown bilinear variant {variant!r}")
-            head = BilinearHead(variant, tower1.feature_dim, tower2.feature_dim,
-                                classes, **kwargs)
-            model = BilinearClassifier(tower1, tower2, head, seed=seed, arch=arch)
-        else:
-            raise FormatError(f"unknown model kind {kind!r}")
+        towers = [_take_tower(arrays, name, _dims_from(meta, field))
+                  for name, field in zip(spec.towers, spec.dims)]
+        head = _HEADS[spec.head][1](meta, arrays, towers, classes, spec.head_prefix)
+        inputs = None
+        if "modality" in spec.fields:
+            inputs = (_number_from(meta, "modality", "1") - 1,)
+        model = spec.cls(towers, head, inputs, seed=seed, arch=arch)
     except FormatError:
         raise
     except ValueError as exc:

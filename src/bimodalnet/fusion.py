@@ -1,120 +1,244 @@
-"""Late feature fusion of frozen towers, and posterior-averaging ensembles."""
+"""The classifier composition: sigmoid towers under one head, and ensembles.
+
+The paper's three model families are one shape: sigmoid towers, each
+reading one modality, under a softmax-type head. ``Classifier`` is that one
+implementation; the kind table ``KINDS`` says, per kind, which towers it
+has, which head, which parameters stay frozen and how its model file
+header reads.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .linalg import ShapeError, as_vector
 from .mlp import (
-    PROB_FLOOR,
+    DEFAULT_INIT_SCALE,
     MlpTower,
-    SoftmaxLayer,
     backward,
     forward,
+    log_likelihoods,
+    softmax,
     target_delta,
 )
 
 SIMPLEX_TOL = 1e-9
 
-
-def fuse_features(tower_a: MlpTower, tower_v: MlpTower, x1, x2) -> np.ndarray:
-    """Concatenated final hidden features [v_a ; v_v] (rows for batched input)."""
-    fa = forward(tower_a, np.asarray(x1, dtype=np.float64)).features
-    fv = forward(tower_v, np.asarray(x2, dtype=np.float64)).features
-    return np.concatenate([fa, fv], axis=-1)
+# parameter-name prefixes of the softmax head's two blocks
+TOP = "top"
+OUT = "out"
 
 
-class FusedClassifier:
-    """Softmax (optionally behind a small sigmoid stack) on frozen fused features.
+def stack_names(prefix: str, num_layers: int) -> list[str]:
+    """Parameter names ``prefix.W0, prefix.b0, prefix.W1, ...`` of a sigmoid stack."""
+    return [f"{prefix}.{p}{l}" for l in range(num_layers) for p in "Wb"]
 
-    The towers never receive gradient updates: only the top stack and the
-    output layer are trainable.
-    """
 
-    kind = "fused"
+def stack_arrays(stack) -> list[np.ndarray]:
+    """W0, b0, W1, ... of a tower or of its gradients, in ``stack_names`` order."""
+    return [a for pair in zip(stack.weights, stack.biases) for a in pair]
 
-    def __init__(self, tower_a: MlpTower, tower_v: MlpTower,
-                 out: SoftmaxLayer, top: Optional[MlpTower] = None,
-                 seed: int = 0, arch: str = ""):
-        fused_dim = tower_a.feature_dim + tower_v.feature_dim
-        if top is not None:
-            if top.input_dim != fused_dim:
-                raise ShapeError(
-                    f"top stack input {top.input_dim} does not match fused dim {fused_dim}"
-                )
-            if out.input_dim != top.feature_dim:
-                raise ShapeError(
-                    f"output layer input {out.input_dim} does not match top "
-                    f"feature dim {top.feature_dim}"
-                )
-        elif out.input_dim != fused_dim:
+
+def fuse_features(features) -> np.ndarray:
+    """Concatenated tower features [v_a ; v_v] (rows for batched input)."""
+    return np.concatenate(features, axis=-1)
+
+
+@dataclass
+class SoftmaxHead:
+    """p = softmax(W^T f + b) on the concatenated tower features f, or on the
+    output of a sigmoid ``top`` stack over them."""
+
+    weights: np.ndarray  # (K, C)
+    bias: np.ndarray     # (C,)
+    top: Optional[MlpTower] = None
+
+    def __post_init__(self):
+        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
             raise ShapeError(
-                f"output layer input {out.input_dim} does not match fused dim {fused_dim}"
+                f"softmax head shapes disagree: W {self.weights.shape} b {self.bias.shape}"
             )
-        self.tower_a = tower_a
-        self.tower_v = tower_v
-        self.top = top
-        self.out = out
-        self.seed = seed
-        self.arch = arch
+        self._top_names = []
+        if self.top is not None:
+            if self.top.feature_dim != self.weights.shape[0]:
+                raise ShapeError(
+                    f"output layer input {self.weights.shape[0]} does not match top "
+                    f"feature dim {self.top.feature_dim}"
+                )
+            self._top_names = stack_names(TOP, self.top.num_layers)
 
     @property
     def num_classes(self) -> int:
-        return self.out.num_classes
+        return self.weights.shape[1]
+
+    def check_features(self, dims) -> None:
+        expected = self.weights.shape[0] if self.top is None else self.top.input_dim
+        if sum(dims) != expected:
+            raise ShapeError(f"head input {expected} does not match fused dim {sum(dims)}")
+
+    def param_arrays(self) -> dict[str, np.ndarray]:
+        named = dict(zip(self._top_names, stack_arrays(self.top))) if self.top is not None else {}
+        named[f"{OUT}.W"] = self.weights
+        named[f"{OUT}.b"] = self.bias
+        return named
+
+    def _forward(self, features):
+        """(top trace or None, features under W, probabilities)."""
+        feats = fuse_features(features)
+        trace = forward(self.top, feats) if self.top is not None else None
+        if trace is not None:
+            feats = trace.features
+        return trace, feats, softmax(feats @ self.weights + self.bias)
+
+    def probabilities(self, features) -> np.ndarray:
+        return self._forward(features)[2]
+
+    def gradients(self, features, targets, scale: float):
+        """(probs, gradients by parameter name, error signal for each tower),
+        with gradients summed over the batch rows times ``scale``."""
+        trace, feats, probs = self._forward(features)
+        delta = target_delta(probs, targets, scale)
+        grads = {f"{OUT}.W": feats.T @ delta, f"{OUT}.b": delta.sum(axis=0)}
+        delta = delta @ self.weights.T
+        if trace is not None:
+            tg = backward(self.top, trace, delta)
+            grads.update(zip(self._top_names, stack_arrays(tg)))
+            delta = tg.delta_input
+        cuts = np.cumsum([f.shape[-1] for f in features])[:-1]
+        return probs, grads, np.split(delta, cuts, axis=-1)
+
+
+def init_softmax_head(input_dim: int, num_classes: int, seed,
+                      scale: float = DEFAULT_INIT_SCALE,
+                      top: Optional[MlpTower] = None) -> SoftmaxHead:
+    """Seeded uniform [-scale, scale] weights, zero biases; ``input_dim`` is
+    the width of the features under W."""
+    rng = np.random.default_rng(seed)
+    return SoftmaxHead(rng.uniform(-scale, scale, size=(input_dim, num_classes)),
+                       np.zeros(num_classes), top)
+
+
+class Classifier:
+    """Sigmoid towers, each reading input slot 0 (x1) or 1 (x2), under one head.
+
+    Parameters named in ``frozen`` take no updates; ``loglik_and_grads``
+    back-propagates only into towers that have a trainable parameter.
+    """
+
+    kind = ""
+
+    def __init__(self, towers, head, inputs=None, frozen=None, seed: int = 0, arch: str = ""):
+        spec = KINDS[self.kind]
+        self.towers = list(towers)
+        self.inputs = spec.inputs if inputs is None else tuple(inputs)
+        if not set(self.inputs) <= {0, 1}:
+            raise ValueError(f"input slots must be 0 or 1, got {self.inputs}")
+        head.check_features([t.feature_dim for t in self.towers])
+        self.head = head
+        self.tree = getattr(head, "tree", None)
+        self.seed = seed
+        self.arch = arch
+        for name, tower in zip(spec.towers, self.towers):
+            setattr(self, name, tower)  # model.tower, model.tower_a, model.tower1, ...
+        self._tower_names = [stack_names(name, tower.num_layers)
+                             for name, tower in zip(spec.towers, self.towers)]
+        self._head_names = {k: spec.head_prefix + k for k in head.param_arrays()}
+        self._project = tuple(n for n in spec.project if n in self._head_names.values())
+        if frozen is None:
+            frozen = [n for names in self._tower_names for n in names] if spec.frozen else ()
+        self.frozen = frozenset(frozen)
+
+    @property
+    def num_classes(self) -> int:
+        return self.head.num_classes
+
+    def _traces(self, x1, x2):
+        xs = (x1, x2)
+        return [forward(tower, xs[slot]) for tower, slot in zip(self.towers, self.inputs)]
 
     def posterior_batch(self, x1, x2) -> np.ndarray:
-        fused = fuse_features(self.tower_a, self.tower_v, x1, x2)
-        if self.top is not None:
-            fused = forward(self.top, fused).features
-        return self.out.probabilities(fused)
+        return self.head.probabilities([tr.features for tr in self._traces(x1, x2)])
 
     def posterior(self, x1, x2) -> np.ndarray:
         return self.posterior_batch(np.atleast_2d(x1), np.atleast_2d(x2))[0]
 
     def params(self) -> dict[str, np.ndarray]:
         named: dict[str, np.ndarray] = {}
-        for prefix, tower in (("tower_a", self.tower_a), ("tower_v", self.tower_v)):
-            for l, (w, b) in enumerate(zip(tower.weights, tower.biases)):
-                named[f"{prefix}.W{l}"] = w
-                named[f"{prefix}.b{l}"] = b
-        named.update(self._trainable())
-        return named
-
-    def _trainable(self) -> dict[str, np.ndarray]:
-        named: dict[str, np.ndarray] = {}
-        if self.top is not None:
-            for l, (w, b) in enumerate(zip(self.top.weights, self.top.biases)):
-                named[f"top.W{l}"] = w
-                named[f"top.b{l}"] = b
-        named["out.W"] = self.out.weights
-        named["out.b"] = self.out.bias
+        for names, tower in zip(self._tower_names, self.towers):
+            named.update(zip(names, stack_arrays(tower)))
+        for name, arr in self.head.param_arrays().items():
+            named[self._head_names[name]] = arr
         return named
 
     def trainable_params(self) -> dict[str, np.ndarray]:
-        # towers are frozen by contract; they never appear here
-        return self._trainable()
+        return {k: v for k, v in self.params().items() if k not in self.frozen}
 
     def project_names(self) -> tuple[str, ...]:
-        return ()
+        return self._project
 
     def loglik_and_grads(self, x1, x2, targets):
+        """Mean log-likelihood over the batch and its gradient for every
+        parameter of the head and of each tower that has a trainable one."""
         targets = np.asarray(targets)
-        fused = fuse_features(self.tower_a, self.tower_v, x1, x2)
-        top_trace = forward(self.top, fused) if self.top is not None else None
-        feats = top_trace.features if top_trace is not None else fused
-        probs = self.out.probabilities(feats)
-        n = probs.shape[0]
-        loglik = float(np.log(np.maximum(probs[np.arange(n), targets], PROB_FLOOR)).mean())
-        delta = target_delta(probs, targets, 1.0 / n)
-        grad_w, grad_b, delta_feats = self.out.gradients(feats, delta)
-        grads = {"out.W": grad_w, "out.b": grad_b}
-        if top_trace is not None:
-            tg = backward(self.top, top_trace, delta_feats)
-            grads.update({f"top.W{l}": g for l, g in enumerate(tg.weights)})
-            grads.update({f"top.b{l}": g for l, g in enumerate(tg.biases)})
-        return loglik, grads
+        traces = self._traces(x1, x2)
+        probs, head_grads, deltas = self.head.gradients(
+            [tr.features for tr in traces], targets, 1.0 / targets.shape[0]
+        )
+        grads = {self._head_names[k]: g for k, g in head_grads.items()}
+        for names, tower, trace, delta in zip(self._tower_names, self.towers, traces, deltas):
+            if not self.frozen.issuperset(names):
+                grads.update(zip(names, stack_arrays(backward(tower, trace, delta))))
+        return float(log_likelihoods(probs, targets).mean()), grads
+
+
+class UnimodalClassifier(Classifier):
+    """One tower under the softmax head, reading a single modality."""
+
+    kind = "unimodal"
+
+
+class FusedClassifier(Classifier):
+    """Two frozen towers under the softmax head on their fused features."""
+
+    kind = "fused"
+
+
+class BilinearClassifier(Classifier):
+    """Two towers trained jointly under a bilinear softmax head."""
+
+    kind = "bilinear"
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One row of the kind table."""
+
+    cls: type
+    towers: tuple[str, ...]          # parameter prefix of each tower
+    inputs: tuple[int, ...]          # default input slot of each tower
+    dims: tuple[str, ...]            # header field with each tower's layer dims
+    head: str                        # "softmax" (SoftmaxHead) or "bilinear" (BilinearHead)
+    fields: tuple[str, ...]          # header fields after kind, classes, seed and arch
+    head_prefix: str = ""            # prefix of the head's parameter names
+    frozen: bool = False             # towers take no updates by default
+    project: tuple[str, ...] = ()    # rescaled onto the lambda-ball after each step
+
+
+KINDS = {
+    "unimodal": Kind(UnimodalClassifier, towers=("tower",), inputs=(0,), dims=("dims",),
+                     head="softmax", fields=("modality", "dims")),
+    "fused": Kind(FusedClassifier, towers=("tower_a", "tower_v"), inputs=(0, 1),
+                  dims=("dims_a", "dims_v"), head="softmax",
+                  fields=("dims_a", "dims_v", "top_dims"), frozen=True),
+    "bilinear": Kind(BilinearClassifier, towers=("tower1", "tower2"), inputs=(0, 1),
+                     dims=("dims_a", "dims_v"), head="bilinear",
+                     fields=("variant", "dims_a", "dims_v", "fused_dim", "lambda", "groups",
+                             "group_of"),
+                     head_prefix="head.", project=("head.U1", "head.U2")),
+}
 
 
 def average_posteriors(posteriors) -> np.ndarray:

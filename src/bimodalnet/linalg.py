@@ -13,8 +13,6 @@ __all__ = [
     "ShapeError",
     "as_matrix",
     "as_vector",
-    "matmul",
-    "hadamard",
     "frobenius_norm",
     "frobenius_project",
 ]
@@ -38,33 +36,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False) -> np.ndarray:
-    """Matrix product with optional transposition of either operand.
-
-    Identical inputs give bit-identical results at a fixed BLAS thread
-    count. Across thread counts the last bits can differ: OpenBLAS moves
-    output columns between kernels that sum in different orders.
-    """
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    left = a.T if transpose_a else a
-    right = b.T if transpose_b else b
-    if left.shape[1] != right.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree, left {left.shape} x right {right.shape}"
-        )
-    return left @ right
-
-
-def hadamard(u, v) -> np.ndarray:
-    """Componentwise vector product."""
-    u = as_vector(u, "left operand")
-    v = as_vector(v, "right operand")
-    if u.shape[0] != v.shape[0]:
-        raise ShapeError(f"hadamard: length mismatch, {u.shape[0]} vs {v.shape[0]}")
-    return u * v
-
-
 def frobenius_norm(m) -> float:
     """sqrt(m . m) over the raveled entries.
 
@@ -75,16 +46,16 @@ def frobenius_norm(m) -> float:
     return float(np.sqrt(np.einsum("i,i", v, v)))
 
 
-def frobenius_project(m, lam: float) -> np.ndarray:
-    """Rescale onto the Frobenius ball of radius lam: m * min(1, lam / ||m||_F).
+def frobenius_project(m: np.ndarray, lam: float) -> np.ndarray:
+    """Rescale m in place onto the Frobenius ball of radius lam,
+    m *= min(1, lam / ||m||_F), and return it.
 
-    Idempotent; a matrix already inside the ball is returned unchanged
-    (as a copy, all operations here are pure).
+    Idempotent; a matrix already inside the ball is left untouched.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     m = as_matrix(m)
     norm = frobenius_norm(m)
-    if norm <= lam:
-        return m.copy()
-    return m * (lam / norm)
+    if norm > lam:
+        m *= lam / norm
+    return m

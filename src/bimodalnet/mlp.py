@@ -5,8 +5,8 @@ A tower is a stack of sigmoid layers
     h_l = sigmoid(W_l^T v_l + b_l),   v_l = h_{l-1},   h_0 = x,
 
 with ``weights[l]`` of shape ``(K_l, K_{l+1})``. The last post-activation is
-the tower's feature vector ``v_L``, consumed either by a fusion/bilinear head
-or by a standalone softmax output layer.
+the tower's feature vector ``v_L``, consumed by a classifier head (see
+``fusion`` for the composition of towers and heads).
 
 The forward pass keeps every post-activation ``h_l``; the backward pass
 takes sigma'(u_l) = h_l (1 - h_l) from them, so training evaluates one
@@ -30,10 +30,6 @@ DEFAULT_INIT_SCALE = 0.05
 
 # floor on a target's probability before its log is taken
 PROB_FLOOR = 1e-300
-
-HIDDEN_FEATURES = "hidden-features"
-STANDALONE_SOFTMAX = "standalone-softmax"
-OUTPUT_MODES = (HIDDEN_FEATURES, STANDALONE_SOFTMAX)
 
 
 def sigmoid(u) -> np.ndarray:
@@ -72,12 +68,9 @@ class MlpTower:
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    output_mode: str = HIDDEN_FEATURES
 
     def __post_init__(self):
         self.layer_dims = tuple(int(d) for d in self.layer_dims)
-        if self.output_mode not in OUTPUT_MODES:
-            raise ValueError(f"unknown output_mode {self.output_mode!r}")
         dims = self.layer_dims
         if len(dims) < 2:
             raise ValueError("a tower needs an input dim and at least one layer")
@@ -109,7 +102,6 @@ class MlpTower:
             self.layer_dims,
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
-            self.output_mode,
         )
 
 
@@ -132,8 +124,7 @@ class TowerGradients:
     delta_input: np.ndarray
 
 
-def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE,
-               output_mode: str = HIDDEN_FEATURES) -> MlpTower:
+def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE) -> MlpTower:
     """Seeded uniform [-scale, scale] weights, zero biases.
 
     Identical (layer_dims, seed, scale) give a bit-identical tower.
@@ -147,7 +138,7 @@ def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE,
     weights = [rng.uniform(-scale, scale, size=(dims[l], dims[l + 1]))
                for l in range(len(dims) - 1)]
     biases = [np.zeros(dims[l + 1]) for l in range(len(dims) - 1)]
-    return MlpTower(dims, weights, biases, output_mode)
+    return MlpTower(dims, weights, biases)
 
 
 def forward(tower: MlpTower, x) -> ForwardTrace:
@@ -201,55 +192,6 @@ def backward(tower: MlpTower, trace: ForwardTrace, delta_top) -> TowerGradients:
     return TowerGradients(grad_w, grad_b, delta)
 
 
-@dataclass
-class SoftmaxLayer:
-    """Linear softmax output layer: p = softmax(W^T f + b)."""
-
-    weights: np.ndarray  # (K, C)
-    bias: np.ndarray     # (C,)
-
-    def __post_init__(self):
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
-            raise ShapeError(
-                f"softmax layer shapes disagree: W {self.weights.shape} b {self.bias.shape}"
-            )
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[1]
-
-    def copy(self) -> "SoftmaxLayer":
-        return SoftmaxLayer(self.weights.copy(), self.bias.copy())
-
-    def probabilities(self, features) -> np.ndarray:
-        f = np.asarray(features, dtype=np.float64)
-        if f.shape[-1] != self.input_dim:
-            raise ShapeError(
-                f"feature dim {f.shape[-1]} does not match layer input {self.input_dim}"
-            )
-        return softmax(f @ self.weights + self.bias)
-
-    def gradients(self, features, delta):
-        """dE/dW, dE/db and dE/d(features) from delta = dE/d(logits), batch rows."""
-        grad_w = features.T @ delta
-        grad_b = delta.sum(axis=0)
-        delta_features = delta @ self.weights.T
-        return grad_w, grad_b, delta_features
-
-
-def init_softmax_layer(input_dim: int, num_classes: int, seed,
-                       scale: float = DEFAULT_INIT_SCALE) -> SoftmaxLayer:
-    rng = np.random.default_rng(seed)
-    return SoftmaxLayer(
-        rng.uniform(-scale, scale, size=(input_dim, num_classes)),
-        np.zeros(num_classes),
-    )
-
-
 def target_delta(probs: np.ndarray, targets: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Softmax/cross-entropy error signal (t - p) * scale, batch rows."""
     delta = -probs
@@ -259,71 +201,6 @@ def target_delta(probs: np.ndarray, targets: np.ndarray, scale: float = 1.0) -> 
     return delta
 
 
-class UnimodalClassifier:
-    """One sigmoid tower plus a softmax output layer, reading a single modality."""
-
-    kind = "unimodal"
-
-    def __init__(self, tower: MlpTower, out: SoftmaxLayer, modality: int = 1,
-                 seed: int = 0, arch: str = ""):
-        if out.input_dim != tower.feature_dim:
-            raise ShapeError(
-                f"output layer input {out.input_dim} does not match tower "
-                f"feature dim {tower.feature_dim}"
-            )
-        if modality not in (1, 2):
-            raise ValueError(f"modality must be 1 or 2, got {modality}")
-        self.tower = tower
-        self.out = out
-        self.modality = modality
-        self.seed = seed
-        self.arch = arch
-
-    @property
-    def num_classes(self) -> int:
-        return self.out.num_classes
-
-    def _input(self, x1, x2):
-        return np.asarray(x1 if self.modality == 1 else x2, dtype=np.float64)
-
-    def posterior_batch(self, x1, x2) -> np.ndarray:
-        trace = forward(self.tower, self._input(x1, x2))
-        return self.out.probabilities(trace.features)
-
-    def posterior(self, x1, x2) -> np.ndarray:
-        return self.posterior_batch(
-            np.atleast_2d(np.asarray(x1, dtype=np.float64)),
-            np.atleast_2d(np.asarray(x2, dtype=np.float64)),
-        )[0]
-
-    def params(self) -> dict[str, np.ndarray]:
-        named: dict[str, np.ndarray] = {}
-        for l, (w, b) in enumerate(zip(self.tower.weights, self.tower.biases)):
-            named[f"tower.W{l}"] = w
-            named[f"tower.b{l}"] = b
-        named["out.W"] = self.out.weights
-        named["out.b"] = self.out.bias
-        return named
-
-    def trainable_params(self) -> dict[str, np.ndarray]:
-        return self.params()
-
-    def project_names(self) -> tuple[str, ...]:
-        return ()
-
-    def loglik_and_grads(self, x1, x2, targets):
-        """Mean log-likelihood over the batch and its gradient per parameter."""
-        x = self._input(x1, x2)
-        targets = np.asarray(targets)
-        trace = forward(self.tower, x)
-        probs = self.out.probabilities(trace.features)
-        n = probs.shape[0]
-        loglik = float(np.log(np.maximum(probs[np.arange(n), targets], PROB_FLOOR)).mean())
-        delta = target_delta(probs, targets, 1.0 / n)
-        grad_w, grad_b, delta_features = self.out.gradients(trace.features, delta)
-        tg = backward(self.tower, trace, delta_features)
-        grads = {f"tower.W{l}": g for l, g in enumerate(tg.weights)}
-        grads.update({f"tower.b{l}": g for l, g in enumerate(tg.biases)})
-        grads["out.W"] = grad_w
-        grads["out.b"] = grad_b
-        return loglik, grads
+def log_likelihoods(probs: np.ndarray, targets) -> np.ndarray:
+    """Per-row log p(target), with the probability clamped at PROB_FLOOR."""
+    return np.log(np.maximum(probs[np.arange(probs.shape[0]), targets], PROB_FLOOR))

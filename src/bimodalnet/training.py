@@ -18,25 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bilinear import (
-    FACTORED,
-    FACTORED_SHARED,
-    FULL,
-    VARIANTS,
-    BilinearClassifier,
-    LabelTree,
-    init_head,
-)
+from .bilinear import FACTORED_SHARED, FULL, VARIANTS, LabelTree, init_head
 from .data import Dataset
-from .fusion import FusedClassifier
-from .linalg import frobenius_norm
-from .mlp import (
-    PROB_FLOOR,
-    STANDALONE_SOFTMAX,
-    UnimodalClassifier,
-    init_softmax_layer,
-    init_tower,
-)
+from .fusion import BilinearClassifier, FusedClassifier, UnimodalClassifier, init_softmax_head
+from .linalg import frobenius_project
+from .mlp import PROB_FLOOR, init_tower, log_likelihoods
 
 logger = logging.getLogger("bimodalnet.training")
 
@@ -125,13 +111,12 @@ def cross_entropy(posteriors, targets) -> float:
             f"{probs.shape[0]} posteriors vs {targets.shape[0]} targets"
         )
     p = probs[np.arange(probs.shape[0]), targets]
-    clamped = np.maximum(p, PROB_FLOOR)
     if np.any(p < PROB_FLOOR):
         logger.warning(
             "clamped %d zero posterior(s) at %g before log", int((p < PROB_FLOOR).sum()),
             PROB_FLOOR,
         )
-    return float(np.log(clamped).mean())
+    return float(log_likelihoods(probs, targets).mean())
 
 
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -140,19 +125,17 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """In-place ascent update of every parameter, then Frobenius projection
     of the named matrices onto the ball of radius lam.
 
-    Raises DivergenceError, naming the parameter, on a non-finite gradient.
+    Raises DivergenceError, naming the parameter, on a non-finite gradient;
+    every gradient is checked before any parameter moves.
     """
     for name in params:
-        g = grads[name]
-        if not np.isfinite(g).all():
+        if not np.isfinite(grads[name]).all():
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-        params[name] += learning_rate * g
+    for name, p in params.items():
+        p += learning_rate * grads[name]
     for name in project:
         if name in params:
-            u = params[name]
-            norm = frobenius_norm(u)
-            if norm > lam:
-                u *= lam / norm
+            frobenius_project(params[name], lam)
     return params
 
 
@@ -172,7 +155,7 @@ def evaluate(model, dataset: Dataset, chunk: int = EVAL_CHUNK) -> Metrics:
         leaf_wrong += int((np.argmax(probs, axis=1) != y).sum())
         group_probs = probs @ indicator
         group_wrong += int((np.argmax(group_probs, axis=1) != group_targets[start:stop]).sum())
-        log_sum += np.log(np.maximum(probs[np.arange(stop - start), y], PROB_FLOOR)).sum()
+        log_sum += log_likelihoods(probs, y).sum()
     return Metrics(
         leaf_error=leaf_wrong / dataset.n,
         group_error=group_wrong / dataset.n,
@@ -188,61 +171,49 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
     the fused and bilinear modes; either entry may be None.
     """
     scale = config.init_scale
-    warm_a, warm_v = warm_towers if warm_towers is not None else (None, None)
-
-    def feature_tower(dims, warm, slot, expected_input):
-        if warm is not None:
-            if warm.input_dim != expected_input:
+    unimodal = config.mode in ("audio", "visual")
+    slots = ((0,) if config.mode == "audio" else (1,)) if unimodal else (0, 1)
+    warm = (None, None) if unimodal or warm_towers is None else warm_towers
+    towers = []
+    for slot in slots:
+        dims, expected = (config.dims_a, config.dims_v)[slot], (d1, d2)[slot]
+        if warm[slot] is not None:
+            if warm[slot].input_dim != expected:
                 raise ValueError(
-                    f"warm-start tower expects input {warm.input_dim}, "
-                    f"dataset provides {expected_input}"
+                    f"warm-start tower expects input {warm[slot].input_dim}, "
+                    f"dataset provides {expected}"
                 )
-            return warm.copy()
+            towers.append(warm[slot].copy())
+            continue
         if not dims:
             raise ValueError(f"mode {config.mode!r} needs tower dims for both modalities")
-        if dims[0] != expected_input:
+        if dims[0] != expected:
             raise ValueError(
-                f"architecture input dim {dims[0]} does not match dataset dim {expected_input}"
+                f"architecture input dim {dims[0]} does not match dataset dim {expected}"
             )
-        return init_tower(dims, _child_seed(config.seed, slot), scale)
+        seed = _child_seed(config.seed, (_SEED_TOWER_A, _SEED_TOWER_V)[slot])
+        towers.append(init_tower(dims, seed, scale))
 
-    if config.mode in ("audio", "visual"):
-        dims = config.dims_a if config.mode == "audio" else config.dims_v
-        expected = d1 if config.mode == "audio" else d2
-        slot = _SEED_TOWER_A if config.mode == "audio" else _SEED_TOWER_V
-        tower = feature_tower(dims, None, slot, expected)
-        tower.output_mode = STANDALONE_SOFTMAX
-        out = init_softmax_layer(tower.feature_dim, num_classes,
-                                 _child_seed(config.seed, _SEED_OUT), scale)
-        return UnimodalClassifier(tower, out, 1 if config.mode == "audio" else 2,
-                                  seed=config.seed, arch=config.arch)
+    if config.mode == "bilinear":
+        if config.variant == FACTORED_SHARED and tree is None:
+            raise ValueError("factored-shared variant needs the dataset's label tree")
+        head = init_head(
+            config.variant, towers[0].feature_dim, towers[1].feature_dim, num_classes,
+            fused_dim=config.fused_dim if config.variant != FULL else None,
+            tree=tree, seed=_child_seed(config.seed, _SEED_HEAD),
+            scale=scale, lam=config.lam,
+        )
+        return BilinearClassifier(towers, head, seed=config.seed, arch=config.arch)
 
-    tower_a = feature_tower(config.dims_a, warm_a, _SEED_TOWER_A, d1)
-    tower_v = feature_tower(config.dims_v, warm_v, _SEED_TOWER_V, d2)
-
-    if config.mode == "fused":
-        fused_dim = tower_a.feature_dim + tower_v.feature_dim
-        top = None
-        out_in = fused_dim
-        if config.fusion_top:
-            top = init_tower((fused_dim,) + config.fusion_top,
-                             _child_seed(config.seed, _SEED_TOP), scale)
-            out_in = top.feature_dim
-        out = init_softmax_layer(out_in, num_classes,
-                                 _child_seed(config.seed, _SEED_OUT), scale)
-        return FusedClassifier(tower_a, tower_v, out, top,
-                               seed=config.seed, arch=config.arch)
-
-    # bilinear-joint
-    if config.variant == FACTORED_SHARED and tree is None:
-        raise ValueError("factored-shared variant needs the dataset's label tree")
-    head = init_head(
-        config.variant, tower_a.feature_dim, tower_v.feature_dim, num_classes,
-        fused_dim=config.fused_dim if config.variant != FULL else None,
-        tree=tree, seed=_child_seed(config.seed, _SEED_HEAD),
-        scale=scale, lam=config.lam,
-    )
-    return BilinearClassifier(tower_a, tower_v, head, seed=config.seed, arch=config.arch)
+    top = None
+    out_in = sum(t.feature_dim for t in towers)
+    if config.mode == "fused" and config.fusion_top:
+        top = init_tower((out_in,) + config.fusion_top,
+                         _child_seed(config.seed, _SEED_TOP), scale)
+        out_in = top.feature_dim
+    head = init_softmax_head(out_in, num_classes, _child_seed(config.seed, _SEED_OUT), scale, top)
+    cls = UnimodalClassifier if unimodal else FusedClassifier
+    return cls(towers, head, inputs=slots, seed=config.seed, arch=config.arch)
 
 
 def train_model(model, config: TrainConfig, train_set: Dataset,
@@ -333,8 +304,7 @@ def grad_check(model, sample, h: float = 1e-5) -> GradCheckReport:
     targets = np.asarray([int(y)])
 
     def objective() -> float:
-        probs = model.posterior_batch(x1, x2)
-        return float(np.log(max(probs[0, int(y)], PROB_FLOOR)))
+        return float(log_likelihoods(model.posterior_batch(x1, x2), targets)[0])
 
     _, grads = model.loglik_and_grads(x1, x2, targets)
     worst = (0.0, "", ())

@@ -215,19 +215,80 @@ class TestModelRoundTrip:
             load_model(path)
 
 
-class TestModelHeaderFields:
-    """Every numeric header field that fails to parse is a FormatError."""
+# every header line before "binary" of each _model_zoo model, format v1
+V1_HEADERS = {
+    "unimodal": [
+        "kind: unimodal", "classes: 4", "seed: 1", "arch: ", "modality: 1", "dims: 5,4,3",
+        "array: tower.W0 5,4", "array: tower.b0 4", "array: tower.W1 4,3", "array: tower.b1 3",
+        "array: out.W 3,4", "array: out.b 4",
+    ],
+    "fused-softmax": [
+        "kind: fused", "classes: 4", "seed: 2", "arch: ", "dims_a: 5,4", "dims_v: 6,4",
+        "top_dims: ",
+        "array: tower_a.W0 5,4", "array: tower_a.b0 4", "array: tower_v.W0 6,4",
+        "array: tower_v.b0 4", "array: out.W 8,4", "array: out.b 4",
+    ],
+    "fused-deep": [
+        "kind: fused", "classes: 4", "seed: 3", "arch: ", "dims_a: 5,4", "dims_v: 6,4",
+        "top_dims: 8,7,5",
+        "array: tower_a.W0 5,4", "array: tower_a.b0 4", "array: tower_v.W0 6,4",
+        "array: tower_v.b0 4", "array: top.W0 8,7", "array: top.b0 7", "array: top.W1 7,5",
+        "array: top.b1 5", "array: out.W 5,4", "array: out.b 4",
+    ],
+    FULL: [
+        "kind: bilinear", "classes: 4", "seed: 4", "arch: ", "variant: full",
+        "dims_a: 5,4", "dims_v: 6,4", "lambda: 2.0", "groups: 2", "group_of: 0,0,1,1",
+        "array: tower1.W0 5,4", "array: tower1.b0 4", "array: tower2.W0 6,4",
+        "array: tower2.b0 4", "array: head.W 4,4,4", "array: head.V1 4,4",
+        "array: head.V2 4,4", "array: head.b 4",
+    ],
+    FACTORED: [
+        "kind: bilinear", "classes: 4", "seed: 4", "arch: ", "variant: factored",
+        "dims_a: 5,4", "dims_v: 6,4", "fused_dim: 2", "lambda: 2.0", "groups: 2",
+        "group_of: 0,0,1,1",
+        "array: tower1.W0 5,4", "array: tower1.b0 4", "array: tower2.W0 6,4",
+        "array: tower2.b0 4", "array: head.U1 4,2", "array: head.U2 4,2", "array: head.w 2,4",
+        "array: head.V1 4,4", "array: head.V2 4,4", "array: head.b 4",
+    ],
+    FACTORED_SHARED: [
+        "kind: bilinear", "classes: 4", "seed: 4", "arch: ", "variant: factored-shared",
+        "dims_a: 5,4", "dims_v: 6,4", "fused_dim: 2", "lambda: 2.0", "groups: 2",
+        "group_of: 0,0,1,1",
+        "array: tower1.W0 5,4", "array: tower1.b0 4", "array: tower2.W0 6,4",
+        "array: tower2.b0 4", "array: head.U1 4,2", "array: head.U2 4,2", "array: head.w 2,2",
+        "array: head.V1 4,4", "array: head.V2 4,4", "array: head.b 4",
+    ],
+}
 
-    @pytest.mark.parametrize("tag,field", [
-        ("unimodal", "classes"),
-        ("unimodal", "seed"),
-        ("unimodal", "modality"),
-        (FACTORED_SHARED, "classes"),
-        (FACTORED_SHARED, "seed"),
-        (FACTORED_SHARED, "groups"),
-        (FACTORED_SHARED, "lambda"),
+
+class TestModelFormat:
+    @pytest.mark.parametrize("tag", list(V1_HEADERS))
+    def test_v1_header_text(self, tmp_path, tag):
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
+        path = tmp_path / "pinned.model"
+        save_model(model, path)
+        header = path.read_bytes().partition(b"\nbinary\n")[0].decode("ascii")
+        assert header.split("\n") == ["bimodalnet-model v1"] + V1_HEADERS[tag]
+
+
+class TestModelHeaderFields:
+    """Every numeric header field that fails to parse, and every lambda that
+    is not finite and positive, is a FormatError naming the field."""
+
+    @pytest.mark.parametrize("tag,field,value", [
+        pytest.param("unimodal", "classes", "x", id="unimodal-classes"),
+        pytest.param("unimodal", "seed", "x", id="unimodal-seed"),
+        pytest.param("unimodal", "modality", "x", id="unimodal-modality"),
+        pytest.param(FACTORED_SHARED, "classes", "x", id="factored-shared-classes"),
+        pytest.param(FACTORED_SHARED, "seed", "x", id="factored-shared-seed"),
+        pytest.param(FACTORED_SHARED, "groups", "x", id="factored-shared-groups"),
+        pytest.param(FACTORED_SHARED, "lambda", "x", id="factored-shared-lambda"),
+        pytest.param(FACTORED_SHARED, "lambda", "-inf", id="factored-shared-lambda--inf"),
+        pytest.param(FACTORED_SHARED, "lambda", "nan", id="factored-shared-lambda-nan"),
+        pytest.param(FACTORED_SHARED, "lambda", "0.0", id="factored-shared-lambda-0.0"),
+        pytest.param(FACTORED_SHARED, "lambda", "-3.0", id="factored-shared-lambda--3.0"),
     ])
-    def test_unparsable_field_is_format_error(self, tmp_path, tag, field):
+    def test_unparsable_field_is_format_error(self, tmp_path, tag, field, value):
         model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
         path = tmp_path / "corrupt.model"
         save_model(model, path)
@@ -236,7 +297,7 @@ class TestModelHeaderFields:
         key = field.encode() + b": "
         hits = [i for i, line in enumerate(lines) if line.startswith(key)]
         assert len(hits) == 1
-        lines[hits[0]] = key + b"x"
+        lines[hits[0]] = key + value.encode()
         path.write_bytes(b"\n".join(lines) + sep + payload)
         with pytest.raises(FormatError, match=repr(field)):
             load_model(path)

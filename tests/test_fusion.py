@@ -5,24 +5,34 @@ from hypothesis import strategies as st
 
 from bimodalnet.bilinear import LabelTree
 from bimodalnet.data import SynthSpec, generate_synthetic
-from bimodalnet.fusion import Ensemble, FusedClassifier, average_posteriors, fuse_features
+from bimodalnet.fusion import (
+    Ensemble,
+    FusedClassifier,
+    average_posteriors,
+    fuse_features,
+    init_softmax_head,
+)
 from bimodalnet.linalg import ShapeError
-from bimodalnet.mlp import MlpTower,forward, init_softmax_layer, init_tower
+from bimodalnet.mlp import MlpTower, forward, init_tower
 from bimodalnet.training import TrainConfig, build_model, train_model
+
+
+def tower_features(tower_a, tower_v, x1, x2):
+    return fuse_features([forward(tower_a, x1).features, forward(tower_v, x2).features])
 
 
 class TestFuseFeatures:
     def test_fused_dimension_at_scale(self, rng):
         tower_a = init_tower([360, 64, 200], seed=0)
         tower_v = init_tower([540, 64, 200], seed=1)
-        fused = fuse_features(tower_a, tower_v, rng.standard_normal(360),
-                              rng.standard_normal(540))
+        fused = tower_features(tower_a, tower_v, rng.standard_normal(360),
+                               rng.standard_normal(540))
         assert fused.shape == (400,)
 
     def test_zero_towers_give_halves(self):
         tower_a = init_tower([5, 200], seed=0, scale=0.0)
         tower_v = init_tower([7, 200], seed=0, scale=0.0)
-        fused = fuse_features(tower_a, tower_v, np.ones(5), np.ones(7))
+        fused = tower_features(tower_a, tower_v, np.ones(5), np.ones(7))
         assert fused.shape == (400,)
         assert np.all(fused == 0.5)
 
@@ -33,14 +43,14 @@ class TestFuseFeatures:
         wv = np.zeros((1, 1))
         tower_a = MlpTower((2, 2), [wa], [np.array([1000.0, -1000.0])])
         tower_v = MlpTower((1, 1), [wv], [np.array([1000.0])])
-        fused = fuse_features(tower_a, tower_v, np.zeros(2), np.zeros(1))
+        fused = tower_features(tower_a, tower_v, np.zeros(2), np.zeros(1))
         assert np.allclose(fused, [1.0, 0.0, 1.0])
 
     def test_batched(self, rng):
         tower_a = init_tower([4, 3], seed=0)
         tower_v = init_tower([5, 2], seed=1)
-        out = fuse_features(tower_a, tower_v, rng.standard_normal((6, 4)),
-                            rng.standard_normal((6, 5)))
+        out = tower_features(tower_a, tower_v, rng.standard_normal((6, 4)),
+                             rng.standard_normal((6, 5)))
         assert out.shape == (6, 5)
 
 
@@ -97,11 +107,11 @@ class TestFusedClassifier:
         model = build_model(cfg, 4, 5, 4, train.tree)
         before_a = [w.copy() for w in model.tower_a.weights]
         before_v = [w.copy() for w in model.tower_v.weights]
-        top_before = model.top.weights[0].copy()
+        top_before = model.head.top.weights[0].copy()
         train_model(model, cfg, train)
         assert all(np.array_equal(a, b) for a, b in zip(model.tower_a.weights, before_a))
         assert all(np.array_equal(a, b) for a, b in zip(model.tower_v.weights, before_v))
-        assert not np.array_equal(model.top.weights[0], top_before)
+        assert not np.array_equal(model.head.top.weights[0], top_before)
 
     def test_trainable_params_exclude_towers(self):
         train, _ = tiny_dataset()
@@ -114,9 +124,9 @@ class TestFusedClassifier:
     def test_top_dim_validation(self):
         tower_a = init_tower([4, 3], seed=0)
         tower_v = init_tower([5, 3], seed=1)
-        out = init_softmax_layer(6, 4, seed=2)
+        head = init_softmax_head(6, 4, seed=2, top=init_tower([7, 6], seed=3))
         with pytest.raises(ShapeError):
-            FusedClassifier(tower_a, tower_v, out, top=init_tower([7, 6], seed=3))
+            FusedClassifier([tower_a, tower_v], head)
 
 
 class TestEnsemble:

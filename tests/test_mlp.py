@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bimodalnet.fusion import SoftmaxHead, init_softmax_head
 from bimodalnet.linalg import ShapeError
 from bimodalnet.mlp import (
     MlpTower,
-    SoftmaxLayer,
     backward,
     forward,
-    init_softmax_layer,
     init_tower,
     sigmoid,
     sigmoid_prime,
@@ -187,13 +186,13 @@ class TestBackward:
 
 class TestSoftmaxLayer:
     def test_probabilities_sum_to_one(self, rng):
-        layer = init_softmax_layer(5, 7, seed=1, scale=0.8)
-        probs = layer.probabilities(rng.standard_normal((10, 5)))
+        layer = init_softmax_head(5, 7, seed=1, scale=0.8)
+        probs = layer.probabilities([rng.standard_normal((10, 5))])
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_uniform_at_zero(self):
-        layer = SoftmaxLayer(np.zeros((3, 4)), np.zeros(4))
-        assert np.allclose(layer.probabilities(np.ones((1, 3))), 0.25)
+        layer = SoftmaxHead(np.zeros((3, 4)), np.zeros(4))
+        assert np.allclose(layer.probabilities([np.ones((1, 3))]), 0.25)
 
     def test_softmax_max_subtraction_stable(self):
         probs = softmax(np.array([1e4, 0.0]))

@@ -6,9 +6,9 @@ import pytest
 
 from bimodalnet.bilinear import FACTORED_SHARED, LabelTree
 from bimodalnet.data import Dataset, SynthSpec, generate_synthetic
-from bimodalnet.fusion import FusedClassifier
+from bimodalnet.fusion import FusedClassifier, SoftmaxHead
 from bimodalnet.linalg import frobenius_norm
-from bimodalnet.mlp import SoftmaxLayer, init_tower
+from bimodalnet.mlp import init_tower
 from bimodalnet.training import (
     DivergenceError,
     Metrics,
@@ -82,6 +82,24 @@ class TestSgdStep:
             sgd_step(params, {"head.U1": np.array([[np.inf, 0], [0, 0]])}, 0.1, 2.0)
         assert type(info.value) is DivergenceError
         assert isinstance(info.value, ValueError)
+
+
+    def test_nonfinite_gradient_moves_no_parameter(self):
+        # head.w comes after the towers and U1, U2 in parameter order, and
+        # lam = 0.1 would rescale U1 and U2: the step must apply nothing
+        train, _ = sanity_task()
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED,
+                          dims_a=(6, 4), dims_v=(6, 4), fused_dim=2,
+                          epochs=0, init_scale=0.5, seed=3, lam=0.1)
+        model = build_model(cfg, 6, 6, 2, train.tree)
+        _, grads = model.loglik_and_grads(train.x1[:8], train.x2[:8], train.y[:8])
+        grads["head.w"] = np.full_like(grads["head.w"], np.nan)
+        params = model.trainable_params()
+        before = {k: v.copy() for k, v in params.items()}
+        with pytest.raises(DivergenceError, match="head.w"):
+            sgd_step(params, grads, 0.5, cfg.lam, model.project_names())
+        for name, arr in params.items():
+            assert np.array_equal(arr, before[name]), name
 
 
 class _StubModel:
@@ -228,8 +246,8 @@ class TestTrainJoint:
             if name.startswith(("tower1.", "tower2.")) or
             name in ("head.U1", "head.U2", "head.w")
         )
-        out = SoftmaxLayer(np.zeros((6, 2)), np.zeros(2))
-        fused = FusedClassifier(bil.tower1.copy(), bil.tower2.copy(), out)
+        head = SoftmaxHead(np.zeros((6, 2)), np.zeros(2))
+        fused = FusedClassifier([bil.tower1.copy(), bil.tower2.copy()], head)
         train_model(bil, cfg, train)
         train_model(fused, cfg, train)
         p_bil = bil.posterior_batch(train.x1[:20], train.x2[:20])
