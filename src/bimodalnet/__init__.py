@@ -5,11 +5,8 @@ from .bilinear import (
     FACTORED_SHARED,
     FULL,
     BilinearHead,
-    HeadGradients,
     LabelTree,
     VariantError,
-    deltas,
-    head_gradients,
     init_head,
     materialize_w,
     param_count,
@@ -36,7 +33,6 @@ from .fusion import (
     FusedClassifier,
     SoftmaxHead,
     UnimodalClassifier,
-    average_posteriors,
     fuse_features,
 )
 from .linalg import ShapeError, frobenius_norm, frobenius_project
@@ -48,7 +44,6 @@ from .mlp import (
     forward,
     init_tower,
     sigmoid,
-    sigmoid_prime,
     softmax,
 )
 from .training import (

@@ -86,13 +86,13 @@ class LabelTree:
     def members(self, group: int) -> np.ndarray:
         return np.nonzero(self.group_of == group)[0]
 
-    def indicator(self) -> np.ndarray:
-        """(C, G) 0/1 matrix; probs @ indicator() sums leaf mass per group."""
+    def group_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sums of the leaf columns of ``x`` (B, C) within each group, (B, G)."""
         if self._indicator is None:
             ind = np.zeros((self.num_leaves, self.num_groups))
             ind[np.arange(self.num_leaves), self.group_of] = 1.0
             self._indicator = ind
-        return self._indicator
+        return x @ self._indicator
 
     def __eq__(self, other):
         return (
@@ -271,36 +271,6 @@ def posterior(head: BilinearHead, v1, v2) -> np.ndarray:
     return posterior_batch(head, as_vector(v1, "v1"), as_vector(v2, "v2"))[0]
 
 
-def deltas(probs, target_leaf: int, tree: LabelTree):
-    """Leaf and group error signals (delta_L, delta_G) for one sample."""
-    p = as_vector(probs, "probs")
-    c = tree.num_leaves
-    if p.shape[0] != c:
-        raise ShapeError(f"probs length {p.shape[0]} does not match {c} leaves")
-    if not 0 <= int(target_leaf) < c:
-        raise ValueError(f"target leaf {target_leaf} out of range [0, {c})")
-    delta_l = -p.copy()
-    delta_l[int(target_leaf)] += 1.0
-    delta_g = -np.bincount(tree.group_of, weights=p, minlength=tree.num_groups)
-    delta_g[tree.group_of[int(target_leaf)]] += 1.0
-    return delta_l, delta_g
-
-
-@dataclass
-class HeadGradients:
-    """Per-parameter gradients plus the deltas handed to each tower."""
-
-    w_stack: Optional[np.ndarray] = None
-    u1: Optional[np.ndarray] = None
-    u2: Optional[np.ndarray] = None
-    w: Optional[np.ndarray] = None
-    v1: Optional[np.ndarray] = None
-    v2: Optional[np.ndarray] = None
-    b: Optional[np.ndarray] = None
-    delta1: Optional[np.ndarray] = None
-    delta2: Optional[np.ndarray] = None
-
-
 def _grads_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray,
                  targets: np.ndarray, scale: float):
     """Batched head gradients; returns (probs, grads dict, delta1, delta2).
@@ -321,7 +291,7 @@ def _grads_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray,
         delta2 = np.einsum("bc,cij,bi->bj", delta_l, head.w_stack, f1, optimize=True)
     else:
         if head.variant == FACTORED_SHARED:
-            delta_eff = delta_l @ head.tree.indicator()  # (B, G)
+            delta_eff = head.tree.group_sums(delta_l)  # (B, G)
         else:
             delta_eff = delta_l  # unshared: delta_G is replaced by delta_L
         a1 = f1 @ head.u1
@@ -337,23 +307,6 @@ def _grads_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray,
     delta1 += delta_l @ head.v1.T
     delta2 += delta_l @ head.v2.T
     return probs, grads, delta1, delta2
-
-
-def head_gradients(head: BilinearHead, v1, v2, target_leaf: int) -> HeadGradients:
-    """Exact single-sample gradients of E = log p(target | v1, v2)."""
-    f1 = np.atleast_2d(as_vector(v1, "v1"))
-    f2 = np.atleast_2d(as_vector(v2, "v2"))
-    if not 0 <= int(target_leaf) < head.num_classes:
-        raise ValueError(f"target leaf {target_leaf} out of range [0, {head.num_classes})")
-    _, grads, delta1, delta2 = _grads_batch(
-        head, f1, f2, np.asarray([int(target_leaf)]), 1.0
-    )
-    return HeadGradients(
-        w_stack=grads.get("W"),
-        u1=grads.get("U1"), u2=grads.get("U2"), w=grads.get("w"),
-        v1=grads["V1"], v2=grads["V2"], b=grads["b"],
-        delta1=delta1[0], delta2=delta2[0],
-    )
 
 
 def param_count(head: BilinearHead) -> dict[str, int]:

@@ -7,6 +7,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -233,23 +234,25 @@ _DS_HEAD = struct.Struct("<8sIBQIIII")  # magic, version, split, n, d1, d2, C, G
 
 
 class _Cursor:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.off = 0
+    """Bounds-checked reader over a file's bytes, starting at byte offset ``off``."""
 
-    def take(self, nbytes: int, what: str) -> bytes:
+    def __init__(self, buf: bytes, off: int = 0):
+        self.buf = buf
+        self.off = off
+
+    def advance(self, nbytes: int, what: str) -> int:
+        """Offset of the next ``nbytes`` bytes, which the cursor then moves past."""
         if self.off + nbytes > len(self.buf):
             raise FormatError(
                 f"truncated file: needed {nbytes} bytes for {what} "
                 f"at byte offset {self.off}, have {len(self.buf) - self.off}"
             )
-        out = self.buf[self.off:self.off + nbytes]
         self.off += nbytes
-        return out
+        return self.off - nbytes
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
-        raw = self.take(count * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(raw, dtype=dtype, count=count).copy()
+        start = self.advance(count * np.dtype(dtype).itemsize, what)
+        return np.frombuffer(self.buf, dtype=dtype, count=count, offset=start).copy()
 
     def done(self, what: str):
         if self.off != len(self.buf):
@@ -280,8 +283,8 @@ def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         buf = fh.read()
     cur = _Cursor(buf)
-    magic, version, split_id, n, d1, d2, c, g = _DS_HEAD.unpack(
-        cur.take(_DS_HEAD.size, "header")
+    magic, version, split_id, n, d1, d2, c, g = _DS_HEAD.unpack_from(
+        buf, cur.advance(_DS_HEAD.size, "header")
     )
     if magic != DATASET_MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte offset 0: not a dataset file")
@@ -398,25 +401,16 @@ def _parse_model_header(buf: bytes):
     return meta, array_specs, idx + len(marker)
 
 
-def _read_arrays(buf: bytes, specs, payload_off: int) -> dict[str, np.ndarray]:
+def _read_arrays(cur: _Cursor, specs) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
-    off = payload_off
     for name, shape in specs:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
-        if off + nbytes > len(buf):
+        if any(d < 0 for d in shape):
             raise FormatError(
-                f"truncated payload: needed {nbytes} bytes for array {name!r} "
-                f"at byte offset {off}"
+                f"negative dimension in shape {shape} of array {name!r} "
+                f"at byte offset {cur.off}"
             )
-        arrays[name] = (
-            np.frombuffer(buf, dtype="<f8", count=count, offset=off)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        off += nbytes
-    if off != len(buf):
-        raise FormatError(f"{len(buf) - off} trailing bytes after payload at offset {off}")
+        arrays[name] = cur.array("<f8", math.prod(shape), f"array {name!r}").reshape(shape)
+    cur.done("payload")
     return arrays
 
 
@@ -496,7 +490,7 @@ def load_model(path):
     with open(path, "rb") as fh:
         buf = fh.read()
     meta, specs, payload_off = _parse_model_header(buf)
-    arrays = _read_arrays(buf, specs, payload_off)
+    arrays = _read_arrays(_Cursor(buf, payload_off), specs)
     kind = meta.get("kind", "")
     classes = _number_from(meta, "classes", "0")
     seed = _number_from(meta, "seed", "0")

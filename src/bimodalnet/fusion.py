@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import ShapeError, as_vector
+from .linalg import ShapeError
 from .mlp import (
     DEFAULT_INIT_SCALE,
     MlpTower,
@@ -24,8 +24,6 @@ from .mlp import (
     softmax,
     target_delta,
 )
-
-SIMPLEX_TOL = 1e-9
 
 # parameter-name prefixes of the softmax head's two blocks
 TOP = "top"
@@ -184,11 +182,11 @@ class Classifier:
         parameter of the head and of each tower that has a trainable one."""
         targets = np.asarray(targets)
         traces = self._traces(x1, x2)
-        probs, head_grads, deltas = self.head.gradients(
+        probs, head_grads, errors = self.head.gradients(
             [tr.features for tr in traces], targets, 1.0 / targets.shape[0]
         )
         grads = {self._head_names[k]: g for k, g in head_grads.items()}
-        for names, tower, trace, delta in zip(self._tower_names, self.towers, traces, deltas):
+        for names, tower, trace, delta in zip(self._tower_names, self.towers, traces, errors):
             if not self.frozen.issuperset(names):
                 grads.update(zip(names, stack_arrays(backward(tower, trace, delta))))
         return float(log_likelihoods(probs, targets).mean()), grads
@@ -241,25 +239,6 @@ KINDS = {
 }
 
 
-def average_posteriors(posteriors) -> np.ndarray:
-    """Unweighted arithmetic mean of probability vectors, renormalized.
-
-    Inputs must already lie on the simplex (within 1e-9); the mean is
-    renormalized so the result sums to 1 within 1e-12.
-    """
-    if posteriors is None or len(posteriors) == 0:
-        raise ValueError("no posteriors to average")
-    vecs = [as_vector(p, f"posterior {i}") for i, p in enumerate(posteriors)]
-    length = vecs[0].shape[0]
-    for i, v in enumerate(vecs):
-        if v.shape[0] != length:
-            raise ShapeError(f"posterior {i} has length {v.shape[0]}, expected {length}")
-        if abs(v.sum() - 1.0) > SIMPLEX_TOL or v.min() < -SIMPLEX_TOL:
-            raise ValueError(f"posterior {i} is not on the simplex")
-    mean = np.mean(vecs, axis=0)
-    return mean / mean.sum()
-
-
 class Ensemble:
     """Fixed-order posterior average over classifiers sharing the same leaves."""
 
@@ -293,4 +272,4 @@ class Ensemble:
         return mean / mean.sum(axis=-1, keepdims=True)
 
     def posterior(self, x1, x2) -> np.ndarray:
-        return average_posteriors([m.posterior(x1, x2) for m in self.members])
+        return self.posterior_batch(np.atleast_2d(x1), np.atleast_2d(x2))[0]

@@ -12,10 +12,9 @@ The forward pass keeps every post-activation ``h_l``; the backward pass
 takes sigma'(u_l) = h_l (1 - h_l) from them, so training evaluates one
 sigmoid per layer.
 
-All forward/backward code accepts a single input (1-D) or a batch of row
-vectors (2-D) through the same code path. No function writes to its
-arguments: the in-place operations act only on buffers a function allocated
-itself.
+``forward`` accepts a single input (1-D) or a batch of row vectors (2-D);
+``backward`` takes batch rows only. No function writes to its arguments: the
+in-place operations act only on buffers a function allocated itself.
 """
 
 from __future__ import annotations
@@ -44,12 +43,6 @@ def sigmoid(u) -> np.ndarray:
     out += 1.0
     out *= 0.5
     return out
-
-
-def sigmoid_prime(u) -> np.ndarray:
-    """sigma'(u) = sigma(u) * (1 - sigma(u)), evaluated from the pre-activation."""
-    s = sigmoid(u)
-    return s * (1.0 - s)
 
 
 def softmax(logits) -> np.ndarray:
@@ -165,13 +158,14 @@ def backward(tower: MlpTower, trace: ForwardTrace, delta_top) -> TowerGradients:
     and dE/dx. The delta recursion applies sigma'(u_l) = h_l (1 - h_l),
     taken from the trace's post-activations, before projecting through W_l;
     this placement is pinned by the finite-difference suite.
-    For a batched trace, gradients are summed over rows, so pre-scale
-    delta_top by 1/B to get batch means.
+    The trace and delta_top hold batch rows; gradients are summed over
+    rows, so pre-scale delta_top by 1/B to get batch means.
     """
     delta = np.asarray(delta_top, dtype=np.float64)
-    if delta.shape != trace.post[-1].shape:
+    if delta.ndim != 2 or delta.shape != trace.post[-1].shape:
         raise ShapeError(
-            f"delta_top shape {delta.shape} does not match features {trace.post[-1].shape}"
+            f"delta_top shape {delta.shape} is not the batch rows of features "
+            f"{trace.post[-1].shape}"
         )
     n = tower.num_layers
     grad_w: list[np.ndarray] = [np.empty(0)] * n
@@ -182,12 +176,8 @@ def backward(tower: MlpTower, trace: ForwardTrace, delta_top) -> TowerGradients:
         s *= h
         s *= delta  # dE/du_l
         h_prev = trace.x if l == 0 else trace.post[l - 1]
-        if s.ndim == 1:
-            grad_w[l] = np.outer(h_prev, s)
-            grad_b[l] = s.copy()
-        else:
-            grad_w[l] = h_prev.T @ s
-            grad_b[l] = s.sum(axis=0)
+        grad_w[l] = h_prev.T @ s
+        grad_b[l] = s.sum(axis=0)
         delta = s @ tower.weights[l].T
     return TowerGradients(grad_w, grad_b, delta)
 

@@ -139,21 +139,20 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return params
 
 
-def evaluate(model, dataset: Dataset, chunk: int = EVAL_CHUNK) -> Metrics:
+def evaluate(model, dataset: Dataset) -> Metrics:
     """Leaf/group argmax error rates (ties to the lowest index) and NLL."""
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    indicator = dataset.tree.indicator()
     group_targets = dataset.tree.group_of[dataset.y]
     leaf_wrong = 0
     group_wrong = 0
     log_sum = 0.0
-    for start in range(0, dataset.n, chunk):
-        stop = min(start + chunk, dataset.n)
+    for start in range(0, dataset.n, EVAL_CHUNK):
+        stop = min(start + EVAL_CHUNK, dataset.n)
         probs = model.posterior_batch(dataset.x1[start:stop], dataset.x2[start:stop])
         y = dataset.y[start:stop]
         leaf_wrong += int((np.argmax(probs, axis=1) != y).sum())
-        group_probs = probs @ indicator
+        group_probs = dataset.tree.group_sums(probs)
         group_wrong += int((np.argmax(group_probs, axis=1) != group_targets[start:stop]).sum())
         log_sum += log_likelihoods(probs, y).sum()
     return Metrics(
@@ -299,6 +298,8 @@ def grad_check(model, sample, h: float = 1e-5) -> GradCheckReport:
     """Central finite differences of E = log p(y | x1, x2) for one sample,
     against the model's analytic gradients, over every trainable parameter."""
     x1, x2, y = sample
+    if not 0 <= int(y) < model.num_classes:
+        raise ValueError(f"label {y} out of range [0, {model.num_classes})")
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     x2 = np.atleast_2d(np.asarray(x2, dtype=np.float64))
     targets = np.asarray([int(y)])

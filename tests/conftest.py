@@ -1,5 +1,11 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 @pytest.fixture
@@ -36,3 +42,11 @@ def max_rel_error(analytic, numeric):
         rel = np.abs(a - f) / np.maximum(1.0, np.abs(f))
         worst = max(worst, float(rel.max()))
     return worst
+
+
+def load_script(name):
+    """Import ``scripts/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -16,7 +16,6 @@ from bimodalnet.bilinear import (
     FULL,
     BilinearHead,
     LabelTree,
-    deltas,
     init_head,
     materialize_w,
     param_count,
@@ -30,22 +29,18 @@ from bimodalnet.data import (
     save_model,
 )
 from bimodalnet.fusion import Ensemble
+from bimodalnet.mlp import target_delta
 from bimodalnet.training import (
     TrainConfig,
     build_model,
     evaluate,
     grad_check,
     sgd_step,
-    train_joint,
-    train_model,
 )
+from tests.conftest import load_script
 
 GRAD_TOL = 1e-6
 ALGEBRA_TOL = 1e-12
-
-BENCH_SPEC = SynthSpec(d1=20, d2=20, num_classes=8, num_groups=4,
-                       n_train=10000, n_test=2000, noise_std=0.1,
-                       interaction_rank=2, seed=7)
 
 
 def test_criterion_1_gradient_oracle_suite():
@@ -109,7 +104,8 @@ def test_criterion_2_algebraic_identities():
         worst_simplex = max(worst_simplex, abs(probs.sum() - 1.0))
 
         target = int(rng.integers(c))
-        dl, dg = deltas(probs, target, tree)
+        dl = target_delta(probs[None], np.array([target]))
+        dl, dg = dl[0], tree.group_sums(dl)[0]
         worst_dsum = max(worst_dsum, abs(dl.sum()), abs(dg.sum()))
         for grp in range(g):
             worst_group = max(worst_group,
@@ -156,14 +152,6 @@ def test_criterion_3_parameter_counts():
     print("CRITERION 3: PASS (parameter counts)")
 
 
-def _bench_bilinear_member(train, dims, fused_dim, seed):
-    cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=dims,
-                      dims_v=dims, fused_dim=fused_dim, epochs=120,
-                      learning_rate=0.5, init_scale=0.5, minibatch_size=32,
-                      seed=seed, lam=2.0)
-    return train_joint(cfg, train)[0]
-
-
 def test_criterion_4_synthetic_bilinear_advantage():
     """On the planted-interaction benchmark the frozen-tower linear fused
     softmax stays at >= 40% test error, the jointly trained factored-shared
@@ -171,41 +159,11 @@ def test_criterion_4_synthetic_bilinear_advantage():
     architectures with the fused model does not hurt the best NLL by more
     than 0.02. Budget: 10 minutes."""
     start = time.monotonic()
-    train, test = generate_synthetic(BENCH_SPEC)
-
-    baseline_cfg = TrainConfig(mode="fused", dims_a=(20, 24, 12),
-                               dims_v=(20, 24, 12), epochs=15,
-                               learning_rate=0.5, init_scale=1.0,
-                               minibatch_size=32, seed=5)
-    baseline, _ = train_joint(baseline_cfg, train)
-    baseline_err = evaluate(baseline, test).leaf_error
-
-    flagship_cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED,
-                               dims_a=(20, 16), dims_v=(20, 16), fused_dim=16,
-                               epochs=1000, learning_rate=0.15, init_scale=0.5,
-                               minibatch_size=32, seed=5, lam=8.0)
-    flagship, _ = train_joint(flagship_cfg, train)
-    flagship_err = evaluate(flagship, test).leaf_error
-
-    # posterior-averaging protocol: three bilinear architectures plus the
-    # separately-trained fused model
-    members = [
-        _bench_bilinear_member(train, (20, 24, 12), 8, 22),
-        _bench_bilinear_member(train, (20, 20, 12), 8, 24),
-        _bench_bilinear_member(train, (20, 28, 14), 6, 25),
-    ]
-    warm = []
-    for mode, seed in (("audio", 31), ("visual", 32)):
-        cfg = TrainConfig(mode=mode, dims_a=(20, 16, 8), dims_v=(20, 16, 8),
-                          epochs=20, learning_rate=0.5, init_scale=1.0,
-                          minibatch_size=32, seed=seed)
-        warm.append(train_joint(cfg, train)[0].tower)
-    fused_cfg = TrainConfig(mode="fused", fusion_top=(24,), epochs=40,
-                            learning_rate=0.5, init_scale=0.5,
-                            minibatch_size=32, seed=33)
-    fused = build_model(fused_cfg, 20, 20, 8, train.tree, warm_towers=tuple(warm))
-    train_model(fused, fused_cfg, train)
-    members.append(fused)
+    bench = load_script("run_benchmark")
+    train, test = generate_synthetic(bench.bench_spec())
+    baseline_err = evaluate(bench.train_baseline(train), test).leaf_error
+    flagship_err = evaluate(bench.train_flagship(train), test).leaf_error
+    members = bench.train_members(train)
 
     member_nlls = [evaluate(m, test).nll for m in members]
     ensemble_nll = evaluate(Ensemble(members), test).nll

@@ -12,8 +12,6 @@ from bimodalnet.bilinear import (
     BilinearHead,
     LabelTree,
     VariantError,
-    deltas,
-    head_gradients,
     init_head,
     materialize_w,
     param_count,
@@ -21,6 +19,8 @@ from bimodalnet.bilinear import (
     posterior_batch,
 )
 from bimodalnet.linalg import ShapeError
+from bimodalnet.mlp import target_delta
+from bimodalnet.training import TrainConfig, build_model, grad_check
 from tests.conftest import finite_difference, max_rel_error
 
 
@@ -31,6 +31,26 @@ def random_head(variant, rng, k1=3, k2=4, c=6, g=None, f=2, lam=2.0):
                      tree=tree, seed=int(rng.integers(2**31)), scale=0.7, lam=lam)
     head.b[:] = rng.uniform(-0.5, 0.5, c)
     return head
+
+
+def leaf_and_group_deltas(probs, target, tree):
+    """delta_L and delta_G of one sample, as training forms them: the batched
+    error signal and its group sums."""
+    dl = target_delta(np.array([probs], dtype=np.float64), np.array([target]))
+    return dl[0], tree.group_sums(dl)[0]
+
+
+def head_gradients(head, v1, v2, target):
+    """The head's gradients by parameter name and its error signal for each
+    tower, for one sample with the objective E = log p(target | v1, v2)."""
+    _, grads, (delta1, delta2) = head.gradients([v1[None], v2[None]], np.array([target]), 1.0)
+    return grads, delta1[0], delta2[0]
+
+
+def small_bilinear_model():
+    cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(3, 4, 2),
+                      dims_v=(3, 4, 2), fused_dim=2, epochs=0, init_scale=0.5, seed=4)
+    return build_model(cfg, 3, 3, 4, LabelTree.balanced(4, 2))
 
 
 class TestLabelTree:
@@ -47,7 +67,7 @@ class TestLabelTree:
     def test_indicator_sums_leaf_mass(self):
         tree = LabelTree.balanced(4, 2)
         probs = np.array([0.4, 0.3, 0.2, 0.1])
-        assert np.allclose(probs @ tree.indicator(), [0.7, 0.3])
+        assert np.allclose(tree.group_sums(probs[None]), [[0.7, 0.3]])
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError):
@@ -136,26 +156,27 @@ class TestMaterialize:
 class TestDeltas:
     def test_worked_example(self):
         tree = LabelTree.balanced(4, 2)
-        dl, dg = deltas([0.4, 0.3, 0.2, 0.1], 0, tree)
+        dl, dg = leaf_and_group_deltas([0.4, 0.3, 0.2, 0.1], 0, tree)
         assert np.allclose(dl, [0.6, -0.3, -0.2, -0.1], atol=1e-15)
         assert np.allclose(dg, [0.3, -0.3], atol=1e-15)
 
     def test_one_hot_target_zero(self):
         tree = LabelTree.balanced(4, 2)
-        dl, dg = deltas([0.0, 1.0, 0.0, 0.0], 1, tree)
+        dl, dg = leaf_and_group_deltas([0.0, 1.0, 0.0, 0.0], 1, tree)
         assert np.all(dl == 0.0)
         assert np.all(dg == 0.0)
 
     def test_singleton_groups_collapse(self, rng):
         tree = LabelTree.singleton(5)
         p = rng.dirichlet(np.ones(5))
-        dl, dg = deltas(p, 3, tree)
+        dl, dg = leaf_and_group_deltas(p, 3, tree)
         assert np.allclose(dl, dg, atol=1e-15)
 
     def test_target_out_of_range(self):
-        tree = LabelTree.balanced(4, 2)
-        with pytest.raises(ValueError):
-            deltas([0.25] * 4, 4, tree)
+        # a label of -1 would otherwise index class C-1
+        model = small_bilinear_model()
+        with pytest.raises(ValueError, match="out of range"):
+            grad_check(model, (np.zeros(3), np.zeros(3), -1))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -168,7 +189,7 @@ class TestDeltas:
         tree = LabelTree(rng.permutation(group_of), g)
         p = rng.dirichlet(np.ones(tree.num_leaves))
         target = int(rng.integers(tree.num_leaves))
-        dl, dg = deltas(p, target, tree)
+        dl, dg = leaf_and_group_deltas(p, target, tree)
         assert abs(dl.sum()) <= 1e-12
         assert abs(dg.sum()) <= 1e-12
         for grp in range(tree.num_groups):
@@ -181,16 +202,6 @@ def head_objective(head, v1, v2, target):
     return objective
 
 
-def analytic_grad_arrays(head, v1, v2, target):
-    hg = head_gradients(head, v1, v2, target)
-    if head.variant == FULL:
-        named = {"W": hg.w_stack}
-    else:
-        named = {"U1": hg.u1, "U2": hg.u2, "w": hg.w}
-    named.update({"V1": hg.v1, "V2": hg.v2, "b": hg.b})
-    return named, hg
-
-
 class TestHeadGradients:
     def test_saturated_posterior_zero_gradients(self, rng):
         head = random_head(FACTORED_SHARED, rng)
@@ -198,8 +209,8 @@ class TestHeadGradients:
         head.b[2] = 1000.0  # drives the softmax to an exact one-hot in float64
         v1, v2 = np.zeros(3), np.zeros(4)
         assert posterior(head, v1, v2)[2] == 1.0
-        hg = head_gradients(head, v1, v2, 2)
-        for arr in (hg.u1, hg.u2, hg.w, hg.v1, hg.v2, hg.b, hg.delta1, hg.delta2):
+        grads, delta1, delta2 = head_gradients(head, v1, v2, 2)
+        for arr in [*grads.values(), delta1, delta2]:
             assert np.all(arr == 0.0)
 
     @pytest.mark.parametrize("variant", [FULL, FACTORED, FACTORED_SHARED])
@@ -209,7 +220,7 @@ class TestHeadGradients:
         v1 = rng.standard_normal(4)
         v2 = rng.standard_normal(3)
         target = 4
-        analytic, _ = analytic_grad_arrays(head, v1, v2, target)
+        analytic, _, _ = head_gradients(head, v1, v2, target)
         numeric = finite_difference(head_objective(head, v1, v2, target),
                                     head.param_arrays(), h=1e-5)
         assert max_rel_error(analytic, numeric) < 1e-6
@@ -222,10 +233,10 @@ class TestHeadGradients:
         v1 = rng.standard_normal(4)
         v2 = rng.standard_normal(3)
         target = 1
-        _, hg = analytic_grad_arrays(head, v1, v2, target)
+        _, delta1, delta2 = head_gradients(head, v1, v2, target)
         numeric = finite_difference(head_objective(head, v1, v2, target),
                                     {"v1": v1, "v2": v2}, h=1e-5)
-        assert max_rel_error({"v1": hg.delta1, "v2": hg.delta2}, numeric) < 1e-6
+        assert max_rel_error({"v1": delta1, "v2": delta2}, numeric) < 1e-6
 
     def test_v_only_head_is_plain_softmax_backprop(self, rng):
         # with the bilinear block zeroed, the head must reproduce the
@@ -236,7 +247,7 @@ class TestHeadGradients:
         v1 = rng.standard_normal(3)
         v2 = rng.standard_normal(4)
         target = 2
-        hg = head_gradients(head, v1, v2, target)
+        grads, delta1, delta2 = head_gradients(head, v1, v2, target)
         fused = np.concatenate([v1, v2])
         big_v = np.vstack([head.v1, head.v2])  # (7, 5)
         logits = fused @ big_v + head.b
@@ -244,15 +255,15 @@ class TestHeadGradients:
         p /= p.sum()
         delta_l = -p
         delta_l[target] += 1.0
-        assert np.allclose(np.concatenate([hg.delta1, hg.delta2]),
-                           big_v @ delta_l, atol=1e-12)
-        assert np.allclose(hg.v1, np.outer(v1, delta_l), atol=1e-12)
-        assert np.allclose(hg.b, delta_l, atol=1e-12)
+        assert np.allclose(np.concatenate([delta1, delta2]), big_v @ delta_l, atol=1e-12)
+        assert np.allclose(grads["V1"], np.outer(v1, delta_l), atol=1e-12)
+        assert np.allclose(grads["b"], delta_l, atol=1e-12)
 
-    def test_target_out_of_range(self, rng):
-        head = random_head(FACTORED, rng)
-        with pytest.raises(ValueError):
-            head_gradients(head, np.zeros(3), np.zeros(4), 99)
+    def test_target_out_of_range(self):
+        # a label of C would otherwise fail as an IndexError
+        model = small_bilinear_model()
+        with pytest.raises(ValueError, match="out of range"):
+            grad_check(model, (np.zeros(3), np.zeros(3), model.num_classes))
 
 
 class TestParamCount:
@@ -311,11 +322,11 @@ class TestEquivalences:
         assert np.allclose(posterior(shared, v1, v2), posterior(factored, v1, v2),
                            atol=1e-12)
         target = int(rng.integers(5))
-        hg_s = head_gradients(shared, v1, v2, target)
-        hg_f = head_gradients(factored, v1, v2, target)
-        for a, b in ((hg_s.u1, hg_f.u1), (hg_s.u2, hg_f.u2), (hg_s.w, hg_f.w),
-                     (hg_s.v1, hg_f.v1), (hg_s.delta1, hg_f.delta1),
-                     (hg_s.delta2, hg_f.delta2)):
+        grads_s, *deltas_s = head_gradients(shared, v1, v2, target)
+        grads_f, *deltas_f = head_gradients(factored, v1, v2, target)
+        for name in ("U1", "U2", "w", "V1"):
+            assert np.allclose(grads_s[name], grads_f[name], atol=1e-12)
+        for a, b in zip(deltas_s, deltas_f):
             assert np.allclose(a, b, atol=1e-12)
 
     def test_leaf_permutation_equivariance(self, rng):

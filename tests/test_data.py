@@ -303,6 +303,19 @@ class TestModelHeaderFields:
             load_model(path)
 
 
+class TestModelPayload:
+    @pytest.mark.parametrize("shape", ["-1,-4", "4,-1", "-4"])
+    def test_negative_dimension_is_format_error(self, tmp_path, shape):
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[FACTORED_SHARED]
+        path = tmp_path / "corrupt.model"
+        save_model(model, path)
+        blob = path.read_bytes()
+        assert blob.count(b"array: head.b 4\n") == 1
+        path.write_bytes(blob.replace(b"array: head.b 4\n", f"array: head.b {shape}\n".encode()))
+        with pytest.raises(FormatError, match=r"'head\.b' at byte offset \d+"):
+            load_model(path)
+
+
 class TestDatasetValidation:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):

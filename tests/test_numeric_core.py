@@ -33,7 +33,7 @@ class TestReadOnlyOperands:
         tower = init_tower((4, 5, 3), seed=2, scale=0.5)
         for arr in tower.weights + tower.biases:
             arr.flags.writeable = False
-        for x, delta in ((rng.standard_normal(4), rng.standard_normal(3)),
+        for x, delta in ((rng.standard_normal((1, 4)), rng.standard_normal((1, 3))),
                          (rng.standard_normal((6, 4)), rng.standard_normal((6, 3)))):
             trace = forward(tower, _read_only(x))
             for h in trace.post:

@@ -1,12 +1,10 @@
 """Smoke tests of the scripts under scripts/, which use the classifier API."""
 
-import importlib.util
 import os
 import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCRIPTS = os.path.join(ROOT, "scripts")
+from tests.conftest import ROOT, SCRIPTS, load_script
 
 
 def test_fd_sweep_runs_and_converges():
@@ -20,8 +18,4 @@ def test_fd_sweep_runs_and_converges():
 
 
 def test_run_benchmark_imports():
-    spec = importlib.util.spec_from_file_location(
-        "run_benchmark", os.path.join(SCRIPTS, "run_benchmark.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(load_script("run_benchmark").main)
