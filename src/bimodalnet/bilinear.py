@@ -184,20 +184,26 @@ class BilinearHead:
             )
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        if self.variant == FULL:
-            named = {"W": self.w_stack}
-        else:
-            named = {"U1": self.u1, "U2": self.u2, "w": self.w}
-        named.update({"V1": self.v1, "V2": self.v2, "b": self.b})
-        return named
+        names = ("W",) if self.variant == FULL else ("U1", "U2", "w")
+        return {name: getattr(self, _ATTRS[name]) for name in names + ("V1", "V2", "b")}
+
+    def bind(self, arrays) -> None:
+        """Point the parameters at ``arrays``, keyed as in ``param_arrays``."""
+        for name, arr in arrays.items():
+            setattr(self, _ATTRS[name], arr)
 
     def probabilities(self, features) -> np.ndarray:
         return posterior_batch(self, *features)
 
-    def gradients(self, features, targets, scale: float):
-        """(probs, gradients by array name, error signal for each tower)."""
-        probs, grads, delta1, delta2 = _grads_batch(self, *features, targets, scale)
+    def gradients(self, features, targets, scale: float, out=None):
+        """(probs, gradients by array name, error signal for each tower); the
+        gradients are written into the arrays of ``out`` when given."""
+        probs, grads, delta1, delta2 = _grads_batch(self, *features, targets, scale, out)
         return probs, grads, [delta1, delta2]
+
+
+# attribute holding each parameter array, by its param_arrays name
+_ATTRS = {"W": "w_stack", "U1": "u1", "U2": "u2", "w": "w", "V1": "v1", "V2": "v2", "b": "b"}
 
 
 def init_head(variant: str, dim1: int, dim2: int, num_classes: int,
@@ -244,18 +250,7 @@ def materialize_w(head: BilinearHead, leaf: int) -> np.ndarray:
     return (head.u1 * head.w[:, col]) @ head.u2.T
 
 
-def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Batched logits (B, C) from feature rows f1 (B, K1), f2 (B, K2)."""
-    if head.variant == FULL:
-        bil = np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True)
-    else:
-        phi = (f1 @ head.u1) * (f2 @ head.u2)  # (B, F)
-        w_leaf = head.w[:, head.tree.group_of] if head.variant == FACTORED_SHARED else head.w
-        bil = phi @ w_leaf
-    return bil + f1 @ head.v1 + f2 @ head.v2 + head.b
-
-
-def posterior_batch(head: BilinearHead, f1, f2) -> np.ndarray:
+def _feature_rows(head: BilinearHead, f1, f2):
     f1 = np.asarray(f1, dtype=np.float64)
     f2 = np.asarray(f2, dtype=np.float64)
     if f1.shape[-1] != head.dim1 or f2.shape[-1] != head.dim2:
@@ -263,7 +258,28 @@ def posterior_batch(head: BilinearHead, f1, f2) -> np.ndarray:
             f"feature dims ({f1.shape[-1]}, {f2.shape[-1]}) do not match head "
             f"dims ({head.dim1}, {head.dim2})"
         )
-    return softmax(_leaf_logits(head, np.atleast_2d(f1), np.atleast_2d(f2)))
+    return np.atleast_2d(f1), np.atleast_2d(f2)
+
+
+def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray):
+    """Batched logits (B, C) from feature rows f1 (B, K1), f2 (B, K2), and
+    the products f1 @ U1, f2 @ U2 of the factored variants (else None)."""
+    a1 = a2 = None
+    if head.variant == FULL:
+        logits = np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True)
+    else:
+        a1 = f1 @ head.u1
+        a2 = f2 @ head.u2
+        w_leaf = head.w[:, head.tree.group_of] if head.variant == FACTORED_SHARED else head.w
+        logits = (a1 * a2) @ w_leaf
+    logits += f1 @ head.v1
+    logits += f2 @ head.v2
+    logits += head.b
+    return logits, a1, a2
+
+
+def posterior_batch(head: BilinearHead, f1, f2) -> np.ndarray:
+    return softmax(_leaf_logits(head, *_feature_rows(head, f1, f2))[0])
 
 
 def posterior(head: BilinearHead, v1, v2) -> np.ndarray:
@@ -271,22 +287,24 @@ def posterior(head: BilinearHead, v1, v2) -> np.ndarray:
     return posterior_batch(head, as_vector(v1, "v1"), as_vector(v2, "v2"))[0]
 
 
-def _grads_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray,
-                 targets: np.ndarray, scale: float):
-    """Batched head gradients; returns (probs, grads dict, delta1, delta2).
+def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, out=None):
+    """Batched head gradients; returns (probs, grads, delta1, delta2).
 
     Gradients are sums over the batch of per-sample gradients scaled by
-    ``scale`` (pass 1/B for the batch mean).
+    ``scale`` (pass 1/B for the batch mean), written into the arrays of
+    ``out`` (keyed as in ``param_arrays``) when given, else into new ones.
     """
-    probs = posterior_batch(head, f1, f2)
+    f1, f2 = _feature_rows(head, f1, f2)
+    logits, a1, a2 = _leaf_logits(head, f1, f2)
+    probs = softmax(logits)
     delta_l = target_delta(probs, targets, scale)  # (B, C)
-    grads: dict[str, np.ndarray] = {
-        "V1": f1.T @ delta_l,
-        "V2": f2.T @ delta_l,
-        "b": delta_l.sum(axis=0),
-    }
+    grads = out if out is not None else {
+        name: np.empty(arr.shape) for name, arr in head.param_arrays().items()}
+    np.matmul(f1.T, delta_l, out=grads["V1"])
+    np.matmul(f2.T, delta_l, out=grads["V2"])
+    np.sum(delta_l, axis=0, out=grads["b"])
     if head.variant == FULL:
-        grads["W"] = np.einsum("bc,bi,bj->cij", delta_l, f1, f2, optimize=True)
+        np.einsum("bc,bi,bj->cij", delta_l, f1, f2, optimize=True, out=grads["W"])
         delta1 = np.einsum("bc,cij,bj->bi", delta_l, head.w_stack, f2, optimize=True)
         delta2 = np.einsum("bc,cij,bi->bj", delta_l, head.w_stack, f1, optimize=True)
     else:
@@ -294,14 +312,12 @@ def _grads_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray,
             delta_eff = head.tree.group_sums(delta_l)  # (B, G)
         else:
             delta_eff = delta_l  # unshared: delta_G is replaced by delta_L
-        a1 = f1 @ head.u1
-        a2 = f2 @ head.u2
         wd = delta_eff @ head.w.T  # rows W delta_G, (B, F)
         wd_a2 = wd * a2
         wd_a1 = wd * a1
-        grads["w"] = ((a1 * a2).T @ delta_eff)
-        grads["U1"] = f1.T @ wd_a2
-        grads["U2"] = f2.T @ wd_a1
+        np.matmul((a1 * a2).T, delta_eff, out=grads["w"])
+        np.matmul(f1.T, wd_a2, out=grads["U1"])
+        np.matmul(f2.T, wd_a1, out=grads["U2"])
         delta1 = wd_a2 @ head.u1.T
         delta2 = wd_a1 @ head.u2.T
     delta1 += delta_l @ head.v1.T

@@ -8,6 +8,7 @@ bit-identically.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .bilinear import FULL, BilinearHead, LabelTree, check_lam
 from .fusion import KINDS, OUT, TOP, SoftmaxHead, stack_names
+from .linalg import FlatArrays
 from .mlp import MlpTower
 
 DATASET_MAGIC = b"BMDATSET"
@@ -234,18 +236,20 @@ _DS_HEAD = struct.Struct("<8sIBQIIII")  # magic, version, split, n, d1, d2, C, G
 
 
 class _Cursor:
-    """Bounds-checked reader over a file's bytes, starting at byte offset ``off``."""
+    """Bounds-checked reader over a file of ``size`` bytes, starting at byte
+    offset ``off``; ``array`` reads from the file's bytes ``buf``."""
 
-    def __init__(self, buf: bytes, off: int = 0):
-        self.buf = buf
+    def __init__(self, size: int, off: int = 0, buf: bytes = b""):
+        self.size = size
         self.off = off
+        self.buf = buf
 
     def advance(self, nbytes: int, what: str) -> int:
         """Offset of the next ``nbytes`` bytes, which the cursor then moves past."""
-        if self.off + nbytes > len(self.buf):
+        if self.off + nbytes > self.size:
             raise FormatError(
                 f"truncated file: needed {nbytes} bytes for {what} "
-                f"at byte offset {self.off}, have {len(self.buf) - self.off}"
+                f"at byte offset {self.off}, have {self.size - self.off}"
             )
         self.off += nbytes
         return self.off - nbytes
@@ -255,9 +259,9 @@ class _Cursor:
         return np.frombuffer(self.buf, dtype=dtype, count=count, offset=start).copy()
 
     def done(self, what: str):
-        if self.off != len(self.buf):
+        if self.off != self.size:
             raise FormatError(
-                f"{len(self.buf) - self.off} trailing bytes after {what} "
+                f"{self.size - self.off} trailing bytes after {what} "
                 f"at byte offset {self.off}"
             )
 
@@ -282,7 +286,7 @@ def save_dataset(dataset: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         buf = fh.read()
-    cur = _Cursor(buf)
+    cur = _Cursor(len(buf), 0, buf)
     magic, version, split_id, n, d1, d2, c, g = _DS_HEAD.unpack_from(
         buf, cur.advance(_DS_HEAD.size, "header")
     )
@@ -333,7 +337,8 @@ def _bilinear_fields(head: BilinearHead) -> dict[str, str]:
 
 
 def save_model(model, path) -> None:
-    """Write an ASCII header plus a raw float64 little-endian payload."""
+    """Write an ASCII header plus a raw float64 little-endian payload: the
+    buffers of the ``params()`` arrays, in order."""
     spec = KINDS.get(model.kind)
     if spec is None:
         raise ValueError(f"cannot serialize model kind {model.kind!r}")
@@ -358,21 +363,25 @@ def save_model(model, path) -> None:
     for name, arr in arrays.items():
         lines.append(f"array: {name} {_csv(arr.shape)}")
     lines.append("binary")
-    header = ("\n".join(lines) + "\n").encode("ascii")
-    payload = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values()
-    )
     with open(path, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        for arr in arrays.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
-def _parse_model_header(buf: bytes):
-    marker = b"\nbinary\n"
-    idx = buf.find(marker)
-    if idx < 0:
-        raise FormatError("missing binary marker: not a model file or truncated header")
+def _parse_model_header(fh):
+    """(metadata, array shapes by name, payload offset) from the header lines
+    of an open model file, which is left at the start of the payload."""
+    raw = [fh.readline()]
+    while True:
+        line = fh.readline()
+        if not line:
+            raise FormatError("missing binary marker: not a model file or truncated header")
+        if line == b"binary\n":
+            break
+        raw.append(line)
     try:
-        text = buf[:idx].decode("ascii")
+        text = b"".join(raw)[:-1].decode("ascii")
     except UnicodeDecodeError as exc:
         raise FormatError(f"non-ASCII header byte at offset {exc.start}") from exc
     lines = text.split("\n")
@@ -384,7 +393,8 @@ def _parse_model_header(buf: bytes):
             f"unsupported model version {lines[0]!r}, expected {MODEL_MAGIC} {MODEL_VERSION}"
         )
     meta: dict[str, str] = {}
-    array_specs: list[tuple[str, tuple[int, ...]]] = []
+    shapes: dict[str, tuple[int, ...]] = {}
+    offset = len(lines[0]) + 1
     for line in lines[1:]:
         key, sep, value = line.partition(": ")
         if not sep:
@@ -395,22 +405,32 @@ def _parse_model_header(buf: bytes):
                 shape = tuple(int(t) for t in shape_csv.split(","))
             except ValueError as exc:
                 raise FormatError(f"malformed array shape in {line!r}") from exc
-            array_specs.append((name, shape))
+            if name in shapes:
+                raise FormatError(f"array {name!r} listed again at byte offset {offset}")
+            shapes[name] = shape
         else:
+            if key in meta:
+                raise FormatError(f"header key {key!r} repeated at byte offset {offset}")
             meta[key] = value
-    return meta, array_specs, idx + len(marker)
+        offset += len(line) + 1
+    return meta, shapes, offset + len(b"binary\n")
 
 
-def _read_arrays(cur: _Cursor, specs) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in specs:
+def _read_arrays(fh, offset: int, shapes) -> FlatArrays:
+    """The payload at ``offset`` of an open model file, read into one vector
+    and viewed as the manifest's arrays."""
+    cur = _Cursor(os.fstat(fh.fileno()).st_size, offset)
+    for name, shape in shapes.items():
         if any(d < 0 for d in shape):
             raise FormatError(
                 f"negative dimension in shape {shape} of array {name!r} "
                 f"at byte offset {cur.off}"
             )
-        arrays[name] = cur.array("<f8", math.prod(shape), f"array {name!r}").reshape(shape)
+        cur.advance(8 * math.prod(shape), f"array {name!r}")
     cur.done("payload")
+    arrays = FlatArrays(np.empty((cur.off - offset) // 8, dtype="<f8"), shapes)
+    if fh.readinto(arrays.flat) != arrays.flat.nbytes:
+        raise FormatError(f"truncated file: payload ended before byte offset {cur.off}")
     return arrays
 
 
@@ -486,11 +506,17 @@ _HEADS = {
 
 
 def load_model(path):
-    """Rebuild a saved classifier; posteriors of the result are bit-identical."""
+    """Rebuild a saved classifier; posteriors of the result are bit-identical.
+
+    The payload is read straight into one vector; when the manifest lists
+    the arrays in ``params()`` order, as ``save_model`` writes them, that
+    vector becomes the model's parameter vector without a copy (else the
+    model copies the arrays into a vector of its own).
+    """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    meta, specs, payload_off = _parse_model_header(buf)
-    arrays = _read_arrays(_Cursor(buf, payload_off), specs)
+        meta, shapes, payload_off = _parse_model_header(fh)
+        payload = _read_arrays(fh, payload_off, shapes)
+    arrays = dict(payload)
     kind = meta.get("kind", "")
     classes = _number_from(meta, "classes", "0")
     seed = _number_from(meta, "seed", "0")
@@ -505,7 +531,7 @@ def load_model(path):
         inputs = None
         if "modality" in spec.fields:
             inputs = (_number_from(meta, "modality", "1") - 1,)
-        model = spec.cls(towers, head, inputs, seed=seed, arch=arch)
+        model = spec.cls(towers, head, inputs, seed=seed, arch=arch, params=payload)
     except FormatError:
         raise
     except ValueError as exc:

@@ -14,10 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import ShapeError
+from .linalg import FlatArrays, ShapeError
 from .mlp import (
     DEFAULT_INIT_SCALE,
     MlpTower,
+    TowerGradients,
     backward,
     forward,
     log_likelihoods,
@@ -38,6 +39,12 @@ def stack_names(prefix: str, num_layers: int) -> list[str]:
 def stack_arrays(stack) -> list[np.ndarray]:
     """W0, b0, W1, ... of a tower or of its gradients, in ``stack_names`` order."""
     return [a for pair in zip(stack.weights, stack.biases) for a in pair]
+
+
+def stack_gradients(arrays) -> TowerGradients:
+    """Gradient buffers of a sigmoid stack, from W0, b0, W1, ... in
+    ``stack_names`` order."""
+    return TowerGradients(arrays[0::2], arrays[1::2], None)
 
 
 def fuse_features(features) -> np.ndarray:
@@ -83,6 +90,14 @@ class SoftmaxHead:
         named[f"{OUT}.b"] = self.bias
         return named
 
+    def bind(self, arrays) -> None:
+        """Point the parameters at ``arrays``, keyed as in ``param_arrays``."""
+        if self.top is not None:
+            top = [arrays[name] for name in self._top_names]
+            self.top.weights, self.top.biases = top[0::2], top[1::2]
+        self.weights = arrays[f"{OUT}.W"]
+        self.bias = arrays[f"{OUT}.b"]
+
     def _forward(self, features):
         """(top trace or None, features under W, probabilities)."""
         feats = fuse_features(features)
@@ -94,17 +109,20 @@ class SoftmaxHead:
     def probabilities(self, features) -> np.ndarray:
         return self._forward(features)[2]
 
-    def gradients(self, features, targets, scale: float):
+    def gradients(self, features, targets, scale: float, out=None):
         """(probs, gradients by parameter name, error signal for each tower),
-        with gradients summed over the batch rows times ``scale``."""
+        with gradients summed over the batch rows times ``scale`` and written
+        into the arrays of ``out`` when given."""
         trace, feats, probs = self._forward(features)
+        grads = out if out is not None else {
+            name: np.empty(arr.shape) for name, arr in self.param_arrays().items()}
         delta = target_delta(probs, targets, scale)
-        grads = {f"{OUT}.W": feats.T @ delta, f"{OUT}.b": delta.sum(axis=0)}
+        np.matmul(feats.T, delta, out=grads[f"{OUT}.W"])
+        np.sum(delta, axis=0, out=grads[f"{OUT}.b"])
         delta = delta @ self.weights.T
         if trace is not None:
-            tg = backward(self.top, trace, delta)
-            grads.update(zip(self._top_names, stack_arrays(tg)))
-            delta = tg.delta_input
+            top = stack_gradients([grads[name] for name in self._top_names])
+            delta = backward(self.top, trace, delta, top).delta_input
         cuts = np.cumsum([f.shape[-1] for f in features])[:-1]
         return probs, grads, np.split(delta, cuts, axis=-1)
 
@@ -122,13 +140,23 @@ def init_softmax_head(input_dim: int, num_classes: int, seed,
 class Classifier:
     """Sigmoid towers, each reading input slot 0 (x1) or 1 (x2), under one head.
 
+    Every parameter array is a view into one float64 vector, laid out in
+    ``params()`` order, which is the payload order of the model file; the
+    towers and the head are rebound to these views at construction. That
+    vector is ``params`` when the towers and the head already hold its
+    views in that order (``load_model`` builds them so), else a copy. The
+    gradients live in a second vector with the same layout, allocated by
+    the first ``loglik_and_grads``.
+
     Parameters named in ``frozen`` take no updates; ``loglik_and_grads``
     back-propagates only into towers that have a trainable parameter.
+    ``frozen`` may be reassigned at any time.
     """
 
     kind = ""
 
-    def __init__(self, towers, head, inputs=None, frozen=None, seed: int = 0, arch: str = ""):
+    def __init__(self, towers, head, inputs=None, frozen=None, seed: int = 0, arch: str = "",
+                 params: Optional[FlatArrays] = None):
         spec = KINDS[self.kind]
         self.towers = list(towers)
         self.inputs = spec.inputs if inputs is None else tuple(inputs)
@@ -145,9 +173,44 @@ class Classifier:
                              for name, tower in zip(spec.towers, self.towers)]
         self._head_names = {k: spec.head_prefix + k for k in head.param_arrays()}
         self._project = tuple(n for n in spec.project if n in self._head_names.values())
+        named: dict[str, np.ndarray] = {}
+        for names, tower in zip(self._tower_names, self.towers):
+            named.update(zip(names, stack_arrays(tower)))
+        for name, arr in head.param_arrays().items():
+            named[self._head_names[name]] = arr
+        self._params = FlatArrays.of(named, params)
+        for names, tower in zip(self._tower_names, self.towers):
+            views = [self._params[n] for n in names]
+            tower.weights, tower.biases = views[0::2], views[1::2]
+        head.bind({k: self._params[name] for k, name in self._head_names.items()})
+        self._grads: Optional[FlatArrays] = None  # made by the first loglik_and_grads
         if frozen is None:
             frozen = [n for names in self._tower_names for n in names] if spec.frozen else ()
-        self.frozen = frozenset(frozen)
+        self.frozen = frozen
+
+    @property
+    def frozen(self) -> frozenset:
+        return self._frozen
+
+    @frozen.setter
+    def frozen(self, names) -> None:
+        self._frozen = frozenset(names)
+        self._trainable = self._params.select(n for n in self._params if n not in self._frozen)
+        self._grad_views = None
+
+    def _gradient_views(self):
+        """(the head's gradient arrays, each tower's gradients or None when
+        all its parameters are frozen, the mapping ``loglik_and_grads`` returns)."""
+        if self._grads is None:
+            self._grads = FlatArrays(np.zeros_like(self._params.flat),
+                                     {name: arr.shape for name, arr in self._params.items()})
+        towers = [None if self._frozen.issuperset(names)
+                  else stack_gradients([self._grads[n] for n in names])
+                  for names in self._tower_names]
+        returned = [n for names, out in zip(self._tower_names, towers) if out is not None
+                    for n in names]
+        return ({k: self._grads[name] for k, name in self._head_names.items()}, towers,
+                self._grads.select(returned + list(self._head_names.values())))
 
     @property
     def num_classes(self) -> int:
@@ -163,32 +226,35 @@ class Classifier:
     def posterior(self, x1, x2) -> np.ndarray:
         return self.posterior_batch(np.atleast_2d(x1), np.atleast_2d(x2))[0]
 
-    def params(self) -> dict[str, np.ndarray]:
-        named: dict[str, np.ndarray] = {}
-        for names, tower in zip(self._tower_names, self.towers):
-            named.update(zip(names, stack_arrays(tower)))
-        for name, arr in self.head.param_arrays().items():
-            named[self._head_names[name]] = arr
-        return named
+    def params(self) -> FlatArrays:
+        """Every parameter array, as views of the model's parameter vector."""
+        return self._params
 
-    def trainable_params(self) -> dict[str, np.ndarray]:
-        return {k: v for k, v in self.params().items() if k not in self.frozen}
+    def trainable_params(self) -> FlatArrays:
+        """The parameters not in ``frozen``, over the same vector."""
+        return self._trainable
 
     def project_names(self) -> tuple[str, ...]:
         return self._project
 
     def loglik_and_grads(self, x1, x2, targets):
         """Mean log-likelihood over the batch and its gradient for every
-        parameter of the head and of each tower that has a trainable one."""
+        parameter of the head and of each tower that has a trainable one.
+
+        The gradients are views of the model's gradient vector, which every
+        call overwrites: copy them to keep them past the next call.
+        """
+        if self._grad_views is None:
+            self._grad_views = self._gradient_views()
+        head_grads, tower_grads, grads = self._grad_views
         targets = np.asarray(targets)
         traces = self._traces(x1, x2)
-        probs, head_grads, errors = self.head.gradients(
-            [tr.features for tr in traces], targets, 1.0 / targets.shape[0]
+        probs, _, errors = self.head.gradients(
+            [tr.features for tr in traces], targets, 1.0 / targets.shape[0], head_grads
         )
-        grads = {self._head_names[k]: g for k, g in head_grads.items()}
-        for names, tower, trace, delta in zip(self._tower_names, self.towers, traces, errors):
-            if not self.frozen.issuperset(names):
-                grads.update(zip(names, stack_arrays(backward(tower, trace, delta))))
+        for tower, trace, delta, out in zip(self.towers, traces, errors, tower_grads):
+            if out is not None:
+                backward(tower, trace, delta, out, input_delta=False)
         return float(log_likelihoods(probs, targets).mean()), grads
 
 

@@ -7,9 +7,15 @@ feasible in single precision.
 
 from __future__ import annotations
 
+import copy
+import math
+from collections.abc import Mapping
+from typing import Optional
+
 import numpy as np
 
 __all__ = [
+    "FlatArrays",
     "ShapeError",
     "as_matrix",
     "as_vector",
@@ -59,3 +65,87 @@ def frobenius_project(m: np.ndarray, lam: float) -> np.ndarray:
     if norm > lam:
         m *= lam / norm
     return m
+
+
+class FlatArrays(Mapping):
+    """Named float64 arrays that are consecutive views of one vector ``flat``.
+
+    ``layout`` gives the (start, stop) of every array of the vector in
+    ``flat``, in vector order; a mapping made by ``select`` names only some
+    of them, but shares the vector, the layout and the view objects. Reading
+    ``arrays[name]`` gives the view itself, so an in-place update of it is an
+    update of ``flat``; assigning ``arrays[name] = a`` copies ``a`` into the
+    view. ``runs`` lists the (start, stop) of each maximal run of named
+    arrays that lie back to back in ``flat``.
+    """
+
+    def __init__(self, flat: np.ndarray, shapes):
+        """Views of consecutive pieces of ``flat`` with the given shapes, in
+        order; together the pieces must fill ``flat``."""
+        self.flat = flat
+        self.layout: dict[str, tuple[int, int]] = {}
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            self.layout[name] = (start, stop)
+            start = stop
+        if start != flat.size:
+            raise ShapeError(f"arrays of {start} entries do not fill a vector of {flat.size}")
+        self._views = {name: flat[start:stop].reshape(shapes[name])
+                       for name, (start, stop) in self.layout.items()}
+        self.runs = self._runs()
+
+    @classmethod
+    def of(cls, arrays, source: Optional["FlatArrays"] = None) -> "FlatArrays":
+        """``source`` itself when ``arrays`` are its views, named and ordered
+        as in it; else views of a new vector holding copies of ``arrays``."""
+        if (source is not None and list(source) == list(arrays)
+                and all(source[name] is a for name, a in arrays.items())):
+            return source
+        shapes = {name: np.shape(a) for name, a in arrays.items()}
+        packed = cls(np.empty(sum(math.prod(s) for s in shapes.values())), shapes)
+        for name, a in arrays.items():
+            packed[name] = a
+        return packed
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        np.copyto(self._views[name], value)
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def select(self, names) -> "FlatArrays":
+        """The named arrays, in vector order, over the same vector."""
+        wanted = set(names)
+        sub = copy.copy(self)
+        sub._views = {n: v for n, v in self._views.items() if n in wanted}
+        sub.runs = sub._runs()
+        return sub
+
+    def aligned(self, arrays) -> np.ndarray:
+        """``arrays[name]`` for every name here, laid out as in ``flat``: the
+        vector of ``arrays`` itself when it has this layout and every name,
+        else a copy (the entries of other names are then zero)."""
+        if (isinstance(arrays, FlatArrays) and arrays.layout == self.layout
+                and self._views.keys() <= arrays._views.keys()):
+            return arrays.flat
+        out = np.zeros_like(self.flat)
+        for name, view in self._views.items():
+            start, stop = self.layout[name]
+            np.copyto(out[start:stop].reshape(view.shape), arrays[name])
+        return out
+
+    def _runs(self) -> list[tuple[int, int]]:
+        runs: list[tuple[int, int]] = []
+        for name in self._views:
+            start, stop = self.layout[name]
+            if runs and runs[-1][1] == start:
+                start = runs.pop()[0]
+            runs.append((start, stop))
+        return runs

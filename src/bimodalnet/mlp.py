@@ -13,13 +13,17 @@ takes sigma'(u_l) = h_l (1 - h_l) from them, so training evaluates one
 sigmoid per layer.
 
 ``forward`` accepts a single input (1-D) or a batch of row vectors (2-D);
-``backward`` takes batch rows only. No function writes to its arguments: the
-in-place operations act only on buffers a function allocated itself.
+``backward`` takes batch rows only. No function writes to its arguments,
+with one exception: ``backward`` writes its gradients into the arrays of
+``out`` when it is given one (a classifier passes views of its gradient
+vector). Every other in-place operation acts on a buffer the function
+allocated itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -114,7 +118,7 @@ class ForwardTrace:
 class TowerGradients:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    delta_input: np.ndarray
+    delta_input: Optional[np.ndarray]  # None when backward skipped it
 
 
 def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE) -> MlpTower:
@@ -151,15 +155,20 @@ def forward(tower: MlpTower, x) -> ForwardTrace:
     return ForwardTrace(x, post)
 
 
-def backward(tower: MlpTower, trace: ForwardTrace, delta_top) -> TowerGradients:
+def backward(tower: MlpTower, trace: ForwardTrace, delta_top,
+             out: Optional[TowerGradients] = None, input_delta: bool = True) -> TowerGradients:
     """Gradients of a scalar objective E from delta_top = dE/d(features).
 
     Follows the ascent convention: the returned arrays are dE/dW_l, dE/db_l
-    and dE/dx. The delta recursion applies sigma'(u_l) = h_l (1 - h_l),
-    taken from the trace's post-activations, before projecting through W_l;
-    this placement is pinned by the finite-difference suite.
+    and, with ``input_delta``, dE/dx (else ``delta_input`` is None and the
+    input layer's projection through W_0 is skipped). The delta recursion
+    applies sigma'(u_l) = h_l (1 - h_l), taken from the trace's
+    post-activations, before projecting through W_l; this placement is
+    pinned by the finite-difference suite.
     The trace and delta_top hold batch rows; gradients are summed over
-    rows, so pre-scale delta_top by 1/B to get batch means.
+    rows, so pre-scale delta_top by 1/B to get batch means. They are written
+    into the arrays of ``out`` when given (its ``delta_input`` is ignored),
+    else into new arrays.
     """
     delta = np.asarray(delta_top, dtype=np.float64)
     if delta.ndim != 2 or delta.shape != trace.post[-1].shape:
@@ -167,19 +176,19 @@ def backward(tower: MlpTower, trace: ForwardTrace, delta_top) -> TowerGradients:
             f"delta_top shape {delta.shape} is not the batch rows of features "
             f"{trace.post[-1].shape}"
         )
-    n = tower.num_layers
-    grad_w: list[np.ndarray] = [np.empty(0)] * n
-    grad_b: list[np.ndarray] = [np.empty(0)] * n
-    for l in reversed(range(n)):
+    if out is None:
+        out = TowerGradients([np.empty(w.shape) for w in tower.weights],
+                             [np.empty(b.shape) for b in tower.biases], None)
+    for l in reversed(range(tower.num_layers)):
         h = trace.post[l]
         s = 1.0 - h
         s *= h
         s *= delta  # dE/du_l
         h_prev = trace.x if l == 0 else trace.post[l - 1]
-        grad_w[l] = h_prev.T @ s
-        grad_b[l] = s.sum(axis=0)
-        delta = s @ tower.weights[l].T
-    return TowerGradients(grad_w, grad_b, delta)
+        np.matmul(h_prev.T, s, out=out.weights[l])
+        np.sum(s, axis=0, out=out.biases[l])
+        delta = s @ tower.weights[l].T if l or input_delta else None
+    return TowerGradients(out.weights, out.biases, delta)
 
 
 def target_delta(probs: np.ndarray, targets: np.ndarray, scale: float = 1.0) -> np.ndarray:

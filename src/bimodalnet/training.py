@@ -21,12 +21,15 @@ import numpy as np
 from .bilinear import FACTORED_SHARED, FULL, VARIANTS, LabelTree, init_head
 from .data import Dataset
 from .fusion import BilinearClassifier, FusedClassifier, UnimodalClassifier, init_softmax_head
-from .linalg import frobenius_project
+from .linalg import FlatArrays, frobenius_project
 from .mlp import PROB_FLOOR, init_tower, log_likelihoods
 
 logger = logging.getLogger("bimodalnet.training")
 
 EVAL_CHUNK = 1024
+
+# entries per piece of the SGD update: its 256 KB of scratch stays in L2
+STEP_CHUNK = 1 << 15
 
 MODES = ("audio", "visual", "fused", "bilinear")
 
@@ -119,20 +122,37 @@ def cross_entropy(posteriors, targets) -> float:
     return float(log_likelihoods(probs, targets).mean())
 
 
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             learning_rate: float, lam: float,
-             project: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
+def sgd_step(params: FlatArrays, grads, learning_rate: float, lam: float,
+             project: tuple[str, ...] = ()) -> FlatArrays:
     """In-place ascent update of every parameter, then Frobenius projection
     of the named matrices onto the ball of radius lam.
+
+    ``params`` are views of one parameter vector, such as
+    ``Classifier.trainable_params()`` or ``FlatArrays.of(arrays)``; ``grads``
+    maps each of their names to its gradient. The update is one scaled add
+    per run of parameters that lie back to back in the vector, read straight
+    from the gradient vector when ``grads`` has the same layout.
 
     Raises DivergenceError, naming the parameter, on a non-finite gradient;
     every gradient is checked before any parameter moves.
     """
-    for name in params:
-        if not np.isfinite(grads[name]).all():
-            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-    for name, p in params.items():
-        p += learning_rate * grads[name]
+    if not isinstance(params, FlatArrays):
+        raise TypeError(f"params must be FlatArrays, got {type(params).__name__}")
+    p, g = params.flat, params.aligned(grads)
+    # a finite sum has only finite terms; a sum that overflows is checked entry by entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(np.isfinite(np.add.reduce(g[start:stop])) for start, stop in params.runs)
+    if not finite:
+        for name in params:
+            start, stop = params.layout[name]
+            if not np.isfinite(g[start:stop]).all():
+                raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+    scratch = np.empty(min(STEP_CHUNK, p.size))
+    for start, stop in params.runs:
+        for lo in range(start, stop, STEP_CHUNK):
+            hi = min(lo + STEP_CHUNK, stop)
+            piece = p[lo:hi]
+            piece += np.multiply(g[lo:hi], learning_rate, out=scratch[:hi - lo])
     for name in project:
         if name in params:
             frobenius_project(params[name], lam)
@@ -240,7 +260,7 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
         return np.isfinite(m.nll), recs
 
     records.extend(epoch_records(0)[1])
-    snapshot = {k: v.copy() for k, v in params.items()}
+    snapshot = params.flat.copy()
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(train_set.n)
         diverged = False
@@ -262,14 +282,13 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
         if not diverged:
             finite, recs = epoch_records(epoch)
         if diverged or not finite:
-            for k, v in params.items():
-                v[...] = snapshot[k]
+            np.copyto(params.flat, snapshot)
             records.append({"epoch": epoch, "event": "diverged"})
             logger.warning("divergence at epoch %d; restored epoch %d parameters",
                            epoch, epoch - 1)
             break
         records.extend(recs)
-        snapshot = {k: v.copy() for k, v in params.items()}
+        np.copyto(snapshot, params.flat)
     return records
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,43 @@ class TestModelPayload:
         assert blob.count(b"array: head.b 4\n") == 1
         path.write_bytes(blob.replace(b"array: head.b 4\n", f"array: head.b {shape}\n".encode()))
         with pytest.raises(FormatError, match=r"'head\.b' at byte offset \d+"):
+            load_model(path)
+
+
+class TestModelManifest:
+    """A manifest names each header key and each array once; a repeated one
+    is a FormatError that names it and gives the repeated line's offset."""
+
+    @pytest.mark.parametrize("name", ["tower1.W0", "head.U1", "head.b"])
+    def test_repeated_array_is_format_error(self, tmp_path, name):
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[FACTORED_SHARED]
+        path = tmp_path / "repeated.model"
+        save_model(model, path)
+        head, sep, payload = path.read_bytes().partition(b"\nbinary\n")
+        line = f"array: {name} {','.join(map(str, model.params()[name].shape))}".encode()
+        assert head.split(b"\n").count(line) == 1
+        # listed again last, with its bytes appended: the payload size fits
+        extra = model.params()[name].astype("<f8").tobytes()
+        path.write_bytes(head + b"\n" + line + sep + payload + extra)
+        offset = len(head) + 1
+        with pytest.raises(FormatError,
+                           match=rf"array '{re.escape(name)}' listed again at byte offset {offset}$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["kind", "seed", "lambda", "group_of"])
+    def test_repeated_header_key_is_format_error(self, tmp_path, key):
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[FACTORED_SHARED]
+        path = tmp_path / "repeated.model"
+        save_model(model, path)
+        head, sep, payload = path.read_bytes().partition(b"\nbinary\n")
+        lines = head.split(b"\n")
+        hits = [i for i, line in enumerate(lines) if line.startswith(key.encode() + b": ")]
+        assert len(hits) == 1
+        lines.insert(hits[0] + 1, lines[hits[0]])  # the same value again
+        path.write_bytes(b"\n".join(lines) + sep + payload)
+        offset = sum(len(line) + 1 for line in lines[:hits[0] + 1])
+        with pytest.raises(FormatError,
+                           match=rf"header key '{key}' repeated at byte offset {offset}$"):
             load_model(path)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimodalnet.bilinear import LabelTree
-from bimodalnet.data import SynthSpec, generate_synthetic
+from bimodalnet.data import SynthSpec, generate_synthetic, load_model, save_model
 from bimodalnet.fusion import (
     Ensemble,
     FusedClassifier,
@@ -14,6 +14,7 @@ from bimodalnet.fusion import (
 from bimodalnet.linalg import ShapeError
 from bimodalnet.mlp import MlpTower, forward, init_tower
 from bimodalnet.training import TrainConfig, build_model, train_model
+from tests.test_data import _model_zoo
 
 
 def tower_features(tower_a, tower_v, x1, x2):
@@ -131,6 +132,64 @@ class TestFusedClassifier:
         head = init_softmax_head(6, 4, seed=2, top=init_tower([7, 6], seed=3))
         with pytest.raises(ShapeError):
             FusedClassifier([tower_a, tower_v], head)
+
+
+class TestParameterVector:
+    """Each classifier keeps its parameters as views of one vector in file
+    order, and its gradients in a second vector that every call refills."""
+
+    @staticmethod
+    def _check_layout(model, path):
+        params = model.params()
+        flat = params.flat
+        assert flat.base is None and flat.dtype == np.float64
+        start = 0
+        for name, arr in params.items():
+            assert arr.base is flat, name
+            assert np.shares_memory(arr, flat[start:start + arr.size]), name
+            start += arr.size
+        assert start == flat.size
+        # the towers and the head compute with these very views
+        held = [a for t in model.towers for pair in zip(t.weights, t.biases) for a in pair]
+        held += list(model.head.param_arrays().values())
+        assert [id(a) for a in held] == [id(a) for a in params.values()]
+        # the vector is the model file's payload, byte for byte
+        save_model(model, path)
+        head, _, payload = path.read_bytes().partition(b"\nbinary\n")
+        names = [line.split(b" ")[1].decode() for line in head.split(b"\n")
+                 if line.startswith(b"array: ")]
+        assert names == list(params)
+        assert payload == flat.astype("<f8").tobytes()
+
+    def test_params_share_one_vector_in_file_order(self, tmp_path):
+        for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
+            self._check_layout(model, tmp_path / f"{tag}.model")
+            self._check_layout(load_model(tmp_path / f"{tag}.model"), tmp_path / "again.model")
+
+    def test_gradients_fill_the_same_buffers(self, rng):
+        for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
+            x1, x2 = rng.standard_normal((5, 5)), rng.standard_normal((5, 6))
+            first = model.loglik_and_grads(x1, x2, [0, 1, 2, 3, 0])[1]
+            kept = {name: g.copy() for name, g in first.items()}
+            second = model.loglik_and_grads(x1[:2], x2[:2], [3, 3])[1]
+            assert second is first, tag
+            assert first.flat is second.flat and first.flat.size == model.params().flat.size
+            assert set(first) == set(model.trainable_params()), tag
+            # the earlier result now reads the later gradients
+            assert any(not np.array_equal(first[n], kept[n]) for n in first), tag
+
+    def test_frozen_may_be_reassigned(self):
+        train, _ = tiny_dataset()
+        cfg = TrainConfig(mode="fused", dims_a=(4, 3), dims_v=(5, 3), epochs=0, seed=0)
+        model = build_model(cfg, 4, 5, 4, train.tree)
+        _, grads = model.loglik_and_grads(train.x1[:4], train.x2[:4], train.y[:4])
+        assert set(grads) == {"out.W", "out.b"}
+        model.frozen = {"tower_v.W0", "tower_v.b0", "out.b"}
+        assert list(model.trainable_params()) == ["tower_a.W0", "tower_a.b0", "out.W"]
+        assert len(model.trainable_params().runs) == 2
+        _, grads = model.loglik_and_grads(train.x1[:4], train.x2[:4], train.y[:4])
+        assert set(grads) == {"tower_a.W0", "tower_a.b0", "out.W", "out.b"}
+        assert np.abs(grads["tower_a.W0"]).sum() > 0
 
 
 class TestEnsemble:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimodalnet.linalg import frobenius_norm, frobenius_project
+from bimodalnet.linalg import FlatArrays, ShapeError, frobenius_norm, frobenius_project
 
 
 class TestFrobeniusProject:
@@ -47,3 +47,61 @@ def test_projection_idempotent_and_bounded(seed):
     twice = frobenius_project(once.copy(), lam)
     assert frobenius_norm(once) <= lam + 1e-12
     assert np.max(np.abs(twice - once)) <= 1e-15
+
+
+class TestFlatArrays:
+    def test_views_tile_the_vector_in_order(self):
+        flat = np.arange(10.0)
+        arrays = FlatArrays(flat, {"a": (2, 3), "b": (4,)})
+        assert list(arrays) == ["a", "b"]
+        assert arrays.layout == {"a": (0, 6), "b": (6, 10)}
+        assert arrays["a"].base is flat and arrays["b"].base is flat
+        assert np.array_equal(arrays["b"], [6.0, 7.0, 8.0, 9.0])
+        arrays["a"][1, 2] = -1.0
+        assert flat[5] == -1.0
+        with pytest.raises(ShapeError):
+            FlatArrays(np.zeros(9), {"a": (2, 3), "b": (4,)})
+
+    def test_assignment_writes_through(self):
+        arrays = FlatArrays(np.zeros(5), {"a": (2,), "b": (3,)})
+        view = arrays["b"]
+        arrays["b"] = np.array([1.0, 2.0, 3.0])
+        assert arrays["b"] is view
+        assert np.array_equal(arrays.flat, [0.0, 0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(KeyError):
+            arrays["c"] = np.zeros(1)
+
+    def test_of_keeps_the_source_vector_and_packs_anything_else(self):
+        source = FlatArrays(np.arange(6.0), {"a": (2, 2), "b": (2,)})
+        assert FlatArrays.of(dict(source), source) is source
+        # out of order, part of the vector, a copy of one view, or no source
+        for arrays, given in (({"b": source["b"], "a": source["a"]}, source),
+                              ({"a": source["a"]}, source),
+                              ({"a": source["a"].copy(), "b": source["b"]}, source),
+                              (dict(source), None)):
+            packed = FlatArrays.of(arrays, given)
+            assert not any(np.shares_memory(packed.flat, a) for a in arrays.values())
+            assert list(packed) == list(arrays)
+            for name, a in arrays.items():
+                assert np.array_equal(packed[name], a)
+
+    def test_select_shares_views_and_finds_runs(self):
+        arrays = FlatArrays(np.zeros(10), {"a": (2,), "b": (3,), "c": (1,), "d": (4,)})
+        assert arrays.runs == [(0, 10)]
+        sub = arrays.select(["d", "a", "b"])
+        assert list(sub) == ["a", "b", "d"]
+        assert sub.flat is arrays.flat and sub["d"] is arrays["d"]
+        assert sub.runs == [(0, 5), (6, 10)]
+        assert arrays.select([]).runs == []
+
+    def test_aligned_reads_a_twin_vector_in_place(self):
+        params = FlatArrays(np.zeros(5), {"a": (2,), "b": (3,)}).select(["b"])
+        twin = FlatArrays(np.arange(5.0), {"a": (2,), "b": (3,)})
+        assert params.aligned(twin) is twin.flat
+        # another layout, or a mapping without every name, is copied into place
+        for grads in ({"b": np.array([5.0, 6.0, 7.0])},
+                      FlatArrays(np.array([5.0, 6.0, 7.0, 0.0, 0.0]), {"b": (3,), "a": (2,)})):
+            vector = params.aligned(grads)
+            assert np.array_equal(vector, [0.0, 0.0, 5.0, 6.0, 7.0])
+        with pytest.raises(KeyError):
+            params.aligned(twin.select(["a"]))

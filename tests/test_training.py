@@ -7,11 +7,12 @@ import pytest
 from bimodalnet.bilinear import FACTORED_SHARED, LabelTree
 from bimodalnet.data import Dataset, SynthSpec, generate_synthetic
 from bimodalnet.fusion import FusedClassifier, SoftmaxHead
-from bimodalnet.linalg import frobenius_norm
+from bimodalnet.linalg import FlatArrays, frobenius_norm
 from bimodalnet.mlp import init_tower
 from bimodalnet.training import (
     DivergenceError,
     Metrics,
+    STEP_CHUNK,
     TrainConfig,
     build_model,
     cross_entropy,
@@ -51,19 +52,19 @@ class TestCrossEntropy:
 
 class TestSgdStep:
     def test_single_ascent_step(self):
-        params = {"theta": np.array([1.0])}
+        params = FlatArrays.of({"theta": np.array([1.0])})
         sgd_step(params, {"theta": np.array([0.5])}, 0.1, 2.0)
         assert params["theta"][0] == pytest.approx(1.05, abs=1e-15)
 
     def test_projection_halves_norm(self):
         u = np.full((2, 2), 2.0)  # frobenius norm 4
-        params = {"head.U1": u}
+        params = FlatArrays.of({"head.U1": u})
         sgd_step(params, {"head.U1": np.zeros((2, 2))}, 0.1, 2.0,
                  project=("head.U1",))
         assert frobenius_norm(params["head.U1"]) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_gradient_fixed_point(self):
-        params = {"a": np.array([1.0, -2.0]), "head.U1": np.full((1, 2), 0.1)}
+        params = FlatArrays.of({"a": np.array([1.0, -2.0]), "head.U1": np.full((1, 2), 0.1)})
         before = {k: v.copy() for k, v in params.items()}
         sgd_step(params, {k: np.zeros_like(v) for k, v in params.items()},
                  0.5, 2.0, project=("head.U1",))
@@ -71,13 +72,13 @@ class TestSgdStep:
             assert np.array_equal(params[k], before[k])
 
     def test_nonfinite_gradient_names_parameter(self):
-        params = {"tower.W0": np.ones((2, 2))}
+        params = FlatArrays.of({"tower.W0": np.ones((2, 2))})
         with pytest.raises(ValueError, match="tower.W0"):
             sgd_step(params, {"tower.W0": np.array([[1.0, np.nan], [0, 0]])}, 0.1, 2.0)
 
 
     def test_nonfinite_gradient_raises_divergence_error(self):
-        params = {"head.U1": np.ones((2, 2))}
+        params = FlatArrays.of({"head.U1": np.ones((2, 2))})
         with pytest.raises(DivergenceError, match="head.U1") as info:
             sgd_step(params, {"head.U1": np.array([[np.inf, 0], [0, 0]])}, 0.1, 2.0)
         assert type(info.value) is DivergenceError
@@ -100,6 +101,50 @@ class TestSgdStep:
             sgd_step(params, grads, 0.5, cfg.lam, model.project_names())
         for name, arr in params.items():
             assert np.array_equal(arr, before[name]), name
+
+    def test_each_run_takes_one_scaled_add(self):
+        # two runs around a frozen array, one longer than a step chunk, and
+        # gradients given as a plain dict: every entry moves by exactly lr * g
+        rng = np.random.default_rng(4)
+        n = 2 * STEP_CHUNK + 5
+        params = FlatArrays.of({"a": rng.standard_normal(n), "frozen": np.ones(3),
+                                "c": rng.standard_normal((2, 3))})
+        grads = {"a": rng.standard_normal(n), "c": rng.standard_normal((2, 3))}
+        want = {name: params[name] + 0.3 * grads[name] for name in grads}
+        step = params.select(["a", "c"])
+        assert step.runs == [(0, n), (n + 3, n + 9)]
+        sgd_step(step, grads, 0.3, 2.0)
+        for name in grads:
+            assert params[name].tobytes() == want[name].tobytes(), name
+        assert np.array_equal(params["frozen"], np.ones(3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gradient_sum_is_not_divergence(self):
+        params = FlatArrays.of({"a": np.zeros(2)})
+        sgd_step(params, {"a": np.array([1e308, 1e308])}, 0.5, 2.0)
+        assert np.array_equal(params["a"], [5e307, 5e307])
+
+    def test_params_must_be_flat_arrays(self):
+        with pytest.raises(TypeError, match="FlatArrays"):
+            sgd_step({"a": np.zeros(2)}, {"a": np.ones(2)}, 0.1, 2.0)
+
+    def test_step_on_fused_model_moves_no_tower_parameter(self):
+        train, _ = sanity_task()
+        cfg = TrainConfig(mode="fused", dims_a=(6, 5), dims_v=(6, 4), fusion_top=(3,),
+                          epochs=0, init_scale=0.5, seed=8)
+        model = build_model(cfg, 6, 6, 2, train.tree)
+        params = model.trainable_params()
+        towers = [n for n in model.params() if n.startswith("tower_")]
+        assert params.runs == [(model.params().layout["top.W0"][0], model.params().flat.size)]
+        before = model.params().flat.copy()
+        _, grads = model.loglik_and_grads(train.x1[:16], train.x2[:16], train.y[:16])
+        assert not any(name in grads for name in towers)
+        sgd_step(params, grads, 0.5, cfg.lam)
+        moved = model.params().flat != before
+        for name in towers:
+            start, stop = model.params().layout[name]
+            assert not moved[start:stop].any(), name
+        assert moved[params.runs[0][0]:].any()
 
 
 class _StubModel:
@@ -226,6 +271,32 @@ class TestTrainJoint:
         assert len(calls) == steps_per_epoch + 3
         for name, arr in model.params().items():
             assert np.array_equal(arr, reference.params()[name]), name
+
+    def test_rollback_restores_epoch_snapshot_bit_for_bit(self):
+        train, _ = sanity_task()
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED,
+                          dims_a=(6, 4), dims_v=(6, 4), fused_dim=2,
+                          epochs=3, learning_rate=0.5, seed=3)
+        model = build_model(cfg, 6, 6, 2, train.tree)
+        steps_per_epoch = -(-train.n // cfg.minibatch_size)
+        exact = model.loglik_and_grads
+        seen = []
+
+        def poisoned(x1, x2, targets):
+            # called before the step it feeds: the first call of epoch 2
+            # sees the parameters of the epoch 1 snapshot
+            seen.append(model.params().flat.copy())
+            loglik, grads = exact(x1, x2, targets)
+            if len(seen) == steps_per_epoch + 3:
+                grads["tower1.W0"] = np.full_like(grads["tower1.W0"], np.inf)
+            return loglik, grads
+
+        model.loglik_and_grads = poisoned
+        records = train_model(model, cfg, train)
+        assert records[-1] == {"epoch": 2, "event": "diverged"}
+        snapshot = seen[steps_per_epoch]
+        assert not np.array_equal(seen[-1], snapshot)  # two steps of epoch 2 applied
+        assert model.params().flat.tobytes() == snapshot.tobytes()
 
     def test_mode_equivalence_with_zeroed_bilinear_block(self):
         # bilinear-joint with U, w frozen at zero must trade exactly like the
