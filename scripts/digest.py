@@ -12,7 +12,10 @@ Prints "<item> <sha256>" lines:
 - cli/...: the ``train --log`` file, the saved model and the printed record
   of each ``train``, and the printed records of ``eval`` and ``ensemble``,
   for every mode and bilinear variant on a planted-interaction dataset;
-  without ``--quick`` also one bilinear run at the paper's shapes.
+  without ``--quick`` also one bilinear run at the paper's shapes, and the
+  ``ensemble`` of that model with three untrained paper-shape members (a
+  factored bilinear, a fused with a sigmoid top and a unimodal one), whose
+  average runs over all C=1328 leaves.
 
 Run it on two checkouts (``PYTHONPATH=<checkout>/src``) and diff the
 outputs. ``--workdir`` keeps the written files; ``--resave DIR`` instead
@@ -142,6 +145,15 @@ def cli_digests(workdir: str, quick: bool):
     yield "cli/train/paper/stdout", sha(printed)
     yield "cli/eval/paper", sha(run_cli(["eval", "--model", p("paper.bin"),
                                          "--data", p("paper-test.data")]))
+    members = {"paper-factored": ["--mode", "bilinear", "--variant", FACTORED],
+               "paper-fused": ["--mode", "fused", "--fusion-top", "200"],
+               "paper-audio": ["--mode", "audio"]}
+    for name, args in members.items():
+        run_cli(["train", "--data", p("paper-train.data"), "--arch", PAPER_ARCH,
+                 "--epochs", "0", "--seed", "3", *args, "--out", p(f"{name}.bin")])
+    yield "cli/ensemble/paper", sha(run_cli(
+        ["ensemble", p("paper.bin"), *(p(f"{name}.bin") for name in members),
+         "--data", p("paper-test.data")]))
 
 
 def resave(directory: str) -> bool:

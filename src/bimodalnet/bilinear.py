@@ -270,8 +270,10 @@ def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray):
     else:
         a1 = f1 @ head.u1
         a2 = f2 @ head.u2
-        w_leaf = head.w[:, head.tree.group_of] if head.variant == FACTORED_SHARED else head.w
-        logits = (a1 * a2) @ w_leaf
+        logits = (a1 * a2) @ head.w
+        if head.variant == FACTORED_SHARED:
+            # G distinct bilinear columns: score groups, then copy to leaves
+            logits = np.take(logits, head.tree.group_of, axis=1)
     logits += f1 @ head.v1
     logits += f2 @ head.v2
     logits += head.b
@@ -279,7 +281,8 @@ def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray):
 
 
 def posterior_batch(head: BilinearHead, f1, f2) -> np.ndarray:
-    return softmax(_leaf_logits(head, *_feature_rows(head, f1, f2))[0])
+    logits = _leaf_logits(head, *_feature_rows(head, f1, f2))[0]
+    return softmax(logits, out=logits)
 
 
 def posterior(head: BilinearHead, v1, v2) -> np.ndarray:
@@ -296,7 +299,7 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
     """
     f1, f2 = _feature_rows(head, f1, f2)
     logits, a1, a2 = _leaf_logits(head, f1, f2)
-    probs = softmax(logits)
+    probs = softmax(logits, out=logits)
     delta_l = target_delta(probs, targets, scale)  # (B, C)
     grads = out if out is not None else {
         name: np.empty(arr.shape) for name, arr in head.param_arrays().items()}

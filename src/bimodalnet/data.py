@@ -236,13 +236,13 @@ _DS_HEAD = struct.Struct("<8sIBQIIII")  # magic, version, split, n, d1, d2, C, G
 
 
 class _Cursor:
-    """Bounds-checked reader over a file of ``size`` bytes, starting at byte
-    offset ``off``; ``array`` reads from the file's bytes ``buf``."""
+    """Bounds-checked reader over the open file ``fh``, whose size it takes
+    from ``fstat``, starting at byte offset ``off`` (the file's position)."""
 
-    def __init__(self, size: int, off: int = 0, buf: bytes = b""):
-        self.size = size
+    def __init__(self, fh, off: int = 0):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.off = off
-        self.buf = buf
 
     def advance(self, nbytes: int, what: str) -> int:
         """Offset of the next ``nbytes`` bytes, which the cursor then moves past."""
@@ -254,9 +254,14 @@ class _Cursor:
         self.off += nbytes
         return self.off - nbytes
 
-    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
-        start = self.advance(count * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(self.buf, dtype=dtype, count=count, offset=start).copy()
+    def array(self, dtype: str, shape, what: str) -> np.ndarray:
+        """The next array of ``shape``, read straight into a buffer of its own,
+        which is allocated only after the file is known to hold it."""
+        self.advance(math.prod(shape) * np.dtype(dtype).itemsize, what)
+        out = np.empty(shape, dtype=dtype)
+        if self.fh.readinto(out) != out.nbytes:
+            raise FormatError(f"truncated file: {what} ended before byte offset {self.off}")
+        return out
 
     def done(self, what: str):
         if self.off != self.size:
@@ -284,31 +289,31 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset file; every array is read straight into its own buffer."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    cur = _Cursor(len(buf), 0, buf)
-    magic, version, split_id, n, d1, d2, c, g = _DS_HEAD.unpack_from(
-        buf, cur.advance(_DS_HEAD.size, "header")
-    )
-    if magic != DATASET_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at byte offset 0: not a dataset file")
-    if version != DATASET_VERSION:
-        raise VersionError(
-            f"unsupported dataset version {version}, expected {DATASET_VERSION}"
+        cur = _Cursor(fh)
+        magic, version, split_id, n, d1, d2, c, g = _DS_HEAD.unpack(
+            cur.array("B", (_DS_HEAD.size,), "header")
         )
-    if c < 1:
-        raise FormatError(f"invalid header: class count must be >= 1, got {c}")
-    if not 1 <= g <= c:
-        raise FormatError(f"invalid header: need 1 <= groups <= classes, got G={g} C={c}")
-    if d1 < 1 or d2 < 1:
-        raise FormatError(f"invalid header: feature dims must be >= 1, got ({d1}, {d2})")
-    if split_id >= len(SPLITS):
-        raise FormatError(f"invalid header: unknown split id {split_id}")
-    group_of = cur.array("<i4", c, "leaf-to-group table")
-    x1 = cur.array("<f8", n * d1, "first-modality features").reshape(n, d1)
-    x2 = cur.array("<f8", n * d2, "second-modality features").reshape(n, d2)
-    y = cur.array("<i4", n, "labels")
-    cur.done("labels")
+        if magic != DATASET_MAGIC:
+            raise FormatError(f"bad magic {magic!r} at byte offset 0: not a dataset file")
+        if version != DATASET_VERSION:
+            raise VersionError(
+                f"unsupported dataset version {version}, expected {DATASET_VERSION}"
+            )
+        if c < 1:
+            raise FormatError(f"invalid header: class count must be >= 1, got {c}")
+        if not 1 <= g <= c:
+            raise FormatError(f"invalid header: need 1 <= groups <= classes, got G={g} C={c}")
+        if d1 < 1 or d2 < 1:
+            raise FormatError(f"invalid header: feature dims must be >= 1, got ({d1}, {d2})")
+        if split_id >= len(SPLITS):
+            raise FormatError(f"invalid header: unknown split id {split_id}")
+        group_of = cur.array("<i4", (c,), "leaf-to-group table")
+        x1 = cur.array("<f8", (n, d1), "first-modality features")
+        x2 = cur.array("<f8", (n, d2), "second-modality features")
+        y = cur.array("<i4", (n,), "labels")
+        cur.done("labels")
     try:
         tree = LabelTree(group_of.astype(np.int64), g)
         return Dataset(x1, x2, y.astype(np.int64), tree, SPLITS[split_id])
@@ -419,7 +424,7 @@ def _parse_model_header(fh):
 def _read_arrays(fh, offset: int, shapes) -> FlatArrays:
     """The payload at ``offset`` of an open model file, read into one vector
     and viewed as the manifest's arrays."""
-    cur = _Cursor(os.fstat(fh.fileno()).st_size, offset)
+    cur = _Cursor(fh, offset)
     for name, shape in shapes.items():
         if any(d < 0 for d in shape):
             raise FormatError(

@@ -104,7 +104,9 @@ class SoftmaxHead:
         trace = forward(self.top, feats) if self.top is not None else None
         if trace is not None:
             feats = trace.features
-        return trace, feats, softmax(feats @ self.weights + self.bias)
+        logits = feats @ self.weights
+        logits += self.bias
+        return trace, feats, softmax(logits, out=logits)
 
     def probabilities(self, features) -> np.ndarray:
         return self._forward(features)[2]
@@ -221,6 +223,8 @@ class Classifier:
         return [forward(tower, xs[slot]) for tower, slot in zip(self.towers, self.inputs)]
 
     def posterior_batch(self, x1, x2) -> np.ndarray:
+        """Class posteriors (B, C) of the input rows, in a fresh array that the
+        caller owns and may write into."""
         return self.head.probabilities([tr.features for tr in self._traces(x1, x2)])
 
     def posterior(self, x1, x2) -> np.ndarray:
@@ -306,7 +310,13 @@ KINDS = {
 
 
 class Ensemble:
-    """Fixed-order posterior average over classifiers sharing the same leaves."""
+    """Fixed-order posterior average over classifiers sharing the same leaves.
+
+    A member's ``posterior_batch`` returns a fresh array the caller owns, but
+    the ensemble never writes into one: it sums the members' posteriors, in
+    member order, into one leaf-width accumulator of its own, so a read
+    holds that accumulator and one member's posterior at a time.
+    """
 
     kind = "ensemble"
 
@@ -333,9 +343,15 @@ class Ensemble:
         return self.members[0].num_classes
 
     def posterior_batch(self, x1, x2) -> np.ndarray:
-        stacked = np.stack([m.posterior_batch(x1, x2) for m in self.members])
-        mean = stacked.mean(axis=0)
-        return mean / mean.sum(axis=-1, keepdims=True)
+        """Mean member posterior, renormalised per row; bit-identical to
+        ``np.stack(posteriors).mean(axis=0)`` followed by the division."""
+        members = iter(self.members)
+        total = np.array(next(members).posterior_batch(x1, x2), dtype=np.float64)
+        for m in members:
+            total += m.posterior_batch(x1, x2)
+        total /= len(self.members)
+        total /= total.sum(axis=-1, keepdims=True)
+        return total
 
     def posterior(self, x1, x2) -> np.ndarray:
         return self.posterior_batch(np.atleast_2d(x1), np.atleast_2d(x2))[0]

@@ -14,10 +14,12 @@ sigmoid per layer.
 
 ``forward`` accepts a single input (1-D) or a batch of row vectors (2-D);
 ``backward`` takes batch rows only. No function writes to its arguments,
-with one exception: ``backward`` writes its gradients into the arrays of
-``out`` when it is given one (a classifier passes views of its gradient
-vector). Every other in-place operation acts on a buffer the function
-allocated itself.
+with two exceptions, both through an ``out`` argument: ``backward`` writes
+its gradients into the arrays of ``out`` when it is given one (a classifier
+passes views of its gradient vector), and ``softmax`` writes its result into
+``out``, which may be the logits array itself (a head normalises the logits
+it owns in place). Every other in-place operation acts on a buffer the
+function allocated itself.
 """
 
 from __future__ import annotations
@@ -49,10 +51,14 @@ def sigmoid(u) -> np.ndarray:
     return out
 
 
-def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max-logit subtraction (1-D input gives 1-D output)."""
+def softmax(logits, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-wise softmax with max-logit subtraction (1-D input gives 1-D output).
+
+    The result is written into ``out`` when given; ``out=logits`` normalises
+    a float64 logits array in place, bit-identical to the copying form.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    e = z - z.max(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

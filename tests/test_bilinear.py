@@ -341,6 +341,24 @@ class TestEquivalences:
         assert np.allclose(posterior(permuted, v1, v2), posterior(head, v1, v2)[perm],
                            atol=1e-13)
 
+    @pytest.mark.parametrize("layout", ["contiguous", "interleaved", "permuted"])
+    def test_shared_batch_matches_materialized_leaves(self, layout, rng):
+        c, g = 12, 4
+        group_of = {"contiguous": np.repeat(np.arange(g), c // g),
+                    "interleaved": np.arange(c) % g,
+                    "permuted": rng.permutation(np.repeat(np.arange(g), c // g))}[layout]
+        head = init_head(FACTORED_SHARED, 4, 5, c, fused_dim=3,
+                         tree=LabelTree(group_of, g), seed=3, scale=0.7)
+        head.b[:] = rng.uniform(-0.5, 0.5, c)
+        f1 = rng.standard_normal((6, 4))
+        f2 = rng.standard_normal((6, 5))
+        logits = np.array([[f1[i] @ materialize_w(head, y) @ f2[i] + f1[i] @ head.v1[:, y]
+                            + f2[i] @ head.v2[:, y] + head.b[y] for y in range(c)]
+                           for i in range(6)])
+        expected = np.exp(logits - logits.max(axis=1, keepdims=True))
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert np.allclose(posterior_batch(head, f1, f2), expected, rtol=1e-12, atol=0)
+
     def test_batch_matches_single(self, rng):
         head = random_head(FACTORED_SHARED, rng)
         f1 = rng.standard_normal((7, 3))

@@ -109,6 +109,21 @@ class TestDatasetRoundTrip:
         with pytest.raises(FormatError, match="offset"):
             load_dataset(path)
 
+    # header 37 bytes, then group_of (4 x i4), x1 (10 x 5 x f8), x2 (10 x 6 x f8), y (10 x i4)
+    @pytest.mark.parametrize("what,start,end", [
+        ("leaf-to-group table", 37, 53), ("first-modality features", 53, 453),
+        ("second-modality features", 453, 933), ("labels", 933, 973)])
+    def test_truncated_inside_each_array(self, what, start, end, tmp_path):
+        spec = SynthSpec(5, 6, 4, 2, 10, 5, 0.2, 2, 13)
+        train, _ = generate_synthetic(spec)
+        path = tmp_path / "ds.bin"
+        save_dataset(train, path)
+        blob = path.read_bytes()
+        assert len(blob) == 973
+        path.write_bytes(blob[:end - 3])
+        with pytest.raises(FormatError, match=f"for {what} at byte offset {start},"):
+            load_dataset(path)
+
     def test_zero_class_header_rejected(self, tmp_path):
         spec = SynthSpec(5, 6, 4, 2, 10, 5, 0.2, 2, 13)
         train, _ = generate_synthetic(spec)

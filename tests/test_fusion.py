@@ -65,6 +65,23 @@ class ConstantMember:
         return np.tile(self.p, (len(x1), 1))
 
 
+class StoredMember:
+    """Ensemble member returning the same stored posterior array on every call."""
+
+    def __init__(self, probs):
+        self.probs = probs
+        self.num_classes = probs.shape[1]
+
+    def posterior_batch(self, x1, x2):
+        return self.probs
+
+
+def stacked_reference(posteriors):
+    """The ensemble average as the mean of the stacked posteriors, row-normalised."""
+    mean = np.stack(posteriors).mean(axis=0)
+    return mean / mean.sum(axis=-1, keepdims=True)
+
+
 def ensemble_average(posteriors, rows=3):
     """Ensemble.posterior_batch over constant members, on ``rows`` inputs."""
     x = np.zeros((rows, 1))
@@ -84,6 +101,24 @@ class TestAveragePosteriors:
         out = ensemble_average([np.array([0.6, 0.4]), np.array([0.2, 0.8]),
                                 np.array([0.1, 0.9])])
         assert np.allclose(out, [0.3, 0.7], atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_bit_identical_to_stacked_mean(self, k, rng):
+        posteriors = [rng.dirichlet(np.ones(1328), size=16) for _ in range(k)]
+        x = np.zeros((16, 1))
+        out = Ensemble([StoredMember(p) for p in posteriors]).posterior_batch(x, x)
+        assert np.array_equal(out, stacked_reference(posteriors))
+
+    def test_member_arrays_left_unchanged(self, rng):
+        posteriors = [rng.dirichlet(np.ones(6), size=4) for _ in range(3)]
+        kept = [p.copy() for p in posteriors]
+        x = np.zeros((4, 1))
+        for k in (1, 3):
+            ens = Ensemble([StoredMember(p) for p in posteriors[:k]])
+            for _ in range(2):
+                out = ens.posterior_batch(x, x)
+                assert not any(np.shares_memory(out, p) for p in posteriors)
+            assert all(np.array_equal(p, q) for p, q in zip(posteriors, kept))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -213,6 +248,18 @@ class TestEnsemble:
         assert np.allclose(ens.posterior_batch(x1, x2), direct, atol=1e-12)
         single = ens.posterior(train.x1[0], train.x2[0])
         assert np.allclose(single, ens.posterior_batch(x1[:1], x2[:1])[0], atol=1e-12)
+
+    def test_model_listed_twice(self):
+        train, _ = tiny_dataset()
+        cfg = TrainConfig(mode="bilinear", variant="factored-shared",
+                          dims_a=(4, 3), dims_v=(5, 3), fused_dim=2, epochs=0, seed=1)
+        m1 = build_model(cfg, 4, 5, 4, train.tree)
+        m2 = build_model(TrainConfig(**{**cfg.__dict__, "mode": "fused", "seed": 2}),
+                         4, 5, 4, train.tree)
+        x1, x2 = train.x1[:5], train.x2[:5]
+        members = [m1, m2, m1]
+        expected = stacked_reference([m.posterior_batch(x1, x2) for m in members])
+        assert np.array_equal(Ensemble(members).posterior_batch(x1, x2), expected)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,14 @@ class TestReadOnlyOperands:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-15)
         assert probs.flags.writeable and not np.shares_memory(probs, logits)
 
+    @pytest.mark.parametrize("shape", [(7,), (4, 9)])
+    def test_softmax_in_place_is_bit_identical(self, shape, rng):
+        logits = rng.standard_normal(shape) * 10
+        expected = softmax(logits)
+        probs = softmax(logits, out=logits)
+        assert probs is logits
+        assert np.array_equal(probs, expected)
+
     def test_classifiers(self, rng):
         tree = LabelTree.balanced(4, 2)
         x1, x2 = rng.standard_normal((7, 5)), rng.standard_normal((7, 6))
