@@ -1,0 +1,195 @@
+"""Alternating A/B runs of perfbench on two checkouts, with a per-metric summary.
+
+Usage:
+    python scripts/ab_pairs.py --parent DIR --change DIR --workload train-small \
+        --seed 13 --pairs 10 [--seconds 25] [--trace 0] [--save runs.jsonl]
+    python scripts/ab_pairs.py --load runs.jsonl
+
+Each pair runs ``perfbench/run.py`` once in each checkout with the same
+workload, seed, run length and trace setting; the parent runs first in even
+pairs and the change first in odd ones. Per metric it prints each side's
+median and quartiles, the change's wins (ties count for neither side), the
+parent's quartile spread, and whether the change is better in at least nine
+tenths of the pairs and its median beyond that spread. It also prints the
+failed and attempted operations of each side. Which direction is better comes
+from this checkout's ``BENCHMARK.json``. ``--save`` keeps every result line,
+and ``--load`` summarises a saved file without running.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from dataclasses import dataclass
+from typing import Optional
+
+SIDES = ("parent", "change")
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "BENCHMARK.json")
+
+
+@dataclass
+class MetricSummary:
+    name: str
+    unit: str
+    better: Optional[str]          # "higher", "lower", or None when BENCHMARK.json omits it
+    parent: tuple[float, float, float]  # (median, first quartile, third quartile)
+    change: tuple[float, float, float]
+    wins: Optional[int]            # pairs in which the change is strictly better
+    pairs: int
+
+    @property
+    def parent_spread(self) -> float:
+        return self.parent[2] - self.parent[1]
+
+    @property
+    def ratio(self) -> float:
+        return self.change[0] / self.parent[0] if self.parent[0] else float("nan")
+
+    @property
+    def gain(self) -> bool:
+        """Better in at least 9/10 of the pairs, by more than the parent's spread."""
+        if self.better is None or not self.pairs:
+            return False
+        diff = self.change[0] - self.parent[0]
+        if self.better == "lower":
+            diff = -diff
+        return 10 * self.wins >= 9 * self.pairs and diff > self.parent_spread
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(median, first quartile, third quartile); quartiles interpolate
+    between the sorted values (``statistics.quantiles``, inclusive method)."""
+    values = list(values)
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, q1, q3
+
+
+def directions() -> dict[str, str]:
+    """Whether higher or lower is better, by metric name, from BENCHMARK.json."""
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def summarize(pairs, better: dict[str, str]) -> list[MetricSummary]:
+    """One summary per metric present in every result of ``pairs``, a list of
+    (parent result, change result) as run.py prints them on its last line."""
+    if not pairs:
+        return []
+    names = set.intersection(*(set(r["metrics"]) for pair in pairs for r in pair))
+    first = pairs[0][0]["metrics"]
+    out = []
+    for name in sorted(names):
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        direction = better.get(name)
+        wins = None
+        if direction is not None:
+            sign = 1 if direction == "higher" else -1
+            wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+        out.append(MetricSummary(name, first[name]["unit"], direction, quartiles(parent),
+                                 quartiles(change), wins, len(pairs)))
+    return out
+
+
+def failures(results) -> tuple[int, int, int]:
+    """(failed operations, attempted operations, runs not correct)."""
+    return (sum(r["failed"] for r in results), sum(r["attempted"] for r in results),
+            sum(1 for r in results if not r["correct"]))
+
+
+def report(pairs, better: dict[str, str]) -> str:
+    def fmt(q):
+        return f"{q[0]:.6g} [{q[1]:.6g}, {q[2]:.6g}]"
+
+    lines = [f"{len(pairs)} pairs; median [first quartile, third quartile]",
+             "metric | unit | parent | change | change/parent | change wins | "
+             "parent spread | gain"]
+    for m in summarize(pairs, better):
+        wins = "-" if m.wins is None else f"{m.wins}/{m.pairs}"
+        lines.append(f"{m.name} | {m.unit} | {fmt(m.parent)} | {fmt(m.change)} | "
+                     f"{m.ratio:.3f} | {wins} | {m.parent_spread:.6g} | "
+                     f"{'yes' if m.gain else 'no'}")
+    for side, results in zip(SIDES, zip(*pairs)):
+        failed, attempted, incorrect = failures(results)
+        lines.append(f"{side}: {failed} of {attempted} operations failed; "
+                     f"{incorrect} runs not correct")
+    return "\n".join(lines)
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The result line of one perfbench run in ``checkout``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    child = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)],
+        cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True,
+        timeout=4 * seconds + 600)
+    return json.loads(child.stdout.strip().splitlines()[-1])
+
+
+def load_pairs(path: str) -> list:
+    """(parent result, change result) of every complete pair saved by ``--save``."""
+    by_pair: dict[int, dict] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            entry = json.loads(line)
+            by_pair.setdefault(entry["pair"], {})[entry["side"]] = entry["result"]
+    return [(p["parent"], p["change"]) for _, p in sorted(by_pair.items()) if len(p) == 2]
+
+
+def run_pairs(args, save) -> list:
+    """Run ``args.pairs`` alternating pairs; writes each result line to ``save``."""
+    checkouts = {"parent": args.parent, "change": args.change}
+    pairs = []
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        results = {}
+        for side in order:
+            print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr, flush=True)
+            results[side] = run_once(checkouts[side], args.workload, args.seed,
+                                     args.seconds, args.trace)
+            if save is not None:
+                save.write(json.dumps({"pair": i, "side": side, "first": side == order[0],
+                                       "result": results[side]}) + "\n")
+                save.flush()
+        pairs.append((results["parent"], results["change"]))
+    return pairs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", help="checkout of the parent commit")
+    parser.add_argument("--change", help="checkout of the change")
+    parser.add_argument("--workload")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--save", help="write every result line here (JSON lines)")
+    parser.add_argument("--load", help="summarise the result lines saved in this file")
+    args = parser.parse_args(argv)
+
+    if args.load:
+        pairs = load_pairs(args.load)
+    else:
+        missing = [f"--{n}" for n in ("parent", "change", "workload", "seed")
+                   if getattr(args, n) is None]
+        if missing:
+            parser.error(f"running pairs needs {', '.join(missing)}")
+        if args.save:
+            with open(args.save, "w", encoding="utf-8") as save:
+                pairs = run_pairs(args, save)
+        else:
+            pairs = run_pairs(args, None)
+    print(report(pairs, directions()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

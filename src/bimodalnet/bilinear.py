@@ -305,7 +305,7 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
         name: np.empty(arr.shape) for name, arr in head.param_arrays().items()}
     np.matmul(f1.T, delta_l, out=grads["V1"])
     np.matmul(f2.T, delta_l, out=grads["V2"])
-    np.sum(delta_l, axis=0, out=grads["b"])
+    np.add.reduce(delta_l, axis=0, out=grads["b"])
     if head.variant == FULL:
         np.einsum("bc,bi,bj->cij", delta_l, f1, f2, optimize=True, out=grads["W"])
         delta1 = np.einsum("bc,cij,bj->bi", delta_l, head.w_stack, f2, optimize=True)

@@ -120,7 +120,7 @@ class SoftmaxHead:
             name: np.empty(arr.shape) for name, arr in self.param_arrays().items()}
         delta = target_delta(probs, targets, scale)
         np.matmul(feats.T, delta, out=grads[f"{OUT}.W"])
-        np.sum(delta, axis=0, out=grads[f"{OUT}.b"])
+        np.add.reduce(delta, axis=0, out=grads[f"{OUT}.b"])
         delta = delta @ self.weights.T
         if trace is not None:
             top = stack_gradients([grads[name] for name in self._top_names])
@@ -259,7 +259,7 @@ class Classifier:
         for tower, trace, delta, out in zip(self.towers, traces, errors, tower_grads):
             if out is not None:
                 backward(tower, trace, delta, out, input_delta=False)
-        return float(log_likelihoods(probs, targets).mean()), grads
+        return float(np.add.reduce(log_likelihoods(probs, targets)) / targets.shape[0]), grads
 
 
 class UnimodalClassifier(Classifier):
@@ -310,7 +310,9 @@ KINDS = {
 
 
 class Ensemble:
-    """Fixed-order posterior average over classifiers sharing the same leaves.
+    """Fixed-order posterior average over classifiers sharing the same leaves
+    and, among those that carry one, the same label tree: ``tree``, which is
+    None when no member carries one.
 
     A member's ``posterior_batch`` returns a fresh array the caller owns, but
     the ensemble never writes into one: it sums the members' posteriors, in
@@ -337,6 +339,7 @@ class Ensemble:
         if any(t != trees[0] for t in trees[1:]):
             raise ValueError("ensemble members disagree on the label tree")
         self.members = members
+        self.tree = trees[0] if trees else None
 
     @property
     def num_classes(self) -> int:

@@ -94,6 +94,7 @@ class FlatArrays(Mapping):
         self._views = {name: flat[start:stop].reshape(shapes[name])
                        for name, (start, stop) in self.layout.items()}
         self.runs = self._runs()
+        self._aligned: Optional[FlatArrays] = None  # last mapping ``aligned`` accepted
 
     @classmethod
     def of(cls, arrays, source: Optional["FlatArrays"] = None) -> "FlatArrays":
@@ -131,9 +132,14 @@ class FlatArrays(Mapping):
     def aligned(self, arrays) -> np.ndarray:
         """``arrays[name]`` for every name here, laid out as in ``flat``: the
         vector of ``arrays`` itself when it has this layout and every name,
-        else a copy (the entries of other names are then zero)."""
+        else a copy (the entries of other names are then zero). The last
+        such ``arrays`` is remembered, so a trainer that passes the same
+        gradient mapping every step compares layouts once."""
+        if arrays is self._aligned:
+            return arrays.flat
         if (isinstance(arrays, FlatArrays) and arrays.layout == self.layout
                 and self._views.keys() <= arrays._views.keys()):
+            self._aligned = arrays
             return arrays.flat
         out = np.zeros_like(self.flat)
         for name, view in self._views.items():

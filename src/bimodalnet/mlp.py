@@ -14,12 +14,14 @@ sigmoid per layer.
 
 ``forward`` accepts a single input (1-D) or a batch of row vectors (2-D);
 ``backward`` takes batch rows only. No function writes to its arguments,
-with two exceptions, both through an ``out`` argument: ``backward`` writes
+with three exceptions, all through an ``out`` argument: ``backward`` writes
 its gradients into the arrays of ``out`` when it is given one (a classifier
-passes views of its gradient vector), and ``softmax`` writes its result into
+passes views of its gradient vector); ``softmax`` writes its result into
 ``out``, which may be the logits array itself (a head normalises the logits
-it owns in place). Every other in-place operation acts on a buffer the
-function allocated itself.
+it owns in place); and ``sigmoid`` writes into ``out``, which may be its
+input (``forward`` activates the pre-activation it allocated in place).
+Every other in-place operation acts on a buffer the function allocated
+itself.
 """
 
 from __future__ import annotations
@@ -37,14 +39,15 @@ DEFAULT_INIT_SCALE = 0.05
 PROB_FLOOR = 1e-300
 
 
-def sigmoid(u) -> np.ndarray:
+def sigmoid(u, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Componentwise 1 / (1 + exp(-u)), computed as 0.5 * (1 + tanh(u / 2)).
 
     The tanh form never overflows and saturates to exactly 0 and 1 for
-    large |u|; it is within 2.3e-16 of the exact logistic function.
+    large |u|; it is within 2.3e-16 of the exact logistic function. The
+    result is written into ``out`` when given, which may be ``u`` itself.
     """
     u = np.asarray(u, dtype=np.float64)
-    out = np.multiply(u, 0.5, out=np.empty_like(u))
+    out = np.multiply(u, 0.5, out=np.empty_like(u) if out is None else out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
@@ -156,7 +159,7 @@ def forward(tower: MlpTower, x) -> ForwardTrace:
     for w, b in zip(tower.weights, tower.biases):
         u = h @ w
         u += b
-        h = sigmoid(u)
+        h = sigmoid(u, out=u)
         post.append(h)
     return ForwardTrace(x, post)
 
@@ -192,7 +195,7 @@ def backward(tower: MlpTower, trace: ForwardTrace, delta_top,
         s *= delta  # dE/du_l
         h_prev = trace.x if l == 0 else trace.post[l - 1]
         np.matmul(h_prev.T, s, out=out.weights[l])
-        np.sum(s, axis=0, out=out.biases[l])
+        np.add.reduce(s, axis=0, out=out.biases[l])
         delta = s @ tower.weights[l].T if l or input_delta else None
     return TowerGradients(out.weights, out.biases, delta)
 

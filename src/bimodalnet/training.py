@@ -13,6 +13,7 @@ heads' U1, U2 are rescaled onto the Frobenius ball of radius lambda.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -160,9 +161,24 @@ def sgd_step(params: FlatArrays, grads, learning_rate: float, lam: float,
 
 
 def evaluate(model, dataset: Dataset) -> Metrics:
-    """Leaf/group argmax error rates (ties to the lowest index) and NLL."""
+    """Leaf/group argmax error rates (ties to the lowest index) and NLL.
+
+    The dataset must have the model's class count and, when the model
+    carries a label tree, that tree: the group error is taken under the
+    dataset's tree.
+    """
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    if dataset.num_classes != model.num_classes:
+        raise ValueError(
+            f"dataset has {dataset.num_classes} classes, model {model.num_classes}"
+        )
+    tree = getattr(model, "tree", None)
+    if tree is not None and tree != dataset.tree:
+        raise ValueError(
+            f"dataset's label tree ({dataset.tree.num_groups} groups) differs from "
+            f"the model's ({tree.num_groups} groups)"
+        )
     group_targets = dataset.tree.group_of[dataset.y]
     leaf_wrong = 0
     group_wrong = 0
@@ -242,14 +258,13 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
     Samples are reshuffled each epoch by the config's seeded PRNG; batch
     gradients are fixed-order means, so identical (config, dataset) runs are
     bit-identical. Divergence (non-finite E) aborts with the parameters
-    rolled back to the last finished epoch.
+    rolled back to the last finished epoch. Both splits must match the
+    model's classes and label tree (``evaluate`` checks them at epoch 0,
+    before any step).
     """
-    if train_set.num_classes != model.num_classes:
-        raise ValueError(
-            f"dataset has {train_set.num_classes} classes, model {model.num_classes}"
-        )
     rng = np.random.default_rng(_child_seed(config.seed, _SEED_SHUFFLE))
     params = model.trainable_params()
+    project = model.project_names()
     records: list[dict] = []
 
     def epoch_records(epoch: int):
@@ -269,12 +284,11 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
             loglik, grads = model.loglik_and_grads(
                 train_set.x1[idx], train_set.x2[idx], train_set.y[idx]
             )
-            if not np.isfinite(loglik):
+            if not math.isfinite(loglik):
                 diverged = True
                 break
             try:
-                sgd_step(params, grads, config.learning_rate, config.lam,
-                         model.project_names())
+                sgd_step(params, grads, config.learning_rate, config.lam, project)
             except DivergenceError:
                 diverged = True
                 break

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bimodalnet.cli import ArchParseError, main, parse_arch
+from bimodalnet.cli import ArchParseError, build_parser, main, parse_arch
 from bimodalnet.data import load_dataset, load_model
 
 FULL_SCALE_ARCH = "[360,500,500,200,1328 | 540,500,500,200,1328 | F=200]"
@@ -248,3 +248,86 @@ class TestExitCodes:
         code = main(["train", "--data", str(train), "--mode", "bilinear",
                      "--arch", "oops", "--out", str(tmp_path / "m.bin")])
         assert code == 2
+
+
+def _synth(tmp_path, tag, classes, groups):
+    """A d=5/5 planted (train, test) pair with the given class count and groups."""
+    train, test = tmp_path / f"{tag}-train.bin", tmp_path / f"{tag}-test.bin"
+    assert main(["synth", "--out-train", str(train), "--out-test", str(test),
+                 "--d1", "5", "--d2", "5", "--classes", str(classes),
+                 "--groups", str(groups), "--n-train", "80", "--n-test", "40",
+                 "--seed", "4"]) == 0
+    return train, test
+
+
+ARCH_C8 = "[5,6,8 | 5,6,8 | F=2]"
+
+
+@pytest.fixture
+def c8_model(tmp_path):
+    """A factored-shared C=8 model trained under a 4-group tree, and its test split."""
+    train, test = _synth(tmp_path, "c8", 8, 4)
+    out = tmp_path / "c8.model"
+    assert main(["train", "--data", str(train), "--mode", "bilinear", "--arch", ARCH_C8,
+                 "--epochs", "1", "--seed", "2", "--out", str(out)]) == 0
+    return out, train, test
+
+
+class TestDatasetMustMatchModel:
+    @pytest.mark.parametrize("classes,groups", [(16, 4), (4, 2)])
+    def test_eval_and_ensemble_name_both_class_counts(self, c8_model, tmp_path, capsys,
+                                                      classes, groups):
+        model, _, _ = c8_model
+        _, other = _synth(tmp_path, f"c{classes}", classes, groups)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(other)]) == 1
+        assert f"dataset has {classes} classes, model 8" in capsys.readouterr().err
+        assert main(["ensemble", str(model), str(model), "--data", str(other)]) == 1
+        assert f"dataset has {classes} classes, model 8" in capsys.readouterr().err
+
+    def test_train_test_data_with_other_class_count(self, c8_model, tmp_path, capsys):
+        _, train, _ = c8_model
+        _, other = _synth(tmp_path, "c16", 16, 4)
+        capsys.readouterr()
+        code = main(["train", "--data", str(train), "--test-data", str(other),
+                     "--mode", "bilinear", "--arch", ARCH_C8, "--epochs", "1",
+                     "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        assert "dataset has 16 classes, model 8" in capsys.readouterr().err
+
+    def test_eval_under_another_label_tree(self, c8_model, tmp_path, capsys):
+        model, _, test = c8_model
+        _, two_groups = _synth(tmp_path, "g2", 8, 2)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(two_groups)]) == 1
+        assert "label tree" in capsys.readouterr().err
+        assert main(["ensemble", str(model), str(model), "--data", str(two_groups)]) == 1
+        assert "label tree" in capsys.readouterr().err
+        assert main(["eval", "--model", str(model), "--data", str(test)]) == 0
+
+
+class TestOneParserManyCalls:
+    def test_usage_error_then_valid_command(self, synth_files, tmp_path, capsys):
+        train, _ = synth_files
+        assert main(["train", "--data", str(train), "--epochs", "many"]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+        out = tmp_path / "m.bin"
+        assert main(["train", "--data", str(train), "--mode", "bilinear",
+                     "--arch", ARCH_SMALL, "--epochs", "0", "--out", str(out)]) == 0
+        assert load_model(out).num_classes == 4
+
+    def test_no_flag_value_leaks_into_the_next_call(self, synth_files, tmp_path,
+                                                    monkeypatch):
+        train, _ = synth_files
+        monkeypatch.setenv("BIMODALNET_SEED", "11")
+        common = ["train", "--data", str(train), "--mode", "bilinear",
+                  "--arch", ARCH_SMALL, "--epochs", "0"]
+        seeded, unseeded, env = (tmp_path / f"{tag}.bin" for tag in ("7", "none", "11"))
+        assert main(common + ["--seed", "7", "--out", str(seeded)]) == 0
+        assert main(common + ["--out", str(unseeded)]) == 0
+        assert main(common + ["--seed", "11", "--out", str(env)]) == 0
+        assert unseeded.read_bytes() == env.read_bytes()
+        assert seeded.read_bytes() != env.read_bytes()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()

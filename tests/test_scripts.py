@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/, which use the classifier API."""
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -49,3 +50,45 @@ def test_digest_quick_mode(tmp_path):
     assert again.returncode == 0
     assert len(again.stdout.splitlines()) == 13  # six zoo models, seven trained
     assert all(line.endswith(" same") for line in again.stdout.splitlines())
+
+
+def _result(values, failed=0, attempted=20):
+    return {"correct": not failed, "attempted": attempted, "failed": failed,
+            "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}
+
+
+def test_ab_pairs_summary_of_canned_results():
+    ab = load_script("ab_pairs")
+    better = {"eval": "higher", "rss": "lower", "train": "higher"}
+    pairs = []
+    for i in range(10):
+        # train: the change wins 8 pairs by a wide margin and loses 2
+        train = 150.0 + i if i < 8 else 90.0
+        pairs.append((_result({"eval": 100.0 + i, "rss": 50.0, "train": 100.0 + i}),
+                      _result({"eval": 150.0 + i, "rss": 50.0, "train": train},
+                              failed=1 if i == 3 else 0)))
+    rows = {m.name: m for m in ab.summarize(pairs, better)}
+    ev = rows["eval"]
+    assert ev.parent == (104.5, 102.25, 106.75)
+    assert ev.change == (154.5, 152.25, 156.75)
+    assert (ev.wins, ev.pairs, ev.parent_spread) == (10, 10, 4.5)
+    assert ev.gain and ev.ratio == 154.5 / 104.5
+    assert rows["rss"].wins == 0 and not rows["rss"].gain  # ties count for neither side
+    assert rows["train"].wins == 8 and not rows["train"].gain
+    assert ab.failures([c for _, c in pairs]) == (1, 200, 1)
+    text = ab.report(pairs, better)
+    assert "eval | u | 104.5 [102.25, 106.75] | 154.5 [152.25, 156.75] | 1.478 | 10/10 | 4.5 | yes" \
+        in text.splitlines()
+    assert text.splitlines()[-1] == "change: 1 of 200 operations failed; 1 runs not correct"
+
+
+def test_ab_pairs_loads_saved_runs_and_directions(tmp_path):
+    ab = load_script("ab_pairs")
+    saved = tmp_path / "runs.jsonl"
+    entries = [{"pair": 0, "side": "change", "first": True, "result": _result({"x": 2.0})},
+               {"pair": 0, "side": "parent", "first": False, "result": _result({"x": 1.0})},
+               {"pair": 1, "side": "parent", "first": True, "result": _result({"x": 1.0})}]
+    saved.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    assert ab.load_pairs(str(saved)) == [(_result({"x": 1.0}), _result({"x": 2.0}))]
+    better = ab.directions()
+    assert better["eval_samples_per_s"] == "higher" and better["cli.self_ms"] == "lower"
