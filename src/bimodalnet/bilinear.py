@@ -173,6 +173,12 @@ class BilinearHead:
         return self.u1.shape[1]
 
     @property
+    def shared_tree(self) -> Optional[LabelTree]:
+        """The label tree the posteriors depend on: a factored-shared head's,
+        else None (the unshared variants keep ``tree`` only for the model file)."""
+        return self.tree if self.variant == FACTORED_SHARED else None
+
+    @property
     def num_groups(self) -> int:
         return self.tree.num_groups if self.tree is not None else self.num_classes
 

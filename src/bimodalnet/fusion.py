@@ -153,6 +153,9 @@ class Classifier:
     Parameters named in ``frozen`` take no updates; ``loglik_and_grads``
     back-propagates only into towers that have a trainable parameter.
     ``frozen`` may be reassigned at any time.
+
+    ``tree`` is the label tree the posteriors use (a factored-shared head's),
+    else None.
     """
 
     kind = ""
@@ -166,7 +169,7 @@ class Classifier:
             raise ValueError(f"input slots must be 0 or 1, got {self.inputs}")
         head.check_features([t.feature_dim for t in self.towers])
         self.head = head
-        self.tree = getattr(head, "tree", None)
+        self.tree = getattr(head, "shared_tree", None)
         self.seed = seed
         self.arch = arch
         for name, tower in zip(spec.towers, self.towers):
@@ -311,8 +314,8 @@ KINDS = {
 
 class Ensemble:
     """Fixed-order posterior average over classifiers sharing the same leaves
-    and, among those that carry one, the same label tree: ``tree``, which is
-    None when no member carries one.
+    and, among those whose posteriors use one, the same label tree: ``tree``,
+    which is None when no member uses one.
 
     A member's ``posterior_batch`` returns a fresh array the caller owns, but
     the ensemble never writes into one: it sums the members' posteriors, in

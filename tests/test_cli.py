@@ -306,6 +306,46 @@ class TestDatasetMustMatchModel:
         assert main(["eval", "--model", str(model), "--data", str(test)]) == 0
 
 
+class TestUnsharedModelUnderAnotherTree:
+    """Only a factored-shared head's posteriors use the label tree, so an
+    unshared bilinear model reads under any tree with its class count."""
+
+    def _train(self, data, variant, out):
+        assert main(["train", "--data", str(data), "--mode", "bilinear", "--variant", variant,
+                     "--arch", ARCH_C8, "--epochs", "1", "--seed", "2", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("variant", ["factored", "full"])
+    def test_eval_gives_the_group_error_under_the_dataset_tree(self, c8_model, tmp_path,
+                                                              capsys, variant):
+        _, train, _ = c8_model
+        _, two_groups = _synth(tmp_path, "g2", 8, 2)
+        out = tmp_path / f"{variant}.model"
+        self._train(train, variant, out)
+        model = load_model(out)
+        assert model.tree is None and model.head.tree.num_groups == 4  # kept in the file
+        capsys.readouterr()
+        assert main(["eval", "--model", str(out), "--data", str(two_groups)]) == 0
+        record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        data = load_dataset(two_groups)
+        probs = model.posterior_batch(data.x1, data.x2)
+        group_probs = np.stack([probs[:, data.tree.group_of == g].sum(axis=1)
+                                for g in range(2)], axis=1)
+        wrong = int((group_probs.argmax(axis=1) != data.tree.group_of[data.y]).sum())
+        assert record["group_error"] == wrong / data.n
+        assert record["leaf_error"] == (probs.argmax(axis=1) != data.y).sum() / data.n
+
+    def test_ensemble_takes_the_shared_members_tree(self, c8_model, tmp_path, capsys):
+        shared, _, test = c8_model
+        two_train, two_groups = _synth(tmp_path, "g2", 8, 2)
+        unshared = tmp_path / "factored.model"
+        self._train(two_train, "factored", unshared)
+        capsys.readouterr()
+        assert main(["ensemble", str(unshared), str(shared), "--data", str(test)]) == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["members"] == 2
+        assert main(["ensemble", str(unshared), str(shared), "--data", str(two_groups)]) == 1
+        assert "label tree" in capsys.readouterr().err
+
+
 class TestOneParserManyCalls:
     def test_usage_error_then_valid_command(self, synth_files, tmp_path, capsys):
         train, _ = synth_files

@@ -52,6 +52,18 @@ def test_digest_quick_mode(tmp_path):
     assert all(line.endswith(" same") for line in again.stdout.splitlines())
 
 
+def test_rss_cycle_one_pass_of_train_small():
+    child = subprocess.run([sys.executable, os.path.join(SCRIPTS, "rss_cycle.py"),
+                            "--workload", "train-small", "--passes", "1"],
+                           stdout=subprocess.PIPE, text=True, timeout=300, check=True)
+    rows = [json.loads(line) for line in child.stdout.splitlines()]
+    assert [r["kind"] for r in rows] == ["train"] + ["eval", "ensemble"] * 8
+    assert all(r["pass"] == 0 and r["exit_code"] == 0 and r["seconds"] > 0 for r in rows)
+    assert all(isinstance(r["minor_faults"], int) and r["minor_faults"] >= 0 for r in rows)
+    peaks = [r["maxrss_mb"] for r in rows]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
+
+
 def _result(values, failed=0, attempted=20):
     return {"correct": not failed, "attempted": attempted, "failed": failed,
             "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}

@@ -1,23 +1,29 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bimodalnet.bilinear import FACTORED_SHARED, LabelTree
+from bimodalnet import training
+from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, LabelTree
 from bimodalnet.data import Dataset, SynthSpec, generate_synthetic
-from bimodalnet.fusion import FusedClassifier, SoftmaxHead
+from bimodalnet.fusion import Ensemble, FusedClassifier, SoftmaxHead
 from bimodalnet.linalg import FlatArrays, frobenius_norm
 from bimodalnet.mlp import init_tower
 from bimodalnet.training import (
+    EVAL_BLOCK_BYTES,
+    EVAL_CHUNK,
     DivergenceError,
     Metrics,
     STEP_CHUNK,
     TrainConfig,
     build_model,
     cross_entropy,
+    eval_rows,
     evaluate,
     grad_check,
+    row_blocks,
     sgd_step,
     train_joint,
     train_model,
@@ -148,19 +154,21 @@ class TestSgdStep:
 
 
 class _StubModel:
+    """Posteriors ``probs[i]`` for the input row whose x1 is ``[i]``."""
+
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=np.float64)
         self.num_classes = self.probs.shape[1]
 
     def posterior_batch(self, x1, x2):
-        n = np.asarray(x1).shape[0]
-        return self.probs[:n]
+        return self.probs[np.asarray(x1)[:, 0].astype(np.int64)]
 
 
 def _dataset_for_probs(n, c=4, g=2):
     tree = LabelTree.balanced(c, g)
     y = np.arange(n) % c  # balanced
-    return Dataset(np.zeros((n, 1)), np.zeros((n, 1)), y, tree, "test")
+    rows = np.arange(n, dtype=np.float64)[:, None]
+    return Dataset(rows, np.zeros((n, 1)), y, tree, "test")
 
 
 class TestEvaluate:
@@ -191,6 +199,121 @@ class TestEvaluate:
                      LabelTree.balanced(4, 2), "test")
         with pytest.raises(ValueError):
             evaluate(_StubModel(np.zeros((0, 4))), ds)
+
+    def test_every_block_scores_its_own_rows(self, monkeypatch):
+        ds = _dataset_for_probs(50)
+        probs = np.random.default_rng(3).dirichlet(np.ones(4), size=50)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 7)
+        m = evaluate(_StubModel(probs), ds)
+        assert m.leaf_error == (probs.argmax(axis=1) != ds.y).sum() / 50
+        groups = probs[:, 0::2] + probs[:, 1::2]  # leaves 2g and 2g+1 form group g
+        assert m.group_error == (groups.argmax(axis=1) != ds.y // 2).sum() / 50
+        assert m.nll == pytest.approx(-np.log(probs[np.arange(50), ds.y]).mean(), rel=1e-12)
+
+
+def _paper_tree():
+    """1328 leaves in 42 contiguous groups, as at the paper's shapes."""
+    return LabelTree(np.arange(1328) * 42 // 1328, 42)
+
+
+def _random_split(n, d1, d2, tree, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.standard_normal((n, d1)), rng.standard_normal((n, d2)),
+                   rng.integers(0, tree.num_leaves, n), tree, "test")
+
+
+def _bilinear(variant, c, tree, seed):
+    cfg = TrainConfig(mode="bilinear", variant=variant, dims_a=(4, 3), dims_v=(5, 3),
+                      fused_dim=2, epochs=0, init_scale=0.5, seed=seed)
+    return build_model(cfg, 4, 5, c, tree)
+
+
+class TestEvaluationBlocks:
+    def test_blocks_tile_the_rows_in_near_equal_sizes(self):
+        for n in (1, 2, 7, 393, 394, 395, 512, 1000, 2000, 2048, 4096, 8192):
+            for most in (1, 2, 7, 100, 256, 394, 1000, 1024):
+                blocks = row_blocks(n, most)
+                assert len(blocks) == math.ceil(n / most)
+                assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+                assert blocks[-1][1] == n
+                sizes = [b - a for a, b in blocks]
+                assert max(sizes) <= most and max(sizes) - min(sizes) <= 1, (n, most)
+
+    def test_block_rows_at_benchmark_and_paper_scale(self):
+        def sizes(n, c):
+            return [b - a for a, b in row_blocks(n, eval_rows(c))]
+
+        assert eval_rows(1328) == EVAL_BLOCK_BYTES // (8 * 1328) == 394
+        assert eval_rows(8) == EVAL_CHUNK
+        assert sizes(512, 1328) == [256, 256]
+        assert len(sizes(2048, 1328)) == 6 and set(sizes(2048, 1328)) == {341, 342}
+        assert len(sizes(4096, 1328)) == 11 and set(sizes(4096, 1328)) == {372, 373}
+        assert sizes(1024, 8) == [1024]
+        assert sizes(2000, 8) == [1000, 1000]
+
+    def test_metrics_at_eight_leaves_do_not_depend_on_the_split(self, monkeypatch):
+        tree = LabelTree.balanced(8, 4)
+        model = _bilinear(FACTORED_SHARED, 8, tree, seed=5)
+        ds = _random_split(2000, 4, 5, tree, seed=6)
+        metrics = []
+        for most in (2, 7, 100, 1000, 1024):
+            monkeypatch.setattr(training, "EVAL_CHUNK", most)
+            metrics.append(evaluate(model, ds))
+        assert all(m == metrics[-1] for m in metrics), metrics
+
+    def test_paper_scale_split_matches_one_block(self, monkeypatch):
+        tree = _paper_tree()
+        model = _bilinear(FACTORED_SHARED, 1328, tree, seed=7)
+        ds = _random_split(1000, 4, 5, tree, seed=8)
+        assert len(row_blocks(ds.n, eval_rows(1328))) == 3
+        split = evaluate(model, ds)
+        monkeypatch.setattr(training, "EVAL_CHUNK", ds.n)
+        monkeypatch.setattr(training, "EVAL_BLOCK_BYTES", 8 * 1328 * ds.n)
+        whole = evaluate(model, ds)
+        assert (split.leaf_error, split.group_error) == (whole.leaf_error, whole.group_error)
+        assert split.nll == pytest.approx(whole.nll, rel=1e-12)
+
+
+class TestEvaluationMemory:
+    """A read holds a few leaf-width arrays of one block, whatever n is."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        tree = _paper_tree()
+        shared = _bilinear(FACTORED_SHARED, 1328, tree, seed=1)
+        common = dict(dims_a=(4, 3), dims_v=(5, 3), epochs=0, init_scale=0.5)
+        others = [_bilinear(FACTORED, 1328, tree, seed=2),
+                  build_model(TrainConfig(mode="fused", fusion_top=(2,), seed=3, **common),
+                              4, 5, 1328, tree),
+                  build_model(TrainConfig(mode="audio", seed=4, **common), 4, 5, 1328, tree)]
+        return tree, shared, Ensemble([shared] + others)
+
+    @staticmethod
+    def _read_peak(model, ds) -> int:
+        evaluate(model, ds)  # fills caches such as the tree's group indicator
+        tracemalloc.start()
+        try:
+            evaluate(model, ds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_peak_is_bounded_and_flat_in_n(self, models):
+        tree, shared, ensemble = models
+        small, large = (_random_split(n, 4, 5, tree, seed=9) for n in (2048, 8192))
+        # the largest block: 342 rows at n=2,048, 391 at n=8,192
+        rows_small, rows_large = (max(b - a for a, b in row_blocks(ds.n, eval_rows(1328)))
+                                  for ds in (small, large))
+        # a bilinear read holds its logits and one ``f @ V`` temporary; an
+        # ensemble read also holds its accumulator, and neither keeps the
+        # previous block's posteriors
+        for model, arrays in ((shared, 2), (ensemble, 3)):
+            peak_small, peak_large = self._read_peak(model, small), self._read_peak(model, large)
+            assert peak_large < 5 * EVAL_BLOCK_BYTES, (model, peak_large)
+            assert peak_large < (arrays + 0.5) * rows_large * 1328 * 8, (model, peak_large)
+            # per row of the largest block, the peak does not grow with n
+            assert peak_large / rows_large <= 1.1 * peak_small / rows_small, (
+                model, peak_small, peak_large)
 
 
 def sanity_task():
