@@ -18,9 +18,10 @@ Prints "<item> <sha256>" lines:
   average runs over all C=1328 leaves.
 
 Run it on two checkouts (``PYTHONPATH=<checkout>/src``) and diff the
-outputs. ``--workdir`` keeps the written files; ``--resave DIR`` instead
-loads every ``*.bin`` model file in DIR (say, a workdir of another
-checkout), saves it again and prints whether the bytes are the same.
+outputs; BLAS runs on one thread whatever the environment says.
+``--workdir`` keeps the written files; ``--resave DIR`` instead loads every
+``*.bin`` model file in DIR (say, a workdir of another checkout), saves it
+again and prints whether the bytes are the same.
 """
 
 import argparse
@@ -32,12 +33,18 @@ import sys
 import tempfile
 from contextlib import redirect_stdout
 
-import numpy as np
+# Fixed before numpy loads, as in perfbench/run.py: OpenBLAS sums some output
+# columns in another order at another thread count, so the digests would
+# otherwise depend on the machine and its environment, not only on the code.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from bimodalnet import cli
-from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree
-from bimodalnet.data import Dataset, load_model, save_dataset, save_model
-from bimodalnet.training import TrainConfig, build_model
+import numpy as np  # noqa: E402
+
+from bimodalnet import cli  # noqa: E402
+from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree  # noqa: E402
+from bimodalnet.data import Dataset, load_model, save_dataset, save_model  # noqa: E402
+from bimodalnet.training import TrainConfig, build_model  # noqa: E402
 
 PAPER_ARCH = "[360,500,200,1328 | 540,500,200,1328 | F=200]"
 

@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +53,7 @@ class ArchParseError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Config file is malformed or names an unknown key."""
+    """A config file or BIMODALNET_SEED holds what the train flags refuse."""
 
 
 def parse_arch(s: str):
@@ -121,75 +120,80 @@ def parse_arch(s: str):
     return dims_a, dims_v, fused_dim
 
 
-@dataclass
-class RunConfig:
-    """Train-run settings: config-file values overridden by flags."""
+# The train command's settings, one entry per flag: its option strings, then
+# its argparse keywords. A config file takes the same names (see
+# ``read_config_file``); every flag defaults to None, "not given".
+_TRAIN_FLAGS = (
+    (("--data",), {}),
+    (("--test-data",), {}),
+    (("--mode",), {"choices": MODES}),
+    (("--arch",), {"help": 'e.g. "[360,500,200,1328 | 540,500,200,1328 | F=200]"'}),
+    (("--variant",), {"choices": VARIANTS}),
+    (("--fusion-top",),
+     {"help": 'hidden dims of the fused top, e.g. "64,32"; empty or "softmax" for none'}),
+    (("--learning-rate", "--lr"), {"type": float}),
+    (("--epochs",), {"type": int}),
+    (("--minibatch-size",), {"type": int}),
+    (("--init-scale",), {"type": float}),
+    (("--lam", "--lambda"), {"type": float}),
+    (("--seed",), {"type": int}),
+    (("--tower-a",), {"help": "warm-start tower from a unimodal model"}),
+    (("--tower-v",), {}),
+    (("--out",), {}),
+    (("--log",), {"help": "write per-epoch records (JSON lines)"}),
+)
 
-    mode: str = "bilinear"
-    arch: str = ""
-    variant: str = FACTORED_SHARED
-    fusion_top: str = ""
-    learning_rate: float = 0.1
-    epochs: int = 10
-    minibatch_size: int = 32
-    init_scale: float = 0.05
-    seed: int = 0
-    lam: float = 2.0
-    data: str = ""
-    test_data: str = ""
-    out: str = ""
-    log: str = ""
-    tower_a: str = ""
-    tower_v: str = ""
 
-
-_RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+def _name(option: str) -> str:
+    """The option string without its dashes, ``-`` as ``_``: a config-file key
+    and, for a flag's first option string, its setting name (argparse's dest)."""
+    return option.lstrip("-").replace("-", "_")
 
 
 def read_config_file(path: str) -> dict:
+    """Train settings from ``key = value`` lines, by setting name.
+
+    A key is any train flag's option string without its dashes (``lr`` and
+    ``lambda`` too), ``-`` or ``_`` alike; its value is converted by the
+    flag's type and checked against its choices. An unknown key or a value
+    the flag would refuse raises ConfigError naming ``path:line``.
+    """
+    flags = {_name(opt): (_name(opts[0]), kw) for opts, kw in _TRAIN_FLAGS for opt in opts}
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, text = line.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key = key.strip().replace("-", "_")
-            if key not in _RUN_FIELDS:
+            if key not in flags:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            value = value.strip()
-            kind = _RUN_FIELDS[key]
+            name, kw = flags[key]
+            text = text.strip()
             try:
-                if kind in ("int", int):
-                    values[key] = int(value)
-                elif kind in ("float", float):
-                    values[key] = float(value)
-                else:
-                    values[key] = value
+                value = kw.get("type", str)(text)
             except ValueError:
                 raise ConfigError(
-                    f"{path}:{lineno}: cannot parse {value!r} for key {key!r}"
-                ) from None
+                    f"{path}:{lineno}: cannot parse {text!r} for key {key!r}") from None
+            if "choices" in kw and value not in kw["choices"]:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} must be one of "
+                                  f"{', '.join(kw['choices'])}, got {value!r}")
+            values[name] = value
     return values
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
-
-
-def resolve_run_config(args) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(read_config_file(args.config))
-    for name in _RUN_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    if "seed" not in values:
-        values["seed"] = _default_seed()
-    return RunConfig(**values)
+def _seed(given, default: int) -> int:
+    """``given`` unless None, else the value of BIMODALNET_SEED if it is set,
+    else ``default``."""
+    if given is not None:
+        return given
+    text = os.environ.get(SEED_ENV_VAR, str(default)).strip()
+    if not text.isdecimal():
+        raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_top(text: str) -> tuple[int, ...]:
@@ -212,12 +216,14 @@ def _load_warm_tower(path: str):
     return model.tower
 
 
-def _train_config_from(cfg: RunConfig, dataset: Dataset) -> TrainConfig:
-    dims_a: tuple[int, ...] = ()
-    dims_v: tuple[int, ...] = ()
-    fused_dim = 0
-    if cfg.arch:
-        full_a, full_v, fused_dim = parse_arch(cfg.arch)
+def _train_config_from(settings: dict, dataset: Dataset) -> TrainConfig:
+    """The TrainConfig of the train settings: each setting that is a field is
+    passed by name, so one not given keeps the field's default."""
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    given = {name: value for name, value in settings.items() if name in fields}
+    mode = given.get("mode", TrainConfig.mode)
+    if given.get("arch"):
+        full_a, full_v, fused_dim = parse_arch(given["arch"])
         if len(full_a) < 2 or len(full_v) < 2:
             raise ValueError("architecture must list at least an input dim and the class count")
         if full_a[-1] != dataset.num_classes:
@@ -226,25 +232,17 @@ def _train_config_from(cfg: RunConfig, dataset: Dataset) -> TrainConfig:
                 f"dataset classes {dataset.num_classes}"
             )
         dims_a, dims_v = full_a[:-1], full_v[:-1]
-        if cfg.mode == "bilinear" and fused_dim > dims_a[-1] and fused_dim > dims_v[-1]:
+        if mode == "bilinear" and fused_dim > dims_a[-1] and fused_dim > dims_v[-1]:
             logger.warning(
                 "fused dim F=%d exceeds both final hidden dims (%d, %d)",
                 fused_dim, dims_a[-1], dims_v[-1],
             )
-    elif cfg.mode != "fused":
-        raise ValueError(f"mode {cfg.mode!r} requires --arch")
-    return TrainConfig(
-        mode=cfg.mode, variant=cfg.variant,
-        dims_a=dims_a, dims_v=dims_v, fused_dim=fused_dim,
-        fusion_top=_parse_top(cfg.fusion_top), arch=cfg.arch,
-        learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-        minibatch_size=cfg.minibatch_size, init_scale=cfg.init_scale,
-        seed=cfg.seed, lam=cfg.lam,
-    )
-
-
-def _print_record(record: dict) -> None:
-    print(json.dumps(record))
+        given.update(dims_a=dims_a, dims_v=dims_v, fused_dim=fused_dim)
+    elif mode != "fused":
+        raise ValueError(f"mode {mode!r} requires --arch")
+    if "fusion_top" in given:
+        given["fusion_top"] = _parse_top(given["fusion_top"])
+    return TrainConfig(**given)
 
 
 def cmd_synth(args) -> int:
@@ -253,8 +251,7 @@ def cmd_synth(args) -> int:
         num_classes=args.classes, num_groups=args.groups,
         n_train=args.n_train, n_test=args.n_test,
         noise_std=args.noise_std, interaction_rank=args.rank,
-        seed=args.seed if args.seed is not None else _default_seed(),
-        linear_scale=args.linear_scale,
+        seed=_seed(args.seed, 0), linear_scale=args.linear_scale,
     )
     train, test = generate_synthetic(spec)
     save_dataset(train, args.out_train)
@@ -265,50 +262,57 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_run_config(args)
-    if not cfg.data:
+    # each setting from its flag if given, else from the config file
+    settings = read_config_file(args.config) if args.config else {}
+    for options, _ in _TRAIN_FLAGS:
+        name = _name(options[0])
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
+    settings["seed"] = _seed(settings.get("seed"), TrainConfig.seed)
+    if not settings.get("data"):
         raise ConfigError("train requires --data")
-    if not cfg.out:
+    if not settings.get("out"):
         raise ConfigError("train requires --out")
-    train_set = load_dataset(cfg.data)
-    eval_set = load_dataset(cfg.test_data) if cfg.test_data else None
-    config = _train_config_from(cfg, train_set)
+    train_set = load_dataset(settings["data"])
+    eval_set = load_dataset(settings["test_data"]) if settings.get("test_data") else None
+    config = _train_config_from(settings, train_set)
     warm = None
-    if cfg.tower_a or cfg.tower_v:
-        warm = (
-            _load_warm_tower(cfg.tower_a) if cfg.tower_a else None,
-            _load_warm_tower(cfg.tower_v) if cfg.tower_v else None,
-        )
+    if settings.get("tower_a") or settings.get("tower_v"):
+        warm = tuple(_load_warm_tower(settings[name]) if settings.get(name) else None
+                     for name in ("tower_a", "tower_v"))
     model = build_model(config, train_set.d1, train_set.d2,
                         train_set.num_classes, train_set.tree, warm)
     records = train_model(model, config, train_set, eval_set)
-    save_model(model, cfg.out)
-    if cfg.log:
-        with open(cfg.log, "w", encoding="utf-8") as fh:
+    save_model(model, settings["out"])
+    if settings.get("log"):
+        with open(settings["log"], "w", encoding="utf-8") as fh:
             for record in records:
                 fh.write(json.dumps(record) + "\n")
     if records:
-        _print_record(records[-1])
-    logger.info("wrote model to %s", cfg.out)
+        print(json.dumps(records[-1]))
+    logger.info("wrote model to %s", settings["out"])
+    return 0
+
+
+def _print_read(model, dataset: Dataset, **extra) -> int:
+    """Evaluate ``model`` on ``dataset`` and print the record of the read."""
+    metrics = evaluate(model, dataset)
+    record = {"split": dataset.split, "n": dataset.n, **extra}
+    record.update(metrics.record(0, dataset.split))
+    del record["epoch"]
+    print(json.dumps(record))
     return 0
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    dataset = load_dataset(args.data)
-    metrics = evaluate(model, dataset)
-    record = {"split": dataset.split, "n": dataset.n}
-    record.update(metrics.record(0, dataset.split))
-    del record["epoch"]
-    _print_record(record)
-    return 0
+    return _print_read(load_model(args.model), load_dataset(args.data))
 
 
 def cmd_gradcheck(args) -> int:
     dims_a, dims_v, fused_dim = parse_arch(args.arch)
     classes = args.classes
     groups = args.groups if args.groups is not None else classes
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed, TrainConfig.seed)
     # here the arch sides are the tower stacks themselves; the head's class
     # count comes from --classes
     config = TrainConfig(
@@ -342,14 +346,7 @@ def cmd_ensemble(args) -> int:
         print("error: ensemble needs at least 2 model files", file=sys.stderr)
         return 2
     members = [load_model(p) for p in args.models]
-    ensemble = Ensemble(members)
-    dataset = load_dataset(args.data)
-    metrics = evaluate(ensemble, dataset)
-    record = {"split": dataset.split, "n": dataset.n, "members": len(members)}
-    record.update(metrics.record(0, dataset.split))
-    del record["epoch"]
-    _print_record(record)
-    return 0
+    return _print_read(Ensemble(members), load_dataset(args.data), members=len(members))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,23 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write it with its metric log")
     p.add_argument("--config", default="", help="key=value file; flags override")
-    p.add_argument("--data", default=None)
-    p.add_argument("--test-data", default=None)
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--arch", default=None, help='e.g. "[360,500,200,1328 | 540,500,200,1328 | F=200]"')
-    p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.add_argument("--fusion-top", default=None,
-                   help='hidden dims of the fused top, e.g. "64,32"; empty or "softmax" for none')
-    p.add_argument("--learning-rate", "--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--minibatch-size", type=int, default=None)
-    p.add_argument("--init-scale", type=float, default=None)
-    p.add_argument("--lam", "--lambda", type=float, default=None, dest="lam")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tower-a", default=None, help="warm-start tower from a unimodal model")
-    p.add_argument("--tower-v", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--log", default=None, help="write per-epoch records (JSON lines)")
+    for options, keywords in _TRAIN_FLAGS:
+        p.add_argument(*options, default=None, **keywords)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")

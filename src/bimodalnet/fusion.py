@@ -230,9 +230,6 @@ class Classifier:
         caller owns and may write into."""
         return self.head.probabilities([tr.features for tr in self._traces(x1, x2)])
 
-    def posterior(self, x1, x2) -> np.ndarray:
-        return self.posterior_batch(np.atleast_2d(x1), np.atleast_2d(x2))[0]
-
     def params(self) -> FlatArrays:
         """Every parameter array, as views of the model's parameter vector."""
         return self._params

@@ -19,11 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bilinear import FACTORED_SHARED, FULL, VARIANTS, LabelTree, init_head
+from .bilinear import FACTORED_SHARED, FULL, VARIANTS, LabelTree, check_lam, init_head
 from .data import Dataset
 from .fusion import BilinearClassifier, FusedClassifier, UnimodalClassifier, init_softmax_head
 from .linalg import FlatArrays, frobenius_project
-from .mlp import PROB_FLOOR, init_tower, log_likelihoods
+from .mlp import init_tower, log_likelihoods
 
 logger = logging.getLogger("bimodalnet.training")
 
@@ -84,10 +84,11 @@ class TrainConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         # 0 is allowed so a run can be replayed as a no-op (projection still applies)
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        for name in ("learning_rate", "init_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        self.lam = check_lam(self.lam)
         if self.minibatch_size < 1:
             raise ValueError(f"minibatch_size must be >= 1, got {self.minibatch_size}")
         if self.epochs < 0:
@@ -111,27 +112,6 @@ class Metrics:
             "group_error": self.group_error,
             "nll": self.nll,
         }
-
-
-def cross_entropy(posteriors, targets) -> float:
-    """Mean log-probability of the targets (the ascended objective E).
-
-    Probabilities are clamped at 1e-300 before the log; clamping is flagged
-    in the run log. The reported metric is NLL = -E.
-    """
-    probs = np.atleast_2d(np.asarray(posteriors, dtype=np.float64))
-    targets = np.asarray(targets)
-    if probs.shape[0] != targets.shape[0]:
-        raise ValueError(
-            f"{probs.shape[0]} posteriors vs {targets.shape[0]} targets"
-        )
-    p = probs[np.arange(probs.shape[0]), targets]
-    if np.any(p < PROB_FLOOR):
-        logger.warning(
-            "clamped %d zero posterior(s) at %g before log", int((p < PROB_FLOOR).sum()),
-            PROB_FLOOR,
-        )
-    return float(log_likelihoods(probs, targets).mean())
 
 
 def sgd_step(params: FlatArrays, grads, learning_rate: float, lam: float,

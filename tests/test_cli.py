@@ -371,3 +371,75 @@ class TestOneParserManyCalls:
 
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()
+
+
+class TestConfigFileParity:
+    """A config file takes every train flag's name, aliases included, and
+    checks its values as the flag does."""
+
+    def _train(self, train, out, *extra, config=None):
+        argv = ["train", "--data", str(train), "--out", str(out), *extra]
+        return main(argv + (["--config", str(config)] if config else []))
+
+    def test_aliases_give_the_same_model_as_the_flags(self, synth_files, tmp_path):
+        train, _ = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode = bilinear\narch = {ARCH_SMALL}\nepochs = 2\nseed = 4\n"
+                       "lr = 0.7\nlambda = 0.3\n")
+        from_file, from_flags = tmp_path / "file.bin", tmp_path / "flags.bin"
+        assert self._train(train, from_file, config=cfg) == 0
+        assert self._train(train, from_flags, "--mode", "bilinear", "--arch", ARCH_SMALL,
+                           "--epochs", "2", "--seed", "4", "--lr", "0.7",
+                           "--lambda", "0.3") == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
+        assert load_model(from_file).head.lam == 0.3
+
+    @pytest.mark.parametrize("line", ["mode = bogus", "variant = nope", "epochs = 2.5"])
+    def test_refused_value_is_usage_error_at_its_line(self, synth_files, tmp_path, capsys,
+                                                      line):
+        train, _ = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"arch = {ARCH_SMALL}\n{line}\n")
+        out = tmp_path / "m.bin"
+        assert self._train(train, out, config=cfg) == 2
+        assert f"{cfg}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_overrides_aliased_file_key(self, synth_files, tmp_path):
+        train, _ = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda = 3\n")
+        common = ["--mode", "bilinear", "--arch", ARCH_SMALL, "--epochs", "1", "--seed", "6",
+                  "--lam", "2"]
+        both, flags = tmp_path / "both.bin", tmp_path / "flags.bin"
+        assert self._train(train, both, *common, config=cfg) == 0
+        assert self._train(train, flags, *common) == 0
+        assert both.read_bytes() == flags.read_bytes()
+
+
+class TestRefusedSettings:
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+        ("--init-scale", "inf", "init_scale"), ("--init-scale", "nan", "init_scale"),
+        ("--init-scale", "-0.5", "init_scale"), ("--lam", "nan", "lam"),
+    ])
+    def test_non_finite_or_negative_value_writes_no_model(self, synth_files, tmp_path,
+                                                          capsys, flag, value, field):
+        train, _ = synth_files
+        out = tmp_path / "m.bin"
+        code = main(["train", "--data", str(train), "--mode", "bilinear", "--arch", ARCH_SMALL,
+                     "--epochs", "1", f"{flag}={value}", "--out", str(out)])
+        assert code == 1
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_seed_variable_is_usage_error_naming_it(self, synth_files, tmp_path, capsys,
+                                                        monkeypatch, value):
+        train, _ = synth_files
+        monkeypatch.setenv("BIMODALNET_SEED", value)
+        out = tmp_path / "m.bin"
+        assert main(["train", "--data", str(train), "--mode", "bilinear", "--arch", ARCH_SMALL,
+                     "--epochs", "0", "--out", str(out)]) == 2
+        assert "BIMODALNET_SEED" in capsys.readouterr().err
+        assert not out.exists()

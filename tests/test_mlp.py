@@ -14,6 +14,7 @@ from bimodalnet.mlp import (
     backward,
     forward,
     init_tower,
+    log_likelihoods,
     sigmoid,
     softmax,
 )
@@ -192,3 +193,26 @@ class TestSoftmaxLayer:
         probs = softmax(np.array([1e4, 0.0]))
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
+
+
+class TestLogLikelihoods:
+    def test_one_hot_correct_is_zero(self):
+        probs = np.eye(4)[[0, 2, 1]]
+        assert np.array_equal(log_likelihoods(probs, [0, 2, 1]), np.zeros(3))
+
+    def test_uniform_four_classes(self):
+        probs = np.full((3, 4), 0.25)
+        assert np.allclose(log_likelihoods(probs, [0, 1, 3]), -math.log(4), rtol=0, atol=1e-12)
+
+    def test_chance_level_large_class_count(self):
+        probs = np.full((2, 1328), 1.0 / 1328)
+        nll = -log_likelihoods(probs, [5, 1000]).mean()
+        assert nll == pytest.approx(math.log(1328), abs=1e-12)
+        assert nll == pytest.approx(7.1915, abs=1e-4)
+
+    def test_zero_probability_clamped(self):
+        probs = np.array([[1.0, 0.0], [0.5, 0.5]])
+        value = log_likelihoods(probs, [1, 1])
+        assert np.isfinite(value).all()
+        assert value[0] == pytest.approx(math.log(1e-300), rel=1e-12)
+        assert value[1] == math.log(0.5)

@@ -52,6 +52,29 @@ def test_digest_quick_mode(tmp_path):
     assert all(line.endswith(" same") for line in again.stdout.splitlines())
 
 
+def test_digest_pins_one_blas_thread_before_numpy_loads():
+    # records each BLAS thread variable at the moment numpy is first imported
+    probe = f"""
+import importlib.util, json, os, sys
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")])
+sys.meta_path.insert(0, Probe())
+spec = importlib.util.spec_from_file_location("digest", {os.path.join(SCRIPTS, "digest.py")!r})
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+print(json.dumps(seen))
+"""
+    pythonpath = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)),
+               OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    child = subprocess.run([sys.executable, "-c", probe], env=env, stdout=subprocess.PIPE,
+                           text=True, timeout=60, check=True)
+    assert json.loads(child.stdout) == [["1", "1", "1"]]
+
+
 def test_rss_cycle_one_pass_of_train_small():
     child = subprocess.run([sys.executable, os.path.join(SCRIPTS, "rss_cycle.py"),
                             "--workload", "train-small", "--passes", "1"],

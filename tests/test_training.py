@@ -19,7 +19,6 @@ from bimodalnet.training import (
     STEP_CHUNK,
     TrainConfig,
     build_model,
-    cross_entropy,
     eval_rows,
     evaluate,
     grad_check,
@@ -28,32 +27,6 @@ from bimodalnet.training import (
     train_joint,
     train_model,
 )
-
-
-class TestCrossEntropy:
-    def test_one_hot_correct_is_zero(self):
-        probs = np.eye(4)[[0, 2, 1]]
-        assert cross_entropy(probs, [0, 2, 1]) == 0.0
-
-    def test_uniform_four_classes(self):
-        probs = np.full((3, 4), 0.25)
-        assert cross_entropy(probs, [0, 1, 3]) == pytest.approx(-math.log(4), abs=1e-12)
-
-    def test_chance_level_large_class_count(self):
-        probs = np.full((2, 1328), 1.0 / 1328)
-        nll = -cross_entropy(probs, [5, 1000])
-        assert nll == pytest.approx(math.log(1328), abs=1e-12)
-        assert nll == pytest.approx(7.1915, abs=1e-4)
-
-    def test_zero_probability_clamped(self):
-        probs = np.array([[1.0, 0.0]])
-        value = cross_entropy(probs, [1])
-        assert np.isfinite(value)
-        assert value == pytest.approx(math.log(1e-300), rel=1e-12)
-
-    def test_count_mismatch(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.full((2, 3), 1 / 3), [0])
 
 
 class TestSgdStep:
@@ -520,6 +493,19 @@ class TestConfigAndMetrics:
             TrainConfig(minibatch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(lam=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -math.inf),
+        ("init_scale", math.nan), ("init_scale", math.inf), ("init_scale", -0.5),
+        ("lam", math.nan), ("lam", math.inf),
+    ])
+    def test_non_finite_or_negative_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrainConfig(**{field: value})
+
+    def test_zero_learning_rate_and_init_scale_allowed(self):
+        cfg = TrainConfig(learning_rate=0.0, init_scale=0.0, lam=3)
+        assert (cfg.learning_rate, cfg.init_scale, cfg.lam) == (0.0, 0.0, 3.0)
 
     def test_metrics_record_fields(self):
         record = Metrics(0.25, 0.1, 1.5).record(3, "test")
