@@ -9,11 +9,13 @@ Prints "<item> <sha256>" lines:
   variant (the models of tests/test_data.py ``_model_zoo``), the saved file
   bytes, ``posterior_batch`` on fixed inputs, the mean log-likelihood and
   the gradient of every trainable parameter;
-- cli/...: the ``train --log`` file, the saved model and the printed record
-  of each ``train``, and the printed records of ``eval`` and ``ensemble``,
-  for every mode and bilinear variant on a planted-interaction dataset;
-  without ``--quick`` also one bilinear run at the paper's shapes, and the
-  ``ensemble`` of that model with three untrained paper-shape members (a
+- cli/...: the two dataset files ``synth`` writes, the ``train --log`` file,
+  the saved model and the printed record of each ``train``, and the printed
+  records of ``eval`` and ``ensemble``, for every mode and bilinear variant
+  on a planted-interaction dataset;
+- without ``--quick`` also paper/...: the two paper-shape dataset files
+  ``save_dataset`` writes, then one bilinear run at the paper's shapes, and
+  the ``ensemble`` of that model with three untrained paper-shape members (a
   factored bilinear, a fused with a sigmoid top and a unimodal one), whose
   average runs over all C=1328 leaves.
 
@@ -114,6 +116,8 @@ def cli_digests(workdir: str, quick: bool):
     run_cli(["synth", "--out-train", p("train.data"), "--out-test", p("test.data"),
              "--d1", "12", "--d2", "10", "--classes", "8", "--groups", "4",
              "--n-train", str(n_train), "--n-test", str(n_test), "--seed", "3"])
+    yield "cli/synth/train", file_sha(p("train.data"))
+    yield "cli/synth/test", file_sha(p("test.data"))
     arch = "[12,9,6,8 | 10,9,6,8 | F=5]"
     common = ["--data", p("train.data"), "--test-data", p("test.data"),
               "--epochs", str(epochs), "--lr", "0.3", "--init-scale", "0.5", "--seed", "7"]
@@ -143,6 +147,7 @@ def cli_digests(workdir: str, quick: bool):
     for split, n in (("train", 2048), ("test", 512)):
         save_dataset(Dataset(rng.standard_normal((n, 360)), rng.standard_normal((n, 540)),
                              rng.integers(0, 1328, n), tree, split), p(f"paper-{split}.data"))
+        yield f"paper/{split}.data", file_sha(p(f"paper-{split}.data"))
     printed = run_cli(["train", "--data", p("paper-train.data"), "--mode", "bilinear",
                        "--variant", FACTORED_SHARED, "--arch", PAPER_ARCH, "--epochs", "1",
                        "--lr", "0.1", "--lam", "8.0", "--seed", "2",

@@ -8,6 +8,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -25,6 +26,7 @@ from .data import (
     generate_synthetic,
     load_dataset,
     load_model,
+    open_dataset,
     save_dataset,
     save_model,
 )
@@ -120,6 +122,14 @@ def parse_arch(s: str):
     return dims_a, dims_v, fused_dim
 
 
+def _seed_value(text: str) -> int:
+    """A seed written as text: a non-negative integer in decimal digits."""
+    text = text.strip()
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 # The train command's settings, one entry per flag: its option strings, then
 # its argparse keywords. A config file takes the same names (see
 # ``read_config_file``); every flag defaults to None, "not given".
@@ -136,7 +146,7 @@ _TRAIN_FLAGS = (
     (("--minibatch-size",), {"type": int}),
     (("--init-scale",), {"type": float}),
     (("--lam", "--lambda"), {"type": float}),
-    (("--seed",), {"type": int}),
+    (("--seed",), {"type": _seed_value}),
     (("--tower-a",), {"help": "warm-start tower from a unimodal model"}),
     (("--tower-v",), {}),
     (("--out",), {}),
@@ -154,9 +164,10 @@ def read_config_file(path: str) -> dict:
     """Train settings from ``key = value`` lines, by setting name.
 
     A key is any train flag's option string without its dashes (``lr`` and
-    ``lambda`` too), ``-`` or ``_`` alike; its value is converted by the
-    flag's type and checked against its choices. An unknown key or a value
-    the flag would refuse raises ConfigError naming ``path:line``.
+    ``lambda`` too), ``-`` or ``_`` alike; its value is converted and
+    checked by the flag's type and must be one of its choices. An unknown
+    key or a value the flag would refuse raises ConfigError naming
+    ``path:line``.
     """
     flags = {_name(opt): (_name(opts[0]), kw) for opts, kw in _TRAIN_FLAGS for opt in opts}
     values: dict = {}
@@ -178,6 +189,8 @@ def read_config_file(path: str) -> dict:
             except ValueError:
                 raise ConfigError(
                     f"{path}:{lineno}: cannot parse {text!r} for key {key!r}") from None
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} {exc}") from None
             if "choices" in kw and value not in kw["choices"]:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} must be one of "
                                   f"{', '.join(kw['choices'])}, got {value!r}")
@@ -186,14 +199,14 @@ def read_config_file(path: str) -> dict:
 
 
 def _seed(given, default: int) -> int:
-    """``given`` unless None, else the value of BIMODALNET_SEED if it is set,
-    else ``default``."""
+    """``given`` (a ``--seed`` value, checked by its type) unless None, else
+    the value of BIMODALNET_SEED if it is set, else ``default``."""
     if given is not None:
         return given
-    text = os.environ.get(SEED_ENV_VAR, str(default)).strip()
-    if not text.isdecimal():
-        raise ConfigError(f"{SEED_ENV_VAR} must be a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        return _seed_value(os.environ.get(SEED_ENV_VAR, str(default)))
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} {exc}") from None
 
 
 def _parse_top(text: str) -> tuple[int, ...]:
@@ -273,16 +286,19 @@ def cmd_train(args) -> int:
         raise ConfigError("train requires --data")
     if not settings.get("out"):
         raise ConfigError("train requires --out")
+    # minibatches gather rows at random, so the training split is read whole;
+    # the test split is only evaluated, so it is read from its file in blocks
     train_set = load_dataset(settings["data"])
-    eval_set = load_dataset(settings["test_data"]) if settings.get("test_data") else None
-    config = _train_config_from(settings, train_set)
-    warm = None
-    if settings.get("tower_a") or settings.get("tower_v"):
-        warm = tuple(_load_warm_tower(settings[name]) if settings.get(name) else None
-                     for name in ("tower_a", "tower_v"))
-    model = build_model(config, train_set.d1, train_set.d2,
-                        train_set.num_classes, train_set.tree, warm)
-    records = train_model(model, config, train_set, eval_set)
+    test_path = settings.get("test_data")
+    with open_dataset(test_path) if test_path else contextlib.nullcontext() as eval_set:
+        config = _train_config_from(settings, train_set)
+        warm = None
+        if settings.get("tower_a") or settings.get("tower_v"):
+            warm = tuple(_load_warm_tower(settings[name]) if settings.get(name) else None
+                         for name in ("tower_a", "tower_v"))
+        model = build_model(config, train_set.d1, train_set.d2,
+                            train_set.num_classes, train_set.tree, warm)
+        records = train_model(model, config, train_set, eval_set)
     save_model(model, settings["out"])
     if settings.get("log"):
         with open(settings["log"], "w", encoding="utf-8") as fh:
@@ -294,9 +310,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _print_read(model, dataset: Dataset, **extra) -> int:
-    """Evaluate ``model`` on ``dataset`` and print the record of the read."""
-    metrics = evaluate(model, dataset)
+def _print_read(model, path: str, **extra) -> int:
+    """Evaluate ``model`` on the dataset file at ``path``, read in blocks, and
+    print the record of the read."""
+    with open_dataset(path) as dataset:
+        metrics = evaluate(model, dataset)
     record = {"split": dataset.split, "n": dataset.n, **extra}
     record.update(metrics.record(0, dataset.split))
     del record["epoch"]
@@ -305,7 +323,7 @@ def _print_read(model, dataset: Dataset, **extra) -> int:
 
 
 def cmd_eval(args) -> int:
-    return _print_read(load_model(args.model), load_dataset(args.data))
+    return _print_read(load_model(args.model), args.data)
 
 
 def cmd_gradcheck(args) -> int:
@@ -346,7 +364,7 @@ def cmd_ensemble(args) -> int:
         print("error: ensemble needs at least 2 model files", file=sys.stderr)
         return 2
     members = [load_model(p) for p in args.models]
-    return _print_read(Ensemble(members), load_dataset(args.data), members=len(members))
+    return _print_read(Ensemble(members), args.data, members=len(members))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", type=float, default=0.1)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--linear-scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_value, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model and write it with its metric log")
@@ -392,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="bilinear")
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--init-scale", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_value, default=None)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ensemble", help="average posteriors of saved models")

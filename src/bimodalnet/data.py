@@ -1,8 +1,9 @@
 """Datasets, model persistence, and the planted-interaction synthetic task.
 
-Dataset files are a fixed little-endian binary layout; model files are a
-short ASCII header followed by a raw float64 payload. Both round-trip
-bit-identically.
+Dataset files are a fixed little-endian binary layout, read whole
+(``load_dataset``) or a block of rows at a time (``open_dataset``); model
+files are a short ASCII header followed by a raw float64 payload. Both
+round-trip bit-identically.
 """
 
 from __future__ import annotations
@@ -40,9 +41,23 @@ class VersionError(FormatError):
     """File was written by an unsupported format version."""
 
 
+def _nonfinite_row(block: np.ndarray) -> int:
+    """Index of the first row of ``block`` holding a non-finite value, else -1."""
+    # a finite sum has only finite terms; a sum that overflows is checked entry by entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.add.reduce(block, axis=None)):
+            return -1
+    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+    return int(bad[0]) if bad.size else -1
+
+
 @dataclass
 class Dataset:
-    """Labeled bimodal samples (x1_i, x2_i, y_i) plus the label tree."""
+    """Labeled bimodal samples (x1_i, x2_i, y_i) plus the label tree, in memory.
+
+    ``rows(start, stop)`` returns views of the feature rows, as
+    ``DatasetFile.rows`` returns its buffers, so ``evaluate`` reads both alike.
+    """
 
     x1: np.ndarray
     x2: np.ndarray
@@ -68,7 +83,7 @@ class Dataset:
                 f"labels must lie in [0, {self.tree.num_leaves}), "
                 f"got range [{self.y.min()}, {self.y.max()}]"
             )
-        if not (np.all(np.isfinite(self.x1)) and np.all(np.isfinite(self.x2))):
+        if _nonfinite_row(self.x1) >= 0 or _nonfinite_row(self.x2) >= 0:
             raise ValueError("features must be finite")
 
     @property
@@ -86,6 +101,10 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return self.tree.num_leaves
+
+    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of feature rows ``[start, stop)`` of both modalities."""
+        return self.x1[start:stop], self.x2[start:stop]
 
     def __eq__(self, other):
         return (
@@ -272,26 +291,44 @@ class _Cursor:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write the header, then each array straight from its buffer; only the
+    int32 tables are converted copies."""
     head = _DS_HEAD.pack(
         DATASET_MAGIC, DATASET_VERSION, SPLITS.index(dataset.split),
         dataset.n, dataset.d1, dataset.d2,
         dataset.num_classes, dataset.tree.num_groups,
     )
-    parts = [
-        head,
-        dataset.tree.group_of.astype("<i4").tobytes(),
-        np.ascontiguousarray(dataset.x1, dtype="<f8").tobytes(),
-        np.ascontiguousarray(dataset.x2, dtype="<f8").tobytes(),
-        dataset.y.astype("<i4").tobytes(),
-    ]
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(head)
+        fh.write(dataset.tree.group_of.astype("<i4"))
+        fh.write(np.ascontiguousarray(dataset.x1, dtype="<f8"))
+        fh.write(np.ascontiguousarray(dataset.x2, dtype="<f8"))
+        fh.write(dataset.y.astype("<i4"))
 
 
-def load_dataset(path) -> Dataset:
-    """Read a dataset file; every array is read straight into its own buffer."""
-    with open(path, "rb") as fh:
-        cur = _Cursor(fh)
+class DatasetFile:
+    """An open dataset file whose features are read a block of rows at a time.
+
+    Opening reads and checks the header, the leaf-to-group table and the
+    labels, and checks that the file holds both feature regions, so a read
+    holds the labels (``y``) and one block of features, never the split.
+    ``rows(start, stop)`` reads feature rows into two buffers sized to the
+    largest block asked for and reused on every call: the next call
+    overwrites what the last one returned. Use it as a context manager, or
+    call ``close``.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self._read_head()
+        except BaseException:
+            self._fh.close()
+            raise
+        self._x1, self._x2 = np.empty((0, self.d1)), np.empty((0, self.d2))
+
+    def _read_head(self):
+        cur = _Cursor(self._fh)
         magic, version, split_id, n, d1, d2, c, g = _DS_HEAD.unpack(
             cur.array("B", (_DS_HEAD.size,), "header")
         )
@@ -310,15 +347,82 @@ def load_dataset(path) -> Dataset:
         if split_id >= len(SPLITS):
             raise FormatError(f"invalid header: unknown split id {split_id}")
         group_of = cur.array("<i4", (c,), "leaf-to-group table")
-        x1 = cur.array("<f8", (n, d1), "first-modality features")
-        x2 = cur.array("<f8", (n, d2), "second-modality features")
+        self._x1_off = cur.advance(8 * n * d1, "first-modality features")
+        self._x2_off = cur.advance(8 * n * d2, "second-modality features")
+        labels_off = cur.off
+        self._fh.seek(labels_off)
         y = cur.array("<i4", (n,), "labels")
         cur.done("labels")
-    try:
-        tree = LabelTree(group_of.astype(np.int64), g)
-        return Dataset(x1, x2, y.astype(np.int64), tree, SPLITS[split_id])
-    except ValueError as exc:
-        raise FormatError(f"invalid dataset contents: {exc}") from exc
+        try:
+            self.tree = LabelTree(group_of.astype(np.int64), g)
+        except ValueError as exc:
+            raise FormatError(f"invalid dataset contents: {exc}") from exc
+        bad = np.flatnonzero((y < 0) | (y >= c))
+        if bad.size:
+            k = int(bad[0])
+            raise FormatError(f"label {y[k]} of row {k} is outside [0, {c}) "
+                              f"at byte offset {labels_off + 4 * k}")
+        self.y = y.astype(np.int64)
+        self.n, self.d1, self.d2 = n, d1, d2
+        self.split = SPLITS[split_id]
+
+    @property
+    def num_classes(self) -> int:
+        return self.tree.num_leaves
+
+    def _read(self, start: int, x1: np.ndarray, x2: np.ndarray) -> None:
+        """Feature rows from ``start`` into ``x1`` and ``x2`` (C-contiguous,
+        one row per row); a non-finite value is a FormatError naming the
+        byte offset of its row."""
+        for out, base, what in ((x1, self._x1_off, "first-modality"),
+                                (x2, self._x2_off, "second-modality")):
+            row_bytes = 8 * out.shape[1]
+            offset = base + row_bytes * start
+            self._fh.seek(offset)
+            if self._fh.readinto(out) != out.nbytes:
+                raise FormatError(f"truncated file: {what} features ended before "
+                                  f"byte offset {offset + out.nbytes}")
+            row = _nonfinite_row(out)
+            if row >= 0:
+                raise FormatError(f"non-finite {what} feature in row {start + row} "
+                                  f"at byte offset {offset + row_bytes * row}")
+
+    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Feature rows ``[start, stop)`` of both modalities, in the reused
+        buffers: valid until the next call."""
+        if not 0 <= start <= stop <= self.n:
+            raise IndexError(f"rows [{start}, {stop}) outside [0, {self.n})")
+        if stop - start > len(self._x1):
+            self._x1 = self._x2 = None  # freed before the larger buffers are allocated
+            self._x1 = np.empty((stop - start, self.d1), dtype="<f8")
+            self._x2 = np.empty((stop - start, self.d2), dtype="<f8")
+        x1, x2 = self._x1[:stop - start], self._x2[:stop - start]
+        self._read(start, x1, x2)
+        return x1, x2
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def open_dataset(path) -> DatasetFile:
+    """Open a dataset file for reading in blocks (see ``DatasetFile``)."""
+    return DatasetFile(path)
+
+
+def load_dataset(path) -> Dataset:
+    """Read a whole dataset file; the features are read straight into arrays
+    of their own, through the same reader as ``open_dataset``."""
+    with open_dataset(path) as reader:
+        x1 = np.empty((reader.n, reader.d1), dtype="<f8")
+        x2 = np.empty((reader.n, reader.d2), dtype="<f8")
+        reader._read(0, x1, x2)
+        return Dataset(x1, x2, reader.y, reader.tree, reader.split)
 
 
 # ------------------------------------------------------------------ models

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .bilinear import FACTORED_SHARED, FULL, VARIANTS, LabelTree, check_lam, init_head
-from .data import Dataset
+from .data import Dataset, DatasetFile
 from .fusion import BilinearClassifier, FusedClassifier, UnimodalClassifier, init_softmax_head
 from .linalg import FlatArrays, frobenius_project
 from .mlp import init_tower, log_likelihoods
@@ -164,15 +164,16 @@ def row_blocks(n: int, most: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def evaluate(model, dataset: Dataset) -> Metrics:
+def evaluate(model, dataset: Dataset | DatasetFile) -> Metrics:
     """Leaf/group argmax error rates (ties to the lowest index) and NLL.
 
     The dataset must have the model's class count and, when the model's
     posteriors use a label tree (``model.tree``), that tree; the group error
-    is taken under the dataset's tree. The rows are read in ``row_blocks``
-    of at most ``eval_rows(C)``, so a read's memory does not grow with n, and
-    the per-row log-likelihoods are summed once, so the metrics do not depend
-    on the split wherever the posteriors do not.
+    is taken under the dataset's tree. The rows are read through
+    ``dataset.rows`` in ``row_blocks`` of at most ``eval_rows(C)``, so a read
+    of an open dataset file holds one block of features, and the per-row
+    log-likelihoods are summed once, so the metrics do not depend on the
+    split wherever the posteriors do not.
     """
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -191,7 +192,7 @@ def evaluate(model, dataset: Dataset) -> Metrics:
     group_wrong = 0
     log_liks = np.empty(dataset.n)
     for start, stop in row_blocks(dataset.n, eval_rows(model.num_classes)):
-        probs = model.posterior_batch(dataset.x1[start:stop], dataset.x2[start:stop])
+        probs = model.posterior_batch(*dataset.rows(start, stop))
         y = dataset.y[start:stop]
         leaf_wrong += int((np.argmax(probs, axis=1) != y).sum())
         group_probs = dataset.tree.group_sums(probs)
@@ -259,7 +260,7 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
 
 
 def train_model(model, config: TrainConfig, train_set: Dataset,
-                eval_set: Optional[Dataset] = None) -> list[dict]:
+                eval_set: Optional[Dataset | DatasetFile] = None) -> list[dict]:
     """Minibatch SGD on a prebuilt model; returns the per-epoch metric records.
 
     Samples are reshuffled each epoch by the config's seeded PRNG; batch
@@ -267,7 +268,8 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
     bit-identical. Divergence (non-finite E) aborts with the parameters
     rolled back to the last finished epoch. Both splits must match the
     model's classes and label tree (``evaluate`` checks them at epoch 0,
-    before any step).
+    before any step); ``eval_set`` is only evaluated, so it may be an open
+    dataset file.
     """
     rng = np.random.default_rng(_child_seed(config.seed, _SEED_SHUFFLE))
     params = model.trainable_params()

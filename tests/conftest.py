@@ -1,5 +1,9 @@
+import contextlib
+import gc
 import importlib.util
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -50,3 +54,24 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def no_unclosed_files():
+    """Fail when a file opened in the block is left for the collector to close.
+
+    ResourceWarning is an error inside the block; an unclosed file raises it
+    from its finaliser, where Python hands it to ``sys.unraisablehook``,
+    which collects it here.
+    """
+    unraisable = []
+    saved = sys.unraisablehook
+    sys.unraisablehook = unraisable.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            yield
+            gc.collect()
+    finally:
+        sys.unraisablehook = saved
+    assert not unraisable, [str(u.exc_value) for u in unraisable]

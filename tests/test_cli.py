@@ -1,10 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bimodalnet.bilinear import FACTORED_SHARED, LabelTree
 from bimodalnet.cli import ArchParseError, build_parser, main, parse_arch
-from bimodalnet.data import load_dataset, load_model
+from bimodalnet.data import Dataset, load_dataset, load_model, save_dataset, save_model
+from bimodalnet.training import TrainConfig, build_model, eval_rows
+from tests.conftest import no_unclosed_files
 
 FULL_SCALE_ARCH = "[360,500,500,200,1328 | 540,500,500,200,1328 | F=200]"
 
@@ -443,3 +447,144 @@ class TestRefusedSettings:
                      "--epochs", "0", "--out", str(out)]) == 2
         assert "BIMODALNET_SEED" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNegativeSeed:
+    """A negative seed is a usage error naming where it was given."""
+
+    def test_synth_flag(self, tmp_path, capsys):
+        out = tmp_path / "train.bin"
+        assert main(["synth", "--out-train", str(out), "--out-test", str(tmp_path / "t.bin"),
+                     "--seed", "-3"]) == 2
+        assert "argument --seed: must be a non-negative integer, got '-3'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_gradcheck_flag(self, capsys):
+        assert main(["gradcheck", "--arch", "[3,4,2|3,4,2|F=2]", "--classes", "4",
+                     "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "argument --seed: must be a non-negative integer" in captured.err
+        assert captured.out == ""
+
+    def test_train_flag(self, synth_files, tmp_path, capsys):
+        train, _ = synth_files
+        out = tmp_path / "m.bin"
+        assert main(["train", "--data", str(train), "--mode", "bilinear", "--arch", ARCH_SMALL,
+                     "--epochs", "0", "--seed=-3", "--out", str(out)]) == 2
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_config_file(self, synth_files, tmp_path, capsys):
+        train, _ = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode = bilinear\narch = {ARCH_SMALL}\nseed = -3\n")
+        out = tmp_path / "m.bin"
+        assert main(["train", "--data", str(train), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert (f"{cfg}:3: key 'seed' must be a non-negative integer, got '-3'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_zero_is_a_seed(self, tmp_path):
+        out = tmp_path / "train.bin"
+        assert main(["synth", "--out-train", str(out), "--out-test", str(tmp_path / "t.bin"),
+                     "--n-train", "20", "--n-test", "10", "--seed", "0"]) == 0
+
+
+@pytest.fixture
+def small_model(synth_files, tmp_path):
+    train, _ = synth_files
+    out = tmp_path / "small.model"
+    assert main(["train", "--data", str(train), "--mode", "bilinear", "--arch", ARCH_SMALL,
+                 "--epochs", "0", "--seed", "1", "--out", str(out)]) == 0
+    return out
+
+
+def _read_commands(model, train, test, out):
+    return {
+        "eval": ["eval", "--model", str(model), "--data", str(test)],
+        "ensemble": ["ensemble", str(model), str(model), "--data", str(test)],
+        "train": ["train", "--data", str(train), "--test-data", str(test), "--mode", "bilinear",
+                  "--arch", ARCH_SMALL, "--epochs", "1", "--seed", "1", "--out", str(out)],
+    }
+
+
+# the synth_files test split: 40 rows, d1 = d2 = 5, C = 4; x1 starts at byte
+# 53, x2 at 1,653 and the labels at 3,253
+_FAULTS = {
+    "nan-x1": (53 + 40 * 7 + 16, np.array([np.nan], "<f8").tobytes(),
+               "non-finite first-modality feature in row 7 at byte offset 333"),
+    "nan-x2": (1653 + 40 * 7 + 16, np.array([np.nan], "<f8").tobytes(),
+               "non-finite second-modality feature in row 7 at byte offset 1933"),
+    "label": (3253 + 4 * 7, np.array([4], "<i4").tobytes(),
+              "label 4 of row 7 is outside [0, 4) at byte offset 3281"),
+    "truncated": (2000, None,
+                  "needed 1600 bytes for second-modality features at byte offset 1653"),
+}
+
+
+class TestStreamedReads:
+    """eval, ensemble and train --test-data read their split from its file."""
+
+    def test_each_command_closes_its_file(self, synth_files, small_model, tmp_path, capsys):
+        train, test = synth_files
+        with no_unclosed_files():
+            for argv in _read_commands(small_model, train, test, tmp_path / "m.bin").values():
+                assert main(argv) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["n"] for r in printed[:2]] == [40, 40]
+
+    @pytest.mark.parametrize("command", ["eval", "ensemble", "train"])
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_corrupt_split_fails_with_its_offset(self, synth_files, small_model, tmp_path,
+                                                 capsys, command, fault):
+        train, test = synth_files
+        assert len(test.read_bytes()) == 3413
+        offset, data, message = _FAULTS[fault]
+        blob = test.read_bytes()
+        test.write_bytes(blob[:offset] + data + blob[offset + len(data):] if data
+                         else blob[:offset])
+        out = tmp_path / "m.bin"
+        capsys.readouterr()
+        with no_unclosed_files():
+            assert main(_read_commands(small_model, train, test, out)[command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
+
+
+class TestStreamedReadMemory:
+    def test_eval_peak_grows_only_by_the_per_row_vectors(self, tmp_path, capsys):
+        """The features are read a block at a time: from n_small to n_large
+        rows, the peak of an ``eval`` grows by the labels, group targets and
+        log-likelihoods (24 bytes a row), not by the 8 (d1 + d2) bytes a row
+        of the features. Both n are whole numbers of 394-row blocks, so the
+        blocks' leaf-width arrays are the same size at both (2,048 and 8,192
+        rows would read in blocks of 342 and 391 rows, 0.5 MB apart per
+        array)."""
+        c, d = 1328, 64
+        tree = LabelTree(np.arange(c) * 42 // c, 42)
+        model = tmp_path / "paper-leaves.model"
+        save_model(build_model(TrainConfig(mode="bilinear", variant=FACTORED_SHARED,
+                                           dims_a=(d, 8), dims_v=(d, 8), fused_dim=4,
+                                           epochs=0, seed=1), d, d, c, tree), model)
+        n_small, n_large = 6 * eval_rows(c), 21 * eval_rows(c)
+        rng = np.random.default_rng(5)
+        peaks = []
+        for n in (n_small, n_large):
+            data = tmp_path / f"split-{n}.bin"
+            save_dataset(Dataset(rng.standard_normal((n, d)), rng.standard_normal((n, d)),
+                                 rng.integers(0, c, n), tree, "test"), data)
+            argv = ["eval", "--model", str(model), "--data", str(data)]
+            assert main(argv) == 0  # builds the cached parser outside the trace
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        growth = peaks[1] - peaks[0]
+        assert growth <= 1.1 * 40 * (n_large - n_small), (peaks, growth / (n_large - n_small))

@@ -13,10 +13,12 @@ from bimodalnet.data import (
     generate_with_planted,
     load_dataset,
     load_model,
+    open_dataset,
     save_dataset,
     save_model,
 )
 from bimodalnet.training import TrainConfig, build_model
+from tests.conftest import no_unclosed_files
 
 
 class TestSynthSpec:
@@ -121,8 +123,9 @@ class TestDatasetRoundTrip:
         blob = path.read_bytes()
         assert len(blob) == 973
         path.write_bytes(blob[:end - 3])
-        with pytest.raises(FormatError, match=f"for {what} at byte offset {start},"):
-            load_dataset(path)
+        for read in (load_dataset, open_dataset):
+            with pytest.raises(FormatError, match=f"for {what} at byte offset {start},"):
+                read(path)
 
     def test_zero_class_header_rejected(self, tmp_path):
         spec = SynthSpec(5, 6, 4, 2, 10, 5, 0.2, 2, 13)
@@ -160,6 +163,143 @@ class TestDatasetRoundTrip:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError, match="trailing"):
             load_dataset(path)
+
+
+def _small_file(tmp_path):
+    """A saved 10-row split (d1=5, d2=6, C=4, G=2): the header takes bytes
+    0-37, group_of 37-53, x1 53-453, x2 453-933 and the labels 933-973."""
+    train, _ = generate_synthetic(SynthSpec(5, 6, 4, 2, 10, 5, 0.2, 2, 13))
+    path = tmp_path / "ds.bin"
+    save_dataset(train, path)
+    return train, path
+
+
+def _patch(path, offset: int, data: bytes):
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + len(data)] = data
+    path.write_bytes(bytes(blob))
+
+
+class TestSaveDataset:
+    def test_bytes_are_the_header_then_each_array(self, tmp_path):
+        train, path = _small_file(tmp_path)
+        head = path.read_bytes()[:37]
+        assert path.read_bytes() == b"".join([
+            head, train.tree.group_of.astype("<i4").tobytes(),
+            train.x1.astype("<f8").tobytes(), train.x2.astype("<f8").tobytes(),
+            train.y.astype("<i4").tobytes()])
+
+    def test_writes_a_non_contiguous_view(self, tmp_path):
+        train, _ = _small_file(tmp_path)
+        view = Dataset(train.x1[::2], train.x2[::2], train.y[::2], train.tree, "train")
+        save_dataset(view, tmp_path / "view.bin")
+        assert load_dataset(tmp_path / "view.bin") == view
+
+
+class TestOpenDataset:
+    def test_header_and_labels_match_the_loaded_split(self, tmp_path):
+        train, path = _small_file(tmp_path)
+        with open_dataset(path) as reader:
+            assert (reader.n, reader.d1, reader.d2, reader.num_classes) == (10, 5, 6, 4)
+            assert reader.split == "train" and reader.tree == train.tree
+            assert reader.y.dtype == np.int64 and np.array_equal(reader.y, train.y)
+
+    def test_rows_equal_the_loaded_rows(self, tmp_path):
+        train, path = _small_file(tmp_path)
+        with open_dataset(path) as reader:
+            for start, stop in ((0, 10), (0, 3), (3, 7), (9, 10), (4, 4)):
+                x1, x2 = reader.rows(start, stop)
+                assert x1.shape == (stop - start, 5) and x2.shape == (stop - start, 6)
+                assert np.array_equal(x1, train.x1[start:stop])
+                assert np.array_equal(x2, train.x2[start:stop])
+                views = train.rows(start, stop)
+                assert all(v.base is a for v, a in zip(views, (train.x1, train.x2)))
+
+    def test_rows_reuse_their_buffers(self, tmp_path):
+        train, path = _small_file(tmp_path)
+        with open_dataset(path) as reader:
+            first = reader.rows(0, 4)
+            second = reader.rows(4, 8)
+            assert np.array_equal(first[0], train.x1[4:8])  # overwritten by the second call
+            third = reader.rows(8, 10)  # a smaller block reuses the buffers too
+        for a, b, c in zip(first, second, third):
+            assert np.shares_memory(a, b) and np.shares_memory(a, c)
+
+    def test_rows_outside_the_split_are_refused(self, tmp_path):
+        _, path = _small_file(tmp_path)
+        with open_dataset(path) as reader:
+            for start, stop in ((-1, 2), (3, 2), (0, 11)):
+                with pytest.raises(IndexError):
+                    reader.rows(start, stop)
+
+    def test_closes_its_file(self, tmp_path):
+        _, path = _small_file(tmp_path)
+        with no_unclosed_files():
+            with open_dataset(path) as reader:
+                reader.rows(0, 10)
+            assert reader._fh.closed
+            _patch(path, 0, b"NOTADATA")
+            with pytest.raises(FormatError, match="magic"):
+                open_dataset(path)  # refused while it opens
+
+
+class TestCorruptDatasetFile:
+    """Each fault is a FormatError naming its byte offset, from the whole-file
+    loader and from the block reader alike."""
+
+    @staticmethod
+    def _read_all(path):
+        with open_dataset(path) as reader:
+            reader.rows(0, reader.n)
+
+    @pytest.mark.parametrize("read", ["load", "open"])
+    @pytest.mark.parametrize("region,base,width", [
+        ("first-modality", 53, 5), ("second-modality", 453, 6)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_its_row(self, tmp_path, read, region, base, width,
+                                              value):
+        _, path = _small_file(tmp_path)
+        row, col = 3, 2
+        _patch(path, base + 8 * (width * row + col), np.array([value], "<f8").tobytes())
+        reader = load_dataset if read == "load" else self._read_all
+        offset = base + 8 * width * row
+        with pytest.raises(FormatError,
+                           match=f"non-finite {region} feature in row 3 at byte offset {offset}$"):
+            reader(path)
+
+    def test_non_finite_feature_in_a_later_block(self, tmp_path):
+        train, path = _small_file(tmp_path)
+        _patch(path, 453 + 8 * 6 * 8, np.array([np.nan], "<f8").tobytes())
+        with open_dataset(path) as reader:
+            x1, _ = reader.rows(0, 5)
+            assert np.array_equal(x1, train.x1[:5])
+            with pytest.raises(FormatError, match="row 8 at byte offset 837$"):
+                reader.rows(5, 10)
+
+    def test_overflowing_sum_is_not_a_fault(self, tmp_path):
+        train, _ = _small_file(tmp_path)
+        x1 = train.x1.copy()
+        x1[:, 0] = 1.5e308  # finite entries whose sum overflows
+        big = Dataset(x1, train.x2, train.y, train.tree, "train")
+        save_dataset(big, tmp_path / "big.bin")
+        assert load_dataset(tmp_path / "big.bin") == big
+
+    @pytest.mark.parametrize("read", ["load", "open"])
+    @pytest.mark.parametrize("label,row", [(4, 7), (-1, 0), (2 ** 31 - 1, 9)])
+    def test_label_outside_the_classes_names_its_offset(self, tmp_path, read, label, row):
+        _, path = _small_file(tmp_path)
+        _patch(path, 933 + 4 * row, np.array([label], "<i4").tobytes())
+        reader = load_dataset if read == "load" else open_dataset
+        with pytest.raises(FormatError, match=rf"label {label} of row {row} is outside "
+                                              rf"\[0, 4\) at byte offset {933 + 4 * row}$"):
+            reader(path)
+
+    def test_file_truncated_after_open(self, tmp_path):
+        _, path = _small_file(tmp_path)
+        with open_dataset(path) as reader:
+            path.write_bytes(path.read_bytes()[:500])
+            with pytest.raises(FormatError, match="truncated file"):
+                reader.rows(0, 10)
 
 
 def _model_zoo(tree):

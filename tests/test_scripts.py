@@ -40,6 +40,9 @@ def test_digest_quick_mode(tmp_path):
     assert len(digests) == len(lines)
     assert {"cli/ensemble", "cli/train/factored-shared/log", "cli/eval/fused-warm",
             "zoo/factored-shared/grad/head.w", "zoo/unimodal/loglik"} <= set(digests)
+    for split in ("train", "test"):
+        data = (workdir / f"{split}.data").read_bytes()
+        assert digests[f"cli/synth/{split}"] == hashlib.sha256(data).hexdigest()
     # the script's zoo is the test suite's
     for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
         save_model(model, tmp_path / "zoo.model")

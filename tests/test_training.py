@@ -7,7 +7,14 @@ import pytest
 
 from bimodalnet import training
 from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, LabelTree
-from bimodalnet.data import Dataset, SynthSpec, generate_synthetic
+from bimodalnet.data import (
+    Dataset,
+    SynthSpec,
+    generate_synthetic,
+    load_dataset,
+    open_dataset,
+    save_dataset,
+)
 from bimodalnet.fusion import Ensemble, FusedClassifier, SoftmaxHead
 from bimodalnet.linalg import FlatArrays, frobenius_norm
 from bimodalnet.mlp import init_tower
@@ -287,6 +294,48 @@ class TestEvaluationMemory:
             # per row of the largest block, the peak does not grow with n
             assert peak_large / rows_large <= 1.1 * peak_small / rows_small, (
                 model, peak_small, peak_large)
+
+
+class TestStreamedEvaluate:
+    """``evaluate`` reads an open dataset file through the same blocks as the
+    loaded split, so every metric is bit for bit the same."""
+
+    @staticmethod
+    def _models(c, tree):
+        common = dict(dims_a=(4, 3), dims_v=(5, 3), epochs=0, init_scale=0.5)
+        models = {
+            "unimodal": build_model(TrainConfig(mode="visual", seed=1, **common),
+                                    4, 5, c, tree),
+            "fused-top": build_model(TrainConfig(mode="fused", fusion_top=(4,), seed=2,
+                                                 **common), 4, 5, c, tree),
+        }
+        for seed, variant in enumerate(("full", FACTORED, FACTORED_SHARED), 3):
+            models[variant] = _bilinear(variant, c, tree, seed)
+        members = [models[k] for k in ("factored-shared", "factored", "fused-top", "unimodal")]
+        models["ensemble"] = Ensemble(members)
+        return models
+
+    @pytest.mark.parametrize("c,groups,n,blocks", [(8, 4, 2500, 3), (1328, 42, 1000, 3)])
+    def test_open_file_gives_the_loaded_metrics(self, tmp_path, c, groups, n, blocks):
+        tree = _paper_tree() if c == 1328 else LabelTree.balanced(c, groups)
+        path = tmp_path / "split.bin"
+        save_dataset(_random_split(n, 4, 5, tree, seed=c), path)
+        assert len(row_blocks(n, eval_rows(c))) == blocks
+        loaded = load_dataset(path)
+        with open_dataset(path) as streamed:
+            for kind, model in self._models(c, tree).items():
+                assert evaluate(model, streamed) == evaluate(model, loaded), kind
+
+    def test_train_records_with_an_open_test_file(self, tmp_path):
+        train, test = sanity_task()
+        save_dataset(test, tmp_path / "test.bin")
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(6, 5),
+                          dims_v=(6, 5), fused_dim=2, epochs=3, learning_rate=0.5, seed=17)
+        model_a, recs_a = train_joint(cfg, train, test)
+        with open_dataset(tmp_path / "test.bin") as streamed:
+            model_b, recs_b = train_joint(cfg, train, streamed)
+        assert recs_a == recs_b
+        assert np.array_equal(model_a.params().flat, model_b.params().flat)
 
 
 def sanity_task():
