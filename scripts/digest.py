@@ -17,7 +17,9 @@ Prints "<item> <sha256>" lines:
   ``save_dataset`` writes, then one bilinear run at the paper's shapes, and
   the ``ensemble`` of that model with three untrained paper-shape members (a
   factored bilinear, a fused with a sigmoid top and a unimodal one), whose
-  average runs over all C=1328 leaves.
+  average runs over all C=1328 leaves, and two one-epoch ``fused`` runs
+  (frozen towers) at the paper's shapes on the 512-row split, without a
+  sigmoid top and with a (500,) one: their log, model and printed record.
 
 Run it on two checkouts (``PYTHONPATH=<checkout>/src``) and diff the
 outputs; BLAS runs on one thread whatever the environment says.
@@ -166,6 +168,14 @@ def cli_digests(workdir: str, quick: bool):
     yield "cli/ensemble/paper", sha(run_cli(
         ["ensemble", p("paper.bin"), *(p(f"{name}.bin") for name in members),
          "--data", p("paper-test.data")]))
+    for name, top in (("fused", []), ("fused-top", ["--fusion-top", "500"])):
+        printed = run_cli(["train", "--data", p("paper-test.data"), "--mode", "fused",
+                           "--arch", PAPER_ARCH, *top, "--epochs", "1", "--seed", "4",
+                           "--out", p(f"paper-{name}-trained.bin"),
+                           "--log", p(f"paper-{name}-trained.log")])
+        yield f"paper/train/{name}/log", file_sha(p(f"paper-{name}-trained.log"))
+        yield f"paper/train/{name}/model", file_sha(p(f"paper-{name}-trained.bin"))
+        yield f"paper/train/{name}/stdout", sha(printed)
 
 
 def resave(directory: str) -> bool:

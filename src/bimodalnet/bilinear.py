@@ -201,10 +201,12 @@ class BilinearHead:
     def probabilities(self, features) -> np.ndarray:
         return posterior_batch(self, *features)
 
-    def gradients(self, features, targets, scale: float, out=None):
+    def gradients(self, features, targets, scale: float, out=None, input_delta: bool = True):
         """(probs, gradients by array name, error signal for each tower); the
-        gradients are written into the arrays of ``out`` when given."""
-        probs, grads, delta1, delta2 = _grads_batch(self, *features, targets, scale, out)
+        gradients are written into the arrays of ``out`` when given. Without
+        ``input_delta`` the error signals are None and are not formed."""
+        probs, grads, delta1, delta2 = _grads_batch(self, *features, targets, scale, out,
+                                                    input_delta)
         return probs, grads, [delta1, delta2]
 
 
@@ -296,12 +298,14 @@ def posterior(head: BilinearHead, v1, v2) -> np.ndarray:
     return posterior_batch(head, as_vector(v1, "v1"), as_vector(v2, "v2"))[0]
 
 
-def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, out=None):
+def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, out=None,
+                 input_delta: bool = True):
     """Batched head gradients; returns (probs, grads, delta1, delta2).
 
     Gradients are sums over the batch of per-sample gradients scaled by
     ``scale`` (pass 1/B for the batch mean), written into the arrays of
     ``out`` (keyed as in ``param_arrays``) when given, else into new ones.
+    The towers' error signals delta1, delta2 are None without ``input_delta``.
     """
     f1, f2 = _feature_rows(head, f1, f2)
     logits, a1, a2 = _leaf_logits(head, f1, f2)
@@ -314,6 +318,8 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
     np.add.reduce(delta_l, axis=0, out=grads["b"])
     if head.variant == FULL:
         np.einsum("bc,bi,bj->cij", delta_l, f1, f2, optimize=True, out=grads["W"])
+        if not input_delta:
+            return probs, grads, None, None
         delta1 = np.einsum("bc,cij,bj->bi", delta_l, head.w_stack, f2, optimize=True)
         delta2 = np.einsum("bc,cij,bi->bj", delta_l, head.w_stack, f1, optimize=True)
     else:
@@ -327,6 +333,8 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
         np.matmul((a1 * a2).T, delta_eff, out=grads["w"])
         np.matmul(f1.T, wd_a2, out=grads["U1"])
         np.matmul(f2.T, wd_a1, out=grads["U2"])
+        if not input_delta:
+            return probs, grads, None, None
         delta1 = wd_a2 @ head.u1.T
         delta2 = wd_a1 @ head.u2.T
     delta1 += delta_l @ head.v1.T

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class Dataset:
 
     ``rows(start, stop)`` returns views of the feature rows, as
     ``DatasetFile.rows`` returns its buffers, so ``evaluate`` reads both alike.
+    The features are checked for finite values, except by ``load_dataset``,
+    whose reader has checked them (``_finite``).
     """
 
     x1: np.ndarray
@@ -64,8 +66,9 @@ class Dataset:
     y: np.ndarray
     tree: LabelTree
     split: str = "train"
+    _finite: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _finite: bool):
         self.x1 = np.asarray(self.x1, dtype=np.float64)
         self.x2 = np.asarray(self.x2, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.int64)
@@ -83,7 +86,7 @@ class Dataset:
                 f"labels must lie in [0, {self.tree.num_leaves}), "
                 f"got range [{self.y.min()}, {self.y.max()}]"
             )
-        if _nonfinite_row(self.x1) >= 0 or _nonfinite_row(self.x2) >= 0:
+        if not _finite and (_nonfinite_row(self.x1) >= 0 or _nonfinite_row(self.x2) >= 0):
             raise ValueError("features must be finite")
 
     @property
@@ -422,7 +425,7 @@ def load_dataset(path) -> Dataset:
         x1 = np.empty((reader.n, reader.d1), dtype="<f8")
         x2 = np.empty((reader.n, reader.d2), dtype="<f8")
         reader._read(0, x1, x2)
-        return Dataset(x1, x2, reader.y, reader.tree, reader.split)
+        return Dataset(x1, x2, reader.y, reader.tree, reader.split, _finite=True)
 
 
 # ------------------------------------------------------------------ models
@@ -527,7 +530,8 @@ def _parse_model_header(fh):
 
 def _read_arrays(fh, offset: int, shapes) -> FlatArrays:
     """The payload at ``offset`` of an open model file, read into one vector
-    and viewed as the manifest's arrays."""
+    and viewed as the manifest's arrays; a non-finite entry is a FormatError
+    naming its array and byte offset."""
     cur = _Cursor(fh, offset)
     for name, shape in shapes.items():
         if any(d < 0 for d in shape):
@@ -540,6 +544,11 @@ def _read_arrays(fh, offset: int, shapes) -> FlatArrays:
     arrays = FlatArrays(np.empty((cur.off - offset) // 8, dtype="<f8"), shapes)
     if fh.readinto(arrays.flat) != arrays.flat.nbytes:
         raise FormatError(f"truncated file: payload ended before byte offset {cur.off}")
+    k = _nonfinite_row(arrays.flat[:, None])  # one entry a row
+    if k >= 0:
+        name = next(n for n, (start, stop) in arrays.layout.items() if start <= k < stop)
+        raise FormatError(f"non-finite value in array {name!r} "
+                          f"at byte offset {offset + 8 * k}")
     return arrays
 
 

@@ -111,20 +111,25 @@ class SoftmaxHead:
     def probabilities(self, features) -> np.ndarray:
         return self._forward(features)[2]
 
-    def gradients(self, features, targets, scale: float, out=None):
+    def gradients(self, features, targets, scale: float, out=None, input_delta: bool = True):
         """(probs, gradients by parameter name, error signal for each tower),
         with gradients summed over the batch rows times ``scale`` and written
-        into the arrays of ``out`` when given."""
+        into the arrays of ``out`` when given. Without ``input_delta`` the
+        error signals are None and the projections that form them are skipped."""
         trace, feats, probs = self._forward(features)
         grads = out if out is not None else {
             name: np.empty(arr.shape) for name, arr in self.param_arrays().items()}
         delta = target_delta(probs, targets, scale)
         np.matmul(feats.T, delta, out=grads[f"{OUT}.W"])
         np.add.reduce(delta, axis=0, out=grads[f"{OUT}.b"])
-        delta = delta @ self.weights.T
         if trace is not None:
             top = stack_gradients([grads[name] for name in self._top_names])
-            delta = backward(self.top, trace, delta, top).delta_input
+            delta = backward(self.top, trace, delta @ self.weights.T, top,
+                             input_delta).delta_input
+        elif input_delta:
+            delta = delta @ self.weights.T
+        if not input_delta:
+            return probs, grads, [None] * len(features)
         cuts = np.cumsum([f.shape[-1] for f in features])[:-1]
         return probs, grads, np.split(delta, cuts, axis=-1)
 
@@ -148,7 +153,8 @@ class Classifier:
     vector is ``params`` when the towers and the head already hold its
     views in that order (``load_model`` builds them so), else a copy. The
     gradients live in a second vector with the same layout, allocated by
-    the first ``loglik_and_grads``.
+    the first ``loglik_and_grads`` after construction or after
+    ``release_gradients``.
 
     Parameters named in ``frozen`` take no updates; ``loglik_and_grads``
     back-propagates only into towers that have a trainable parameter.
@@ -207,8 +213,7 @@ class Classifier:
         """(the head's gradient arrays, each tower's gradients or None when
         all its parameters are frozen, the mapping ``loglik_and_grads`` returns)."""
         if self._grads is None:
-            self._grads = FlatArrays(np.zeros_like(self._params.flat),
-                                     {name: arr.shape for name, arr in self._params.items()})
+            self._grads = self._params.zeros_like()
         towers = [None if self._frozen.issuperset(names)
                   else stack_gradients([self._grads[n] for n in names])
                   for names in self._tower_names]
@@ -216,6 +221,12 @@ class Classifier:
                     for n in names]
         return ({k: self._grads[name] for k, name in self._head_names.items()}, towers,
                 self._grads.select(returned + list(self._head_names.values())))
+
+    def release_gradients(self) -> None:
+        """Drop the gradient vector and the views of it; the next
+        ``loglik_and_grads`` allocates a new one. A mapping an earlier call
+        returned keeps the old vector alive while it is referenced."""
+        self._grads = self._grad_views = None
 
     @property
     def num_classes(self) -> int:
@@ -254,7 +265,8 @@ class Classifier:
         targets = np.asarray(targets)
         traces = self._traces(x1, x2)
         probs, _, errors = self.head.gradients(
-            [tr.features for tr in traces], targets, 1.0 / targets.shape[0], head_grads
+            [tr.features for tr in traces], targets, 1.0 / targets.shape[0], head_grads,
+            input_delta=any(out is not None for out in tower_grads),
         )
         for tower, trace, delta, out in zip(self.towers, traces, errors, tower_grads):
             if out is not None:

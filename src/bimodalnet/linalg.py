@@ -94,7 +94,6 @@ class FlatArrays(Mapping):
         self._views = {name: flat[start:stop].reshape(shapes[name])
                        for name, (start, stop) in self.layout.items()}
         self.runs = self._runs()
-        self._aligned: Optional[FlatArrays] = None  # last mapping ``aligned`` accepted
 
     @classmethod
     def of(cls, arrays, source: Optional["FlatArrays"] = None) -> "FlatArrays":
@@ -108,6 +107,18 @@ class FlatArrays(Mapping):
         for name, a in arrays.items():
             packed[name] = a
         return packed
+
+    def zeros_like(self) -> "FlatArrays":
+        """The same names over a new zero vector, sharing this ``layout``
+        object, so that ``aligned`` accepts the result without comparing
+        layouts."""
+        twin = copy.copy(self)
+        twin.flat = np.zeros_like(self.flat)
+        twin._views = {}
+        for name, view in self._views.items():
+            start, stop = self.layout[name]
+            twin._views[name] = twin.flat[start:stop].reshape(view.shape)
+        return twin
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -132,14 +143,13 @@ class FlatArrays(Mapping):
     def aligned(self, arrays) -> np.ndarray:
         """``arrays[name]`` for every name here, laid out as in ``flat``: the
         vector of ``arrays`` itself when it has this layout and every name,
-        else a copy (the entries of other names are then zero). The last
-        such ``arrays`` is remembered, so a trainer that passes the same
-        gradient mapping every step compares layouts once."""
-        if arrays is self._aligned:
-            return arrays.flat
-        if (isinstance(arrays, FlatArrays) and arrays.layout == self.layout
+        else a copy (the entries of other names are then zero). Layouts are
+        compared by identity before value, so a mapping made by ``zeros_like``
+        or ``select`` on the same layout skips the comparison; no reference to
+        ``arrays`` is kept."""
+        if (isinstance(arrays, FlatArrays)
+                and (arrays.layout is self.layout or arrays.layout == self.layout)
                 and self._views.keys() <= arrays._views.keys()):
-            self._aligned = arrays
             return arrays.flat
         out = np.zeros_like(self.flat)
         for name, view in self._views.items():

@@ -266,7 +266,9 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
     Samples are reshuffled each epoch by the config's seeded PRNG; batch
     gradients are fixed-order means, so identical (config, dataset) runs are
     bit-identical. Divergence (non-finite E) aborts with the parameters
-    rolled back to the last finished epoch. Both splits must match the
+    rolled back to the last finished epoch. The model's gradient vector
+    exists only while an epoch's steps run: it is released before each
+    epoch's evaluation and when training stops. Both splits must match the
     model's classes and label tree (``evaluate`` checks them at epoch 0,
     before any step); ``eval_set`` is only evaluated, so it may be an open
     dataset file.
@@ -301,6 +303,10 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
             except DivergenceError:
                 diverged = True
                 break
+        # the gradients are unused until the next epoch's first step, so the
+        # evaluation below takes their pages instead of adding its own
+        grads = None
+        model.release_gradients()
         finite = False
         if not diverged:
             finite, recs = epoch_records(epoch)

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from bimodalnet import data as data_module
 from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree
 from bimodalnet.data import (
     Dataset,
@@ -473,6 +474,35 @@ class TestModelPayload:
             load_model(path)
 
 
+class TestModelPayloadValues:
+    """A non-finite entry in any array of any kind is a FormatError naming
+    the array and the entry's byte offset; a finite payload whose sum
+    overflows loads."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tag", list(V1_HEADERS))
+    def test_non_finite_entry_names_array_and_offset(self, tmp_path, tag, value):
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
+        path = tmp_path / "corrupt.model"
+        save_model(model, path)
+        payload_off = path.read_bytes().index(b"\nbinary\n") + len(b"\nbinary\n")
+        for name, (start, stop) in model.params().layout.items():
+            entry = (start + stop) // 2
+            offset = payload_off + 8 * entry
+            save_model(model, path)
+            _patch(path, offset, np.array([value], "<f8").tobytes())
+            with pytest.raises(FormatError, match=rf"non-finite value in array "
+                                                  rf"'{re.escape(name)}' at byte offset {offset}$"):
+                load_model(path)
+
+    def test_overflowing_sum_is_not_a_fault(self, tmp_path):
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[FACTORED_SHARED]
+        model.params()["head.V1"][:] = 1.5e308
+        path = tmp_path / "large.model"
+        save_model(model, path)
+        assert np.array_equal(load_model(path).params().flat, model.params().flat)
+
+
 class TestModelManifest:
     """A manifest names each header key and each array once; a repeated one
     is a FormatError that names it and gives the repeated line's offset."""
@@ -511,6 +541,19 @@ class TestModelManifest:
 
 
 class TestDatasetValidation:
+    def test_loaded_features_are_checked_once(self, tmp_path, monkeypatch):
+        _, path = _small_file(tmp_path)
+        checked = []
+        exact = data_module._nonfinite_row
+
+        def counted(block):
+            checked.append(block.shape)
+            return exact(block)
+
+        monkeypatch.setattr(data_module, "_nonfinite_row", counted)
+        ds = load_dataset(path)
+        assert checked == [ds.x1.shape, ds.x2.shape]  # by the reader, not again by Dataset
+
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3)), np.zeros((2, 3)), np.array([0, 7]),

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,53 @@ class TestParameterVector:
             assert set(first) == set(model.trainable_params()), tag
             # the earlier result now reads the later gradients
             assert any(not np.array_equal(first[n], kept[n]) for n in first), tag
+
+    def test_release_drops_the_gradient_vector(self, rng):
+        x1, x2, targets = rng.standard_normal((5, 5)), rng.standard_normal((5, 6)), [0, 1, 2, 3, 0]
+        for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
+            first = model.loglik_and_grads(x1, x2, targets)[1]
+            kept = first.flat.copy()
+            vector = weakref.ref(first.flat)
+            del first
+            model.release_gradients()
+            assert vector() is None, tag
+            again = model.loglik_and_grads(x1, x2, targets)[1]
+            assert again.layout is model.params().layout, tag
+            assert again.flat.tobytes() == kept.tobytes(), tag
+
+    def test_heads_form_error_signals_only_for_a_tower_that_takes_one(self, rng):
+        x1, x2, targets = rng.standard_normal((5, 5)), rng.standard_normal((5, 6)), [0, 1, 2, 3, 0]
+        for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
+            exact = model.head.gradients
+            calls = []
+
+            def spy(*args, **kwargs):
+                result = exact(*args, **kwargs)
+                calls.append((kwargs["input_delta"], result[2]))
+                return result
+
+            model.head.gradients = spy
+            for frozen in ((), [n for n in model.params() if n.startswith("tower")]):
+                model.frozen = frozen
+                model.loglik_and_grads(x1, x2, targets)
+                input_delta, errors = calls.pop()
+                assert input_delta == (not frozen), (tag, frozen)
+                assert all((e is None) == (not input_delta) for e in errors), tag
+
+    def test_skipped_error_signals_leave_the_gradients_bit_identical(self, rng):
+        features = [rng.standard_normal((5, 4)), rng.standard_normal((5, 4))]
+        targets = np.array([0, 1, 2, 3, 0])
+        for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
+            head = model.head
+            dims = [t.feature_dim for t in model.towers]
+            feats = [f[:, :d] for f, d in zip(features, dims)]
+            probs, grads, errors = head.gradients(feats, targets, 0.2)
+            probs_0, grads_0, errors_0 = head.gradients(feats, targets, 0.2, input_delta=False)
+            assert all(e is not None for e in errors) and errors_0 == [None] * len(feats), tag
+            assert probs.tobytes() == probs_0.tobytes(), tag
+            assert grads.keys() == grads_0.keys(), tag
+            for name in grads:
+                assert grads[name].tobytes() == grads_0[name].tobytes(), (tag, name)
 
     def test_frozen_may_be_reassigned(self):
         train, _ = tiny_dataset()

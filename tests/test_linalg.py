@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,3 +107,17 @@ class TestFlatArrays:
             assert np.array_equal(vector, [0.0, 0.0, 5.0, 6.0, 7.0])
         with pytest.raises(KeyError):
             params.aligned(twin.select(["a"]))
+
+    def test_zeros_like_shares_the_layout_and_is_held_by_no_one(self):
+        params = FlatArrays(np.arange(5.0), {"a": (2,), "b": (3,)})
+        grads = params.zeros_like()
+        assert grads.layout is params.layout and list(grads) == ["a", "b"]
+        assert not np.shares_memory(grads.flat, params.flat) and not grads.flat.any()
+        assert grads["b"].shape == (3,) and grads["b"].base is grads.flat
+        trainable = params.select(["b"])
+        assert trainable.aligned(grads) is grads.flat
+        assert trainable.aligned(grads.select(["b"])) is grads.flat
+        # ``aligned`` keeps no reference: the vector dies with its mapping
+        vector = weakref.ref(grads.flat)
+        del grads
+        assert vector() is None

@@ -194,6 +194,36 @@ class TestSoftmaxLayer:
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
 
+    @staticmethod
+    def _max_form(z):
+        e = z - z.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1, keepdims=True)
+        return e
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(32, 8), (1000, 8), (7, 1), (1, 5), (3, 1328), (2, 3, 4)])
+    def test_batch_rows_are_bit_identical_to_the_max_form(self, rng, shape):
+        z = rng.standard_normal(shape)
+        rows = z.reshape(-1, shape[-1])
+        rows[0, -1] = np.nan
+        if len(rows) > 1:
+            rows[1, :] = 0.5  # a tied row
+            rows[-1, :] = 0.0
+            rows[-1, 1::2] = -0.0  # zeros of both signs tie
+        if len(rows) > 2:
+            rows[2, 0] = np.inf
+            rows[2, -1] = -np.inf
+        expected = self._max_form(z.copy())
+        assert softmax(z).view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+        softmax(z, out=z)
+        assert z.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+    def test_one_row_and_empty_input_take_the_max_form(self, rng):
+        v = rng.standard_normal(6)
+        assert softmax(v).tobytes() == self._max_form(v.copy()).tobytes()
+        assert softmax(np.empty((0, 4))).shape == (0, 4)
+
 
 class TestLogLikelihoods:
     def test_one_hot_correct_is_zero(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -560,3 +561,67 @@ class TestConfigAndMetrics:
         record = Metrics(0.25, 0.1, 1.5).record(3, "test")
         assert record == {"epoch": 3, "split": "test", "leaf_error": 0.25,
                           "group_error": 0.1, "nll": 1.5}
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGradientLifetime:
+    """A training run holds the model's gradient vector only while an epoch's
+    steps run: not during the epoch's evaluation, not after it returns."""
+
+    def test_evaluation_does_not_stack_on_the_gradients(self):
+        # C=1328 over small towers: a 1.4 MB gradient vector, mostly V1 and V2,
+        # beside evaluation blocks of 394 rows whose leaf-width arrays are 4.2 MB
+        tree = _paper_tree()
+        train = _random_split(788, 4, 5, tree, seed=3)
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(4, 64),
+                          dims_v=(5, 64), fused_dim=2, epochs=1, init_scale=0.5, seed=3)
+        model = build_model(cfg, 4, 5, 1328, tree)
+        vector_bytes = model.params().flat.nbytes  # of the gradients and of the snapshot
+        assert vector_bytes >= 1 << 20
+        evaluate(model, train)  # fills caches such as the tree's group indicator
+        eval_peak = _traced_peak(lambda: evaluate(model, train))
+        train_peak = _traced_peak(lambda: train_model(model, cfg, train))
+        # the peak is the epoch's evaluation beside the snapshot; a gradient
+        # vector kept through the evaluation would add vector_bytes to it
+        assert train_peak - eval_peak - vector_bytes < vector_bytes / 2, (
+            train_peak, eval_peak, vector_bytes)
+
+    @pytest.mark.parametrize("diverge", [False, True])
+    def test_no_gradient_vector_outlives_the_steps(self, monkeypatch, diverge):
+        train, test = sanity_task()
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(6, 5),
+                          dims_v=(6, 5), fused_dim=2, epochs=3, learning_rate=0.5, seed=17)
+        model = build_model(cfg, 6, 6, 2, train.tree)
+        exact = model.loglik_and_grads
+        vectors = []  # a weak reference to each gradient vector the steps used
+
+        def watched(x1, x2, targets):
+            loglik, grads = exact(x1, x2, targets)
+            if not vectors or vectors[-1]() is not grads.flat:
+                vectors.append(weakref.ref(grads.flat))
+            if diverge and len(vectors) == 2:  # a step of epoch 2 diverges
+                grads["head.w"] = np.full_like(grads["head.w"], np.nan)
+            return loglik, grads
+
+        def evaluated(m, dataset):
+            assert all(ref() is None for ref in vectors)
+            return evaluate(m, dataset)
+
+        model.loglik_and_grads = watched
+        monkeypatch.setattr(training, "evaluate", evaluated)
+        records = train_model(model, cfg, train, test)
+        assert all(ref() is None for ref in vectors)
+        if not diverge:
+            assert len(vectors) == cfg.epochs  # one vector per epoch
+            assert len(records) == 2 * (cfg.epochs + 1)
+        else:
+            assert records[-1] == {"epoch": 2, "event": "diverged"}
+            assert len(vectors) == 2
