@@ -17,7 +17,9 @@ Prints "<item> <sha256>" lines:
   ``save_dataset`` writes, then one bilinear run at the paper's shapes, and
   the ``ensemble`` of that model with three untrained paper-shape members (a
   factored bilinear, a fused with a sigmoid top and a unimodal one), whose
-  average runs over all C=1328 leaves, and two one-epoch ``fused`` runs
+  average runs over all C=1328 leaves, then each of those four members on
+  its own (its ``eval`` record and its ``posterior_batch`` over the 512-row
+  split in one call), and two one-epoch ``fused`` runs
   (frozen towers) at the paper's shapes on the 512-row split, without a
   sigmoid top and with a (500,) one: their log, model and printed record.
 
@@ -47,7 +49,13 @@ import numpy as np  # noqa: E402
 
 from bimodalnet import cli  # noqa: E402
 from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree  # noqa: E402
-from bimodalnet.data import Dataset, load_model, save_dataset, save_model  # noqa: E402
+from bimodalnet.data import (  # noqa: E402
+    Dataset,
+    load_dataset,
+    load_model,
+    save_dataset,
+    save_model,
+)
 from bimodalnet.training import TrainConfig, build_model  # noqa: E402
 
 PAPER_ARCH = "[360,500,200,1328 | 540,500,200,1328 | F=200]"
@@ -168,6 +176,15 @@ def cli_digests(workdir: str, quick: bool):
     yield "cli/ensemble/paper", sha(run_cli(
         ["ensemble", p("paper.bin"), *(p(f"{name}.bin") for name in members),
          "--data", p("paper-test.data")]))
+    # each member on its own: the record of its eval, and its posteriors
+    # over the whole 512-row split from one posterior_batch call
+    for name in members:
+        yield f"cli/eval/{name}", sha(run_cli(["eval", "--model", p(f"{name}.bin"),
+                                               "--data", p("paper-test.data")]))
+    test = load_dataset(p("paper-test.data"))
+    for name in ("paper", *members):
+        yield f"paper/posterior/{name}", sha(
+            load_model(p(f"{name}.bin")).posterior_batch(test.x1, test.x2))
     for name, top in (("fused", []), ("fused-top", ["--fusion-top", "500"])):
         printed = run_cli(["train", "--data", p("paper-test.data"), "--mode", "fused",
                            "--arch", PAPER_ARCH, *top, "--epochs", "1", "--seed", "4",

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .fusion import BilinearClassifier  # noqa: F401  the bilinear kind of fusion.Classifier
-from .linalg import ShapeError, as_vector
+from .linalg import ShapeError, as_vector, row_blocks
 from .mlp import backward, forward  # noqa: F401  bound here only for perfbench's span-wiring test
 from .mlp import softmax, target_delta
 
@@ -45,6 +45,11 @@ FULL = "full"
 FACTORED = "factored"
 FACTORED_SHARED = "factored-shared"
 VARIANTS = (FULL, FACTORED, FACTORED_SHARED)
+
+# Most bytes of the (rows, C) product f @ V that ``_leaf_logits`` adds into
+# the logits at a time: half of a 2 MiB L2 cache, so each piece is added
+# while it is still in cache, and a read holds no second leaf-width array.
+LEAF_PIECE_BYTES = 1 << 20
 
 
 class VariantError(ValueError):
@@ -271,7 +276,14 @@ def _feature_rows(head: BilinearHead, f1, f2):
 
 def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray):
     """Batched logits (B, C) from feature rows f1 (B, K1), f2 (B, K2), and
-    the products f1 @ U1, f2 @ U2 of the factored variants (else None)."""
+    the products f1 @ U1, f2 @ U2 of the factored variants (else None).
+
+    The logits are built in the one (B, C) array returned, term by term in
+    a fixed order: first the bilinear term, then f1 @ V1, f2 @ V2 and b.
+    The last three are added in ``row_blocks`` whose f @ V product stays
+    under LEAF_PIECE_BYTES, so no (B, C) temporary exists beside the
+    logits; a batch that fits one piece is added whole.
+    """
     a1 = a2 = None
     if head.variant == FULL:
         logits = np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True)
@@ -282,9 +294,17 @@ def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray):
         if head.variant == FACTORED_SHARED:
             # G distinct bilinear columns: score groups, then copy to leaves
             logits = np.take(logits, head.tree.group_of, axis=1)
-    logits += f1 @ head.v1
-    logits += f2 @ head.v2
-    logits += head.b
+    if logits.nbytes <= LEAF_PIECE_BYTES:
+        logits += f1 @ head.v1
+        logits += f2 @ head.v2
+        logits += head.b
+        return logits, a1, a2
+    most = max(1, LEAF_PIECE_BYTES // (8 * head.num_classes))
+    for start, stop in row_blocks(logits.shape[0], most):
+        piece = logits[start:stop]
+        piece += f1[start:stop] @ head.v1
+        piece += f2[start:stop] @ head.v2
+        piece += head.b
     return logits, a1, a2
 
 

@@ -222,11 +222,40 @@ def _parse_top(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _load_warm_tower(path: str):
-    model = load_model(path)
-    if model.kind != "unimodal":
-        raise ValueError(f"{path}: warm-start towers must come from unimodal models")
-    return model.tower
+def _warm_towers(settings: dict, config: TrainConfig):
+    """(tower_a, tower_v) of the ``--tower-a``/``--tower-v`` model files,
+    None for a flag not given; None when neither is given.
+
+    Each file must hold a unimodal model of its flag's modality (1 for
+    ``--tower-a``, 2 for ``--tower-v``) whose tower has the dims ``--arch``
+    gives that modality, when given, and the mode must be fused or bilinear.
+    """
+    if not (settings.get("tower_a") or settings.get("tower_v")):
+        return None
+    towers = []
+    for slot, (name, dims) in enumerate((("tower_a", config.dims_a),
+                                         ("tower_v", config.dims_v))):
+        path = settings.get(name)
+        if not path:
+            towers.append(None)
+            continue
+        flag = "--" + name.replace("_", "-")
+        model = load_model(path)
+        if model.kind != "unimodal":
+            raise ValueError(f"{flag}: {path} holds a {model.kind} model; warm-start "
+                             f"towers must come from unimodal models")
+        tower = model.tower
+        held = (f"{path} holds a modality {model.inputs[0] + 1} tower with dims "
+                f"{','.join(map(str, tower.layer_dims))}")
+        if config.mode in ("audio", "visual"):
+            raise ValueError(f"{flag}: mode {config.mode!r} takes no warm-start tower; {held}")
+        if model.inputs[0] != slot:
+            raise ValueError(f"{flag} takes a modality {slot + 1} tower; {held}")
+        if dims and dims != tower.layer_dims:
+            raise ValueError(f"{flag}: --arch gives modality {slot + 1} the dims "
+                             f"{','.join(map(str, dims))}; {held}")
+        towers.append(tower)
+    return tuple(towers)
 
 
 def _train_config_from(settings: dict, dataset: Dataset) -> TrainConfig:
@@ -292,12 +321,8 @@ def cmd_train(args) -> int:
     test_path = settings.get("test_data")
     with open_dataset(test_path) if test_path else contextlib.nullcontext() as eval_set:
         config = _train_config_from(settings, train_set)
-        warm = None
-        if settings.get("tower_a") or settings.get("tower_v"):
-            warm = tuple(_load_warm_tower(settings[name]) if settings.get(name) else None
-                         for name in ("tower_a", "tower_v"))
-        model = build_model(config, train_set.d1, train_set.d2,
-                            train_set.num_classes, train_set.tree, warm)
+        model = build_model(config, train_set.d1, train_set.d2, train_set.num_classes,
+                            train_set.tree, _warm_towers(settings, config))
         records = train_model(model, config, train_set, eval_set)
     save_model(model, settings["out"])
     if settings.get("log"):

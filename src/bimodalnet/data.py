@@ -574,7 +574,7 @@ def _take_tower(arrays: dict[str, np.ndarray], prefix: str,
                 dims: tuple[int, ...]) -> MlpTower:
     stack = [_require(arrays, name) for name in stack_names(prefix, len(dims) - 1)]
     try:
-        return MlpTower(dims, stack[0::2], stack[1::2])
+        return MlpTower(dims, stack[0::2], stack[1::2], _finite=True)
     except ValueError as exc:
         raise FormatError(f"inconsistent tower {prefix!r}: {exc}") from exc
 

@@ -21,6 +21,7 @@ __all__ = [
     "as_vector",
     "frobenius_norm",
     "frobenius_project",
+    "row_blocks",
 ]
 
 
@@ -65,6 +66,14 @@ def frobenius_project(m: np.ndarray, lam: float) -> np.ndarray:
     if norm > lam:
         m *= lam / norm
     return m
+
+
+def row_blocks(n: int, most: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` ranges tiling ``n`` rows in ``ceil(n / most)`` blocks
+    whose sizes differ by at most one row."""
+    k = -(-n // most)
+    edges = [n * i // k for i in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 class FlatArrays(Mapping):

@@ -26,7 +26,7 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,13 +78,18 @@ def softmax(logits, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 @dataclass
 class MlpTower:
-    """Sigmoid stack with layer dims ``K_0 .. K_L`` (``K_0`` = input dim)."""
+    """Sigmoid stack with layer dims ``K_0 .. K_L`` (``K_0`` = input dim).
+
+    The parameters are checked for finite values, except by ``load_model``,
+    whose reader has checked the payload they are views of (``_finite``).
+    """
 
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    _finite: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _finite: bool):
         self.layer_dims = tuple(int(d) for d in self.layer_dims)
         dims = self.layer_dims
         if len(dims) < 2:
@@ -97,7 +102,7 @@ class MlpTower:
                     f"layer {l}: expected W {(dims[l], dims[l + 1])} b {(dims[l + 1],)}, "
                     f"got W {w.shape} b {b.shape}"
                 )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            if not _finite and not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l}: non-finite parameters")
 
     @property

@@ -22,7 +22,7 @@ import numpy as np
 from .bilinear import FACTORED_SHARED, FULL, VARIANTS, LabelTree, check_lam, init_head
 from .data import Dataset, DatasetFile
 from .fusion import BilinearClassifier, FusedClassifier, UnimodalClassifier, init_softmax_head
-from .linalg import FlatArrays, frobenius_project
+from .linalg import FlatArrays, frobenius_project, row_blocks
 from .mlp import init_tower, log_likelihoods
 
 logger = logging.getLogger("bimodalnet.training")
@@ -156,14 +156,6 @@ def eval_rows(num_classes: int) -> int:
     return max(1, min(EVAL_CHUNK, EVAL_BLOCK_BYTES // (8 * num_classes)))
 
 
-def row_blocks(n: int, most: int) -> list[tuple[int, int]]:
-    """``[start, stop)`` ranges tiling ``n`` rows in ``ceil(n / most)`` blocks
-    whose sizes differ by at most one row."""
-    k = -(-n // most)
-    edges = [n * i // k for i in range(k + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def evaluate(model, dataset: Dataset | DatasetFile) -> Metrics:
     """Leaf/group argmax error rates (ties to the lowest index) and NLL.
 
@@ -286,7 +278,8 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
         return np.isfinite(m.nll), recs
 
     records.extend(epoch_records(0)[1])
-    snapshot = params.flat.copy()
+    # the parameters of the last finished epoch, restored on divergence
+    snapshot = params.flat.copy() if config.epochs else None
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(train_set.n)
         diverged = False

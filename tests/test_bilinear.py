@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bimodalnet import bilinear
 from bimodalnet.bilinear import (
     FACTORED,
     FACTORED_SHARED,
     FULL,
+    LEAF_PIECE_BYTES,
+    VARIANTS,
     BilinearHead,
     LabelTree,
     VariantError,
@@ -19,7 +23,7 @@ from bimodalnet.bilinear import (
     posterior_batch,
 )
 from bimodalnet.linalg import ShapeError
-from bimodalnet.mlp import target_delta
+from bimodalnet.mlp import softmax, target_delta
 from bimodalnet.training import TrainConfig, build_model, grad_check
 from tests.conftest import finite_difference, max_rel_error
 
@@ -121,6 +125,89 @@ class TestPosterior:
         p = posterior(head, rng.standard_normal(3), rng.standard_normal(4))
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(p >= 0)
+
+
+def _whole_batch_logits(head, f1, f2):
+    """The logits as one whole-batch expression: the bilinear term, then
+    f1 @ V1, f2 @ V2 and b, each added over every row at once."""
+    a1 = a2 = None
+    if head.variant == FULL:
+        logits = np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True)
+    else:
+        a1, a2 = f1 @ head.u1, f2 @ head.u2
+        logits = (a1 * a2) @ head.w
+        if head.variant == FACTORED_SHARED:
+            logits = np.take(logits, head.tree.group_of, axis=1)
+    logits += f1 @ head.v1
+    logits += f2 @ head.v2
+    logits += head.b
+    return logits, a1, a2
+
+
+class TestLeafLogitPieces:
+    """The head adds f1 @ V1, f2 @ V2 and b into its logits in row pieces
+    whose product stays under LEAF_PIECE_BYTES; the posteriors, gradients
+    and error signals are those of the whole-batch expression, bit for bit.
+    At C=1328 a piece holds at most 98 rows, so the batches below take one
+    to eleven pieces."""
+
+    BATCHES = (1, 2, 97, 98, 99, 197, 394, 1000)
+
+    @pytest.fixture(scope="class")
+    def heads(self):
+        tree = LabelTree(np.arange(1328) * 42 // 1328, 42)
+        heads = {variant: init_head(variant, 200, 200, 1328, fused_dim=200, tree=tree,
+                                    seed=seed, scale=0.5)
+                 for seed, variant in enumerate((FACTORED_SHARED, FACTORED))}
+        heads[FULL] = init_head(FULL, 3, 4, 1328, seed=2, scale=0.5)
+        for head in heads.values():
+            head.b[:] = np.random.default_rng(3).uniform(-0.5, 0.5, 1328)
+        return heads
+
+    @staticmethod
+    def _batch(head, rows):
+        rng = np.random.default_rng(rows)
+        return (rng.uniform(0, 1, (rows, head.dim1)), rng.uniform(0, 1, (rows, head.dim2)),
+                rng.integers(0, head.num_classes, rows))
+
+    def test_at_most_98_rows_a_piece(self):
+        assert LEAF_PIECE_BYTES // (8 * 1328) == 98
+
+    @pytest.mark.parametrize("rows", BATCHES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_posteriors_match_the_whole_batch(self, heads, variant, rows):
+        head = heads[variant]
+        f1, f2, _ = self._batch(head, rows)
+        expected = softmax(_whole_batch_logits(head, f1, f2)[0])
+        assert np.array_equal(posterior_batch(head, f1, f2), expected)
+
+    @pytest.mark.parametrize("rows", BATCHES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradients_match_the_whole_batch(self, heads, variant, rows, monkeypatch):
+        head = heads[variant]
+        f1, f2, targets = self._batch(head, rows)
+        got = bilinear._grads_batch(head, f1, f2, targets, 1.0 / rows)
+        monkeypatch.setattr(bilinear, "_leaf_logits", _whole_batch_logits)
+        expected = bilinear._grads_batch(head, f1, f2, targets, 1.0 / rows)
+        assert np.array_equal(got[0], expected[0])  # probabilities
+        assert got[1].keys() == expected[1].keys()
+        for name in expected[1]:
+            assert np.array_equal(got[1][name], expected[1][name]), name
+        assert np.array_equal(got[2], expected[2]) and np.array_equal(got[3], expected[3])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_second_leaf_width_array(self, heads, variant):
+        head = heads[variant]
+        f1, f2, _ = self._batch(head, 1000)
+        posterior_batch(head, f1, f2)
+        tracemalloc.start()
+        try:
+            posterior_batch(head, f1, f2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the logits, one piece, and the group scores or (rows, F) products
+        assert peak < 1000 * 1328 * 8 + LEAF_PIECE_BYTES + 4 * 1000 * 200 * 8, peak
 
 
 class TestMaterialize:

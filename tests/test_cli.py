@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -175,18 +176,85 @@ class TestTrain:
 
     def test_warm_start_towers(self, synth_files, tmp_path):
         train, _ = synth_files
-        uni = tmp_path / "audio.model"
-        main(["train", "--data", str(train), "--mode", "audio",
-              "--arch", ARCH_SMALL, "--epochs", "1", "--seed", "8",
-              "--out", str(uni)])
+        audio, visual = _unimodal_models(train, tmp_path)
         fused = tmp_path / "fused.model"
         code = main(["train", "--data", str(train), "--mode", "fused",
-                     "--tower-a", str(uni), "--tower-v", str(uni),
+                     "--tower-a", str(audio), "--tower-v", str(visual),
                      "--epochs", "1", "--seed", "8", "--out", str(fused)])
         assert code == 0
         model = load_model(fused)
-        warm = load_model(uni)
-        assert np.array_equal(model.tower_a.weights[0], warm.tower.weights[0])
+        assert np.array_equal(model.tower_a.weights[0], load_model(audio).tower.weights[0])
+        assert np.array_equal(model.tower_v.weights[0], load_model(visual).tower.weights[0])
+
+
+def _unimodal_models(train, tmp_path, arch=ARCH_SMALL):
+    """Paths of an audio (modality 1) and a visual (modality 2) model."""
+    paths = []
+    for mode in ("audio", "visual"):
+        path = tmp_path / f"{mode}.model"
+        assert main(["train", "--data", str(train), "--mode", mode, "--arch", arch,
+                     "--epochs", "1", "--seed", "8", "--out", str(path)]) == 0
+        paths.append(path)
+    return paths
+
+
+class TestWarmStartTowers:
+    """A warm-start tower must fit its flag: a unimodal model of the flag's
+    modality, with the dims --arch gives it, under a fused or bilinear mode.
+    Otherwise train exits 1, names the flag, the modality and the dims, and
+    writes no model. The features here have d1 = d2, so a tower of either
+    modality would read either input."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["--mode", "bilinear", "--arch", ARCH_SMALL, "--tower-a", "@visual"],
+         r"--tower-a takes a modality 1 tower; \S+visual\.model holds a modality 2 "
+         r"tower with dims 5,6,3$"),
+        (["--mode", "fused", "--tower-v", "@audio"],
+         r"--tower-v takes a modality 2 tower; \S+audio\.model holds a modality 1 "
+         r"tower with dims 5,6,3$"),
+        (["--mode", "bilinear", "--arch", "[5,6,3,4 | 5,9,3,4 | F=2]", "--tower-v", "@visual"],
+         r"--tower-v: --arch gives modality 2 the dims 5,9,3; \S+visual\.model holds a "
+         r"modality 2 tower with dims 5,6,3$"),
+        (["--mode", "visual", "--arch", ARCH_SMALL, "--tower-v", "@visual"],
+         r"--tower-v: mode 'visual' takes no warm-start tower; \S+visual\.model holds a "
+         r"modality 2 tower with dims 5,6,3$"),
+        (["--mode", "audio", "--arch", ARCH_SMALL, "--tower-a", "@audio"],
+         r"--tower-a: mode 'audio' takes no warm-start tower; \S+audio\.model holds a "
+         r"modality 1 tower with dims 5,6,3$"),
+    ])
+    def test_mismatched_tower_is_refused(self, synth_files, tmp_path, capsys, args, message):
+        train, _ = synth_files
+        models = dict(zip(("@audio", "@visual"), _unimodal_models(train, tmp_path)))
+        args = [str(models.get(a, a)) for a in args]  # "@audio" is the audio model's path
+        out = tmp_path / "warm.model"
+        capsys.readouterr()
+        code = main(["train", "--data", str(train), "--epochs", "1", "--seed", "8",
+                     *args, "--out", str(out)])
+        assert code == 1
+        assert re.search(message, capsys.readouterr().err.strip()), message
+        assert not out.exists()
+
+    def test_tower_of_another_kind_is_refused(self, synth_files, tmp_path, capsys):
+        train, _ = synth_files
+        fused = tmp_path / "fused.model"
+        assert main(["train", "--data", str(train), "--mode", "fused", "--arch", ARCH_SMALL,
+                     "--epochs", "0", "--out", str(fused)]) == 0
+        capsys.readouterr()
+        code = main(["train", "--data", str(train), "--mode", "fused", "--tower-a", str(fused),
+                     "--epochs", "1", "--out", str(tmp_path / "warm.model")])
+        assert code == 1
+        assert "--tower-a: " in capsys.readouterr().err
+
+    def test_matching_towers_under_the_arch(self, synth_files, tmp_path):
+        train, _ = synth_files
+        audio, visual = _unimodal_models(train, tmp_path)
+        out = tmp_path / "bilinear.model"
+        assert main(["train", "--data", str(train), "--mode", "bilinear", "--arch", ARCH_SMALL,
+                     "--tower-a", str(audio), "--tower-v", str(visual), "--epochs", "0",
+                     "--out", str(out)]) == 0
+        model = load_model(out)
+        assert np.array_equal(model.tower1.weights[1], load_model(audio).tower.weights[1])
+        assert np.array_equal(model.tower2.weights[1], load_model(visual).tower.weights[1])
 
 
 class TestGradcheckCommand:

@@ -495,6 +495,23 @@ class TestModelPayloadValues:
                                                   rf"'{re.escape(name)}' at byte offset {offset}$"):
                 load_model(path)
 
+    @pytest.mark.parametrize("tag", list(V1_HEADERS))
+    def test_payload_is_checked_once(self, tmp_path, monkeypatch, tag):
+        # one pass: the reader's sum over the payload vector; the towers
+        # load_model builds from it do not check their arrays again
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        exact, checked = np.isfinite, []
+
+        def counted(x, *args, **kwargs):
+            checked.append(np.size(x))
+            return exact(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        load_model(path)
+        assert checked == [1], checked
+
     def test_overflowing_sum_is_not_a_fault(self, tmp_path):
         model = dict(_model_zoo(LabelTree.balanced(4, 2)))[FACTORED_SHARED]
         model.params()["head.V1"][:] = 1.5e308

@@ -78,6 +78,16 @@ class TestInitTower:
         with pytest.raises(ValueError):
             init_tower(dims, seed=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array", ["W0", "b0", "W1", "b1"])
+    def test_non_finite_parameter_is_refused(self, array, value):
+        tower = init_tower([3, 4, 2], seed=1)
+        arrays = {"W0": tower.weights[0], "b0": tower.biases[0],
+                  "W1": tower.weights[1], "b1": tower.biases[1]}
+        arrays[array][-1] = value
+        with pytest.raises(ValueError, match=f"layer {array[1]}: non-finite parameters"):
+            MlpTower(tower.layer_dims, tower.weights, tower.biases)
+
 
 class TestForward:
     def test_zero_tower_gives_halves(self, rng):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bimodalnet import training
-from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, LabelTree
+from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, LEAF_PIECE_BYTES, LabelTree
 from bimodalnet.data import (
     Dataset,
     SynthSpec,
@@ -285,13 +285,17 @@ class TestEvaluationMemory:
         # the largest block: 342 rows at n=2,048, 391 at n=8,192
         rows_small, rows_large = (max(b - a for a, b in row_blocks(ds.n, eval_rows(1328)))
                                   for ds in (small, large))
-        # a bilinear read holds its logits and one ``f @ V`` temporary; an
-        # ensemble read also holds its accumulator, and neither keeps the
-        # previous block's posteriors
-        for model, arrays in ((shared, 2), (ensemble, 3)):
+        # a bilinear read holds one leaf-width array, its logits, and one
+        # piece of ``f @ V`` at a time; an ensemble read also holds its
+        # accumulator, and neither keeps the previous block's posteriors.
+        # An eighth of an array more covers the group-width arrays of the
+        # block and the split's per-row values.
+        leaf_bytes = rows_large * 1328 * 8
+        for model, arrays in ((shared, 1), (ensemble, 2)):
             peak_small, peak_large = self._read_peak(model, small), self._read_peak(model, large)
             assert peak_large < 5 * EVAL_BLOCK_BYTES, (model, peak_large)
-            assert peak_large < (arrays + 0.5) * rows_large * 1328 * 8, (model, peak_large)
+            assert peak_large < (arrays + 1 / 8) * leaf_bytes + LEAF_PIECE_BYTES, (
+                model, peak_large)
             # per row of the largest block, the peak does not grow with n
             assert peak_large / rows_large <= 1.1 * peak_small / rows_small, (
                 model, peak_small, peak_large)
@@ -625,3 +629,24 @@ class TestGradientLifetime:
         else:
             assert records[-1] == {"epoch": 2, "event": "diverged"}
             assert len(vectors) == 2
+
+
+class TestEpochSnapshot:
+    """The parameters are copied for a rollback only when an epoch runs."""
+
+    def test_no_snapshot_without_an_epoch(self):
+        # a 1.4 MB parameter vector beside an 8-row split, whose evaluation
+        # holds 85 KB of leaf-width arrays: a copy of the vector would be
+        # the run's peak
+        tree = _paper_tree()
+        train = _random_split(8, 4, 5, tree, seed=4)
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(4, 64),
+                          dims_v=(5, 64), fused_dim=2, epochs=0, seed=4)
+        model = build_model(cfg, 4, 5, 1328, tree)
+        vector_bytes = model.params().flat.nbytes
+        assert vector_bytes >= 1 << 20
+        before = model.params().flat.copy()
+        evaluate(model, train)  # fills caches such as the tree's group indicator
+        train_peak = _traced_peak(lambda: train_model(model, cfg, train))
+        assert train_peak < vector_bytes / 4, (train_peak, vector_bytes)
+        assert np.array_equal(model.params().flat, before)
