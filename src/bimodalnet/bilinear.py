@@ -108,6 +108,9 @@ class LabelTree:
 
     @classmethod
     def balanced(cls, num_leaves: int, num_groups: int) -> "LabelTree":
+        if num_leaves < 1 or num_groups < 1:
+            raise ValueError(f"need at least one leaf and one group, got "
+                             f"{num_leaves} leaves and {num_groups} groups")
         if num_leaves % num_groups:
             raise ValueError(f"{num_leaves} leaves do not divide into {num_groups} groups")
         per = num_leaves // num_groups

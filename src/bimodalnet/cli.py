@@ -29,6 +29,7 @@ from .data import (
     open_dataset,
     save_dataset,
     save_model,
+    unstorable_at,
 )
 from .fusion import Ensemble
 from .training import (
@@ -62,8 +63,12 @@ def parse_arch(s: str):
     """Parse the bracketed notation "[dims_a | dims_v | F=n]".
 
     Returns (dims_a, dims_v, fused_dim) as written; the last dim of each
-    side is the class count and must match between sides.
+    side is the class count and must match between sides. The string is
+    stored in the model header, so it must be single-line ASCII.
     """
+    bad = unstorable_at(s)
+    if bad >= 0:
+        raise ArchParseError(f"character {s[bad]!r} cannot be stored in a model header", bad)
     i = 0
     while i < len(s) and s[i].isspace():
         i += 1
@@ -315,6 +320,8 @@ def cmd_train(args) -> int:
         raise ConfigError("train requires --data")
     if not settings.get("out"):
         raise ConfigError("train requires --out")
+    if settings.get("arch"):
+        parse_arch(settings["arch"])  # a malformed --arch fails before any data is read
     # minibatches gather rows at random, so the training split is read whole;
     # the test split is only evaluated, so it is read from its file in blocks
     train_set = load_dataset(settings["data"])

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .bilinear import FULL, BilinearHead, LabelTree, check_lam
+from .bilinear import FACTORED_SHARED, FULL, VARIANTS, BilinearHead, LabelTree, check_lam
 from .fusion import KINDS, OUT, TOP, SoftmaxHead, stack_names
 from .linalg import FlatArrays
 from .mlp import MlpTower
@@ -431,7 +432,7 @@ def load_dataset(path) -> Dataset:
 # ------------------------------------------------------------------ models
 
 def _csv(values) -> str:
-    return ",".join(str(int(v)) for v in values)
+    return ",".join(map(str, values))
 
 
 def _softmax_fields(head: SoftmaxHead) -> dict[str, str]:
@@ -444,16 +445,28 @@ def _bilinear_fields(head: BilinearHead) -> dict[str, str]:
         fields["fused_dim"] = str(head.fused_dim)
     if head.tree is not None:
         fields["groups"] = str(head.tree.num_groups)
-        fields["group_of"] = _csv(head.tree.group_of)
+        fields["group_of"] = _csv(head.tree.group_of.tolist())
     return fields
 
 
-def save_model(model, path) -> None:
-    """Write an ASCII header plus a raw float64 little-endian payload: the
-    buffers of the ``params()`` arrays, in order."""
-    spec = KINDS.get(model.kind)
-    if spec is None:
-        raise ValueError(f"cannot serialize model kind {model.kind!r}")
+def unstorable_at(text: str) -> int:
+    """Index of the first character of ``text`` that a model header value
+    cannot hold (a non-ASCII character or a line break), or -1."""
+    if text.isascii() and "\n" not in text:  # the common case, without a regex
+        return -1
+    return re.search(r"[^\x00-\x09\x0b-\x7f]", text).start()
+
+
+def _header_keys(spec) -> tuple[str, ...]:
+    return ("kind", "classes", "seed", "arch") + spec.fields
+
+
+def model_header(model) -> bytes:
+    """The ASCII header of ``model``'s file, the only v1 header that describes
+    it: the fields it has, in ``KINDS[kind].fields`` order after kind,
+    classes, seed and arch, then an ``array:`` line per ``params()`` array.
+    A value that is not single-line ASCII is a ValueError naming its key."""
+    spec = KINDS[model.kind]
     fields = {
         "kind": model.kind,
         "classes": str(model.num_classes),
@@ -464,31 +477,39 @@ def save_model(model, path) -> None:
     for field, tower in zip(spec.dims, model.towers):
         fields[field] = _csv(tower.layer_dims)
     fields.update(_HEADS[spec.head][0](model.head))
-    arrays = model.params()
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
-    for key in ("kind", "classes", "seed", "arch") + spec.fields:
+    for key in _header_keys(spec):
         if key not in fields:
             continue
-        if "\n" in fields[key]:
-            raise ValueError(f"metadata value for {key!r} must be single-line")
+        if unstorable_at(fields[key]) >= 0:
+            raise ValueError(f"header value for {key!r} must be single-line ASCII, "
+                             f"got {fields[key]!r}")
         lines.append(f"{key}: {fields[key]}")
-    for name, arr in arrays.items():
+    for name, arr in model.params().items():
         lines.append(f"array: {name} {_csv(arr.shape)}")
-    lines.append("binary")
+    lines.append("binary\n")
+    return "\n".join(lines).encode("ascii")
+
+
+def save_model(model, path) -> None:
+    """Write ``model_header(model)`` plus a raw float64 little-endian payload:
+    the buffers of the ``params()`` arrays, in order. A refused header leaves
+    ``path`` as it was."""
+    header = model_header(model)
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for arr in arrays.values():
+        fh.write(header)
+        for arr in model.params().values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _parse_model_header(fh):
-    """(metadata, array shapes by name, payload offset) from the header lines
-    of an open model file, which is left at the start of the payload."""
+    """(header bytes, fields, array shapes by name) of an open model file,
+    which is left at the start of the payload."""
     raw = [fh.readline()]
     while True:
         line = fh.readline()
         if not line:
-            raise FormatError("missing binary marker: not a model file or truncated header")
+            raise FormatError(f"missing binary marker before byte offset {fh.tell()}")
         if line == b"binary\n":
             break
         raw.append(line)
@@ -510,13 +531,14 @@ def _parse_model_header(fh):
     for line in lines[1:]:
         key, sep, value = line.partition(": ")
         if not sep:
-            raise FormatError(f"malformed header line {line!r}")
+            raise FormatError(f"malformed header line {line!r} at byte offset {offset}")
         if key == "array":
             name, _, shape_csv = value.partition(" ")
             try:
                 shape = tuple(int(t) for t in shape_csv.split(","))
             except ValueError as exc:
-                raise FormatError(f"malformed array shape in {line!r}") from exc
+                raise FormatError(f"malformed array shape in {line!r} "
+                                  f"at byte offset {offset}") from exc
             if name in shapes:
                 raise FormatError(f"array {name!r} listed again at byte offset {offset}")
             shapes[name] = shape
@@ -525,7 +547,7 @@ def _parse_model_header(fh):
                 raise FormatError(f"header key {key!r} repeated at byte offset {offset}")
             meta[key] = value
         offset += len(line) + 1
-    return meta, shapes, offset + len(b"binary\n")
+    return b"".join(raw) + b"binary\n", meta, shapes
 
 
 def _read_arrays(fh, offset: int, shapes) -> FlatArrays:
@@ -552,68 +574,50 @@ def _read_arrays(fh, offset: int, shapes) -> FlatArrays:
     return arrays
 
 
-def _dims_from(meta: dict[str, str], key: str) -> tuple[int, ...]:
-    raw = meta.get(key, "")
-    if raw == "":
-        return ()
+def _field(meta: dict[str, str], key: str, parse=str):
+    """Header field ``key`` as ``parse`` reads it; a missing field, or one
+    ``parse`` refuses, is a FormatError naming the field."""
+    if key not in meta:
+        raise FormatError(f"missing header field {key!r}")
     try:
-        return tuple(int(t) for t in raw.split(","))
-    except ValueError as exc:
-        raise FormatError(f"malformed {key!r} header field {raw!r}") from exc
+        return parse(meta[key])
+    except (KeyError, ValueError, OverflowError) as exc:
+        raise FormatError(f"invalid {key!r} header field {meta[key]!r}") from exc
 
 
-def _number_from(meta: dict[str, str], key: str, default: str, kind=int):
-    raw = meta.get(key, default)
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise FormatError(f"invalid {key!r} header field {raw!r}") from exc
-
-
-def _take_tower(arrays: dict[str, np.ndarray], prefix: str,
-                dims: tuple[int, ...]) -> MlpTower:
-    stack = [_require(arrays, name) for name in stack_names(prefix, len(dims) - 1)]
+def _take_tower(arrays, prefix: str) -> MlpTower:
+    """The payload's sigmoid stack ``prefix.W0, prefix.b0, ...``, whose
+    layer dims are its weights' shapes."""
+    layers = next(n for n in range(1, len(arrays) + 2) if f"{prefix}.W{n}" not in arrays)
+    stack = [arrays.pop(name) for name in stack_names(prefix, layers)]
+    dims = [w.shape[0] for w in stack[:1]] + [w.shape[-1] for w in stack[0::2]]
     try:
         return MlpTower(dims, stack[0::2], stack[1::2], _finite=True)
     except ValueError as exc:
         raise FormatError(f"inconsistent tower {prefix!r}: {exc}") from exc
 
 
-def _require(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
-    try:
-        return arrays.pop(name)
-    except KeyError as exc:
-        raise FormatError(f"missing array {name!r}") from exc
+def _read_softmax_head(meta, arrays, towers, prefix) -> SoftmaxHead:
+    top = _take_tower(arrays, prefix + TOP) if f"{prefix}{TOP}.W0" in arrays else None
+    return SoftmaxHead(arrays.pop(f"{prefix}{OUT}.W"), arrays.pop(f"{prefix}{OUT}.b"), top)
 
 
-def _read_softmax_head(meta, arrays, towers, classes, prefix) -> SoftmaxHead:
-    top_dims = _dims_from(meta, "top_dims")
-    top = _take_tower(arrays, prefix + TOP, top_dims) if top_dims else None
-    return SoftmaxHead(_require(arrays, f"{prefix}{OUT}.W"),
-                       _require(arrays, f"{prefix}{OUT}.b"), top)
-
-
-def _read_bilinear_head(meta, arrays, towers, classes, prefix) -> BilinearHead:
-    variant = meta.get("variant", "")
+def _read_bilinear_head(meta, arrays, towers, prefix) -> BilinearHead:
+    variant = VARIANTS[_field(meta, "variant", VARIANTS.index)]
     tree = None
-    if "group_of" in meta:
-        tree = LabelTree(
-            np.asarray(_dims_from(meta, "group_of"), dtype=np.int64),
-            _number_from(meta, "groups", "0"),
-        )
-    kwargs = dict(
-        v1=_require(arrays, prefix + "V1"), v2=_require(arrays, prefix + "V2"),
-        b=_require(arrays, prefix + "b"),
-        lam=_number_from(meta, "lambda", "2.0", check_lam), tree=tree,
-    )
-    if variant == FULL:
-        kwargs["w_stack"] = _require(arrays, prefix + "W")
-    else:
-        kwargs["u1"] = _require(arrays, prefix + "U1")
-        kwargs["u2"] = _require(arrays, prefix + "U2")
-        kwargs["w"] = _require(arrays, prefix + "w")
+    if {"groups", "group_of"} & meta.keys() or variant == FACTORED_SHARED:
+        group_of = _field(meta, "group_of", lambda raw: [int(t) for t in raw.split(",")])
+        groups = _field(meta, "groups", int)
+        try:
+            tree = LabelTree(group_of, groups)
+        except ValueError as exc:
+            raise FormatError(f"header fields 'groups' and 'group_of' disagree: {exc}") from exc
+    names = {"w_stack": "W"} if variant == FULL else {"u1": "U1", "u2": "U2", "w": "w"}
+    names.update(v1="V1", v2="V2", b="b")
+    kwargs = {key: arrays.pop(prefix + name) for key, name in names.items()}
     return BilinearHead(variant, towers[0].feature_dim, towers[1].feature_dim,
-                        classes, **kwargs)
+                        len(kwargs["b"]), lam=_field(meta, "lambda", check_lam), tree=tree,
+                        **kwargs)
 
 
 # header fields and reader of each head type of the kind table
@@ -626,38 +630,43 @@ _HEADS = {
 def load_model(path):
     """Rebuild a saved classifier; posteriors of the result are bit-identical.
 
-    The payload is read straight into one vector; when the manifest lists
-    the arrays in ``params()`` order, as ``save_model`` writes them, that
-    vector becomes the model's parameter vector without a copy (else the
-    model copies the arrays into a vector of its own).
+    The model is built from the payload, read straight into its parameter
+    vector, and the header fields that no array shape gives, each required.
+    The file's header must then be ``model_header`` of that model: the first
+    line that differs is a FormatError naming its byte offset.
     """
     with open(path, "rb") as fh:
-        meta, shapes, payload_off = _parse_model_header(fh)
-        payload = _read_arrays(fh, payload_off, shapes)
-    arrays = dict(payload)
-    kind = meta.get("kind", "")
-    classes = _number_from(meta, "classes", "0")
-    seed = _number_from(meta, "seed", "0")
-    arch = meta.get("arch", "")
-    spec = KINDS.get(kind)
-    if spec is None:
-        raise FormatError(f"unknown model kind {kind!r}")
+        header, meta, shapes = _parse_model_header(fh)
+        payload = _read_arrays(fh, len(header), shapes)
+    spec = _field(meta, "kind", KINDS.__getitem__)
+    arrays = dict(payload)  # the build pops each array it takes
     try:
-        towers = [_take_tower(arrays, name, _dims_from(meta, field))
-                  for name, field in zip(spec.towers, spec.dims)]
-        head = _HEADS[spec.head][1](meta, arrays, towers, classes, spec.head_prefix)
+        towers = [_take_tower(arrays, name) for name in spec.towers]
+        head = _HEADS[spec.head][1](meta, arrays, towers, spec.head_prefix)
         inputs = None
-        if "modality" in spec.fields:
-            inputs = (_number_from(meta, "modality", "1") - 1,)
-        model = spec.cls(towers, head, inputs, seed=seed, arch=arch, params=payload)
+        if "modality" in spec.fields:  # modality 1 or 2 reads input slot 0 or 1
+            inputs = (_field(meta, "modality", {"1": 0, "2": 1}.__getitem__),)
+        model = spec.cls(towers, head, inputs, seed=_field(meta, "seed", int),
+                         arch=_field(meta, "arch"), params=payload)
     except FormatError:
         raise
-    except ValueError as exc:
-        raise FormatError(f"inconsistent model contents: {exc}") from exc
-    if arrays:
-        raise FormatError(f"unused arrays in payload: {sorted(arrays)}")
-    if model.num_classes != classes:
-        raise FormatError(
-            f"header says {classes} classes but parameters imply {model.num_classes}"
-        )
+    except (KeyError, ValueError) as exc:
+        reason = (f"missing array {exc}" if isinstance(exc, KeyError)
+                  else f"inconsistent model contents: {exc}")
+        # name the first line with a key no header of this kind has, or an array not taken
+        start, keys = header.index(b"\n") + 1, _header_keys(spec)
+        for found in header[start:].decode().split("\n"):
+            key, _, value = found.partition(": ")
+            if key not in keys and (key != "array" or value.partition(" ")[0] in arrays):
+                break
+            start += len(found) + 1
+        if found == "binary" and not isinstance(exc, KeyError):
+            raise FormatError(reason) from exc  # every array taken: no one line is at fault
+        raise FormatError(f"header line at byte offset {start} reads {found!r}: {reason}") from exc
+    expected = model_header(model)
+    if header != expected:
+        start = header.rfind(b"\n", 0, len(os.path.commonprefix([header, expected]))) + 1
+        found, wanted = (h[start:].split(b"\n", 1)[0].decode() for h in (header, expected))
+        raise FormatError(f"header field {found.partition(':')[0]!r} at byte offset {start} "
+                          f"reads {found!r}; save_model writes {wanted!r} for this model")
     return model

@@ -337,7 +337,10 @@ class GradCheckReport:
 
 def grad_check(model, sample, h: float = 1e-5) -> GradCheckReport:
     """Central finite differences of E = log p(y | x1, x2) for one sample,
-    against the model's analytic gradients, over every trainable parameter."""
+    against the model's analytic gradients, over every trainable parameter.
+    A NaN error is the worst error, so the report fails."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
     x1, x2, y = sample
     if not 0 <= int(y) < model.num_classes:
         raise ValueError(f"label {y} out of range [0, {model.num_classes})")
@@ -362,6 +365,8 @@ def grad_check(model, sample, h: float = 1e-5) -> GradCheckReport:
             arr[idx] = orig
             fd = (e_plus - e_minus) / (2.0 * h)
             rel = abs(analytic[idx] - fd) / max(1.0, abs(fd))
+            if math.isnan(rel):
+                rel = math.inf  # NaN compares false, so it would never be the worst
             checked += 1
             if rel > worst[0]:
                 worst = (rel, name, idx)

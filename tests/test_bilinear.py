@@ -63,6 +63,11 @@ class TestLabelTree:
         assert np.array_equal(tree.group_of, [0, 0, 1, 1, 2, 2])
         assert np.array_equal(tree.members(1), [2, 3])
 
+    @pytest.mark.parametrize("leaves,groups", [(0, 0), (0, 1), (4, 0), (-2, -2)])
+    def test_balanced_needs_a_leaf_and_a_group(self, leaves, groups):
+        with pytest.raises(ValueError, match="at least one leaf and one group"):
+            LabelTree.balanced(leaves, groups)
+
     def test_singleton(self):
         tree = LabelTree.singleton(4)
         assert tree.num_groups == 4

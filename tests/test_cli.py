@@ -52,6 +52,15 @@ class TestParseArch:
         with pytest.raises(ArchParseError, match="positive"):
             parse_arch("[3,0 | 3,0 | F=2]")
 
+    @pytest.mark.parametrize("arch,position", [
+        ("[20,6,8\u00a0| 20,6,8 | F=2]", 7), ("[3,\u0664 | 3,4 | F=2]", 3),
+        ("[3,4 |\n3,4 | F=2]", 6)])
+    def test_character_a_header_cannot_hold(self, arch, position):
+        # str.strip and int accept these, but the arch is stored in the model header
+        with pytest.raises(ArchParseError) as exc:
+            parse_arch(arch)
+        assert exc.value.position == position
+
 
 @pytest.fixture
 def synth_files(tmp_path):
@@ -272,6 +281,17 @@ class TestGradcheckCommand:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args,message", [
+        (["--h", "nan"], "finite and positive"), (["--h", "0"], "finite and positive"),
+        (["--h=-1e-5"], "finite and positive"), (["--h", "inf"], "finite and positive"),
+        (["--classes", "0"], "at least one leaf"), (["--classes", "-4"], "at least one leaf"),
+        (["--groups", "0"], "at least one leaf")])
+    def test_refused_value_exits_with_its_message(self, capsys, args, message):
+        code = main(["gradcheck", "--arch", "[3,4,2|3,4,2|F=2]", "--classes", "4", *args])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.err and "PASS" not in captured.out
+
     def test_other_modes(self):
         assert main(["gradcheck", "--arch", "[3,4,2|3,4,2|F=2]", "--classes", "4",
                      "--mode", "fused"]) == 0
@@ -320,6 +340,15 @@ class TestExitCodes:
         code = main(["train", "--data", str(train), "--mode", "bilinear",
                      "--arch", "oops", "--out", str(tmp_path / "m.bin")])
         assert code == 2
+
+    def test_non_ascii_arch_exits_before_reading_data(self, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        out.write_bytes(b"an earlier model")
+        code = main(["train", "--data", str(tmp_path / "absent.bin"), "--mode", "bilinear",
+                     "--arch", "[5,4,4\u00a0| 5,4,4 | F=2]", "--out", str(out)])
+        assert code == 2
+        assert "position 6" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier model"
 
 
 def _synth(tmp_path, tag, classes, groups):

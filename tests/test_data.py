@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bimodalnet import data as data_module
-from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree
+from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree, init_head
 from bimodalnet.data import (
     Dataset,
     FormatError,
@@ -18,6 +18,8 @@ from bimodalnet.data import (
     save_dataset,
     save_model,
 )
+from bimodalnet.fusion import BilinearClassifier
+from bimodalnet.mlp import init_tower
 from bimodalnet.training import TrainConfig, build_model
 from tests.conftest import no_unclosed_files
 
@@ -350,6 +352,19 @@ class TestModelRoundTrip:
         for name, arr in model.params().items():
             assert np.array_equal(arr, again.params()[name])
 
+    @pytest.mark.parametrize("variant", [FULL, FACTORED])
+    def test_head_without_a_label_tree(self, tmp_path, variant):
+        # an unshared head may have no tree: its header has no groups or group_of
+        towers = [init_tower((5, 4), 0), init_tower((6, 4), 1)]
+        model = BilinearClassifier(towers, init_head(variant, 4, 4, 4, fused_dim=2, seed=2))
+        path = tmp_path / "treeless.model"
+        save_model(model, path)
+        assert b"group" not in path.read_bytes().partition(b"\nbinary\n")[0]
+        again = load_model(path)
+        assert again.head.tree is None
+        save_model(again, tmp_path / "again.model")
+        assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_bytes(b"something else\nbinary\n")
@@ -428,10 +443,72 @@ class TestModelFormat:
         header = path.read_bytes().partition(b"\nbinary\n")[0].decode("ascii")
         assert header.split("\n") == ["bimodalnet-model v1"] + V1_HEADERS[tag]
 
+    @pytest.mark.parametrize("arch", ["[20,6,8\u00a0| 20,6,8 | F=2]", "two\nlines"])
+    def test_refused_header_leaves_the_file(self, tmp_path, arch):
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))["unimodal"]
+        path = tmp_path / "kept.model"
+        save_model(model, path)
+        before = path.read_bytes()
+        model.arch = arch
+        with pytest.raises(ValueError, match="'arch' must be single-line ASCII"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+
+
+def _line_edits(manifest: bool):
+    """(tag, index, edit) for each of three edits of every manifest line, or
+    of every field line, of every V1_HEADERS model."""
+    return [pytest.param(tag, i, edit, id=f"{tag}-{lines[i].replace(' ', '')}-{edit}")
+            for tag, lines in V1_HEADERS.items()
+            for i in range(len(lines)) if lines[i].startswith("array: ") == manifest
+            for edit in ("delete", "rename", "swap")]
+
+
+def _edit_line(tmp_path, tag: str, index: int, edit: str):
+    """The zoo model ``tag`` saved with header line ``index`` deleted, its key
+    renamed, or swapped with the next line (the last with the one before);
+    an array line's payload bytes are dropped or swapped with it, so the
+    payload size still fits. Returns the path, the line's key and the byte
+    offset of the first line that differs from the saved header."""
+    model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
+    path = tmp_path / "edited.model"
+    save_model(model, path)
+    head, sep, _ = path.read_bytes().partition(b"\nbinary\n")
+    lines = head.split(b"\n")
+    arrays = model.params()
+    names = list(arrays)
+    k = index + 1  # after the magic line
+    a = k - (len(lines) - len(names))  # index among the arrays, if >= 0
+    key = lines[k].partition(b": ")[0].decode()
+    first = index
+    if edit == "delete":
+        del lines[k]
+    elif edit == "rename":
+        lines[k] = b"x" + lines[k]
+    else:
+        j = k + 1 if k + 1 < len(lines) else k - 1
+        lines[k], lines[j] = lines[j], lines[k]
+        first = min(k, j) - 1
+        if a >= 0:
+            names[a], names[a + j - k] = names[a + j - k], names[a]
+    if a >= 0 and edit != "swap":
+        del names[a]
+    path.write_bytes(b"\n".join(lines) + sep
+                     + b"".join(arrays[n].astype("<f8").tobytes() for n in names))
+    return path, key, _header_offset(tag, first)
+
+
+def _header_offset(tag: str, index: int) -> int:
+    """Byte offset of line ``index`` of V1_HEADERS[tag] in the saved file."""
+    return len("bimodalnet-model v1\n") + sum(len(line) + 1 for line in V1_HEADERS[tag][:index])
+
 
 class TestModelHeaderFields:
-    """Every numeric header field that fails to parse, and every lambda that
-    is not finite and positive, is a FormatError naming the field."""
+    """Every numeric header field that fails to parse, every lambda that is
+    not finite and positive, and every value other than the one
+    ``save_model`` writes is a FormatError naming the field; so is a missing
+    field. Any other line that is not the one ``save_model`` writes there is
+    a FormatError naming the line's byte offset."""
 
     @pytest.mark.parametrize("tag,field,value", [
         pytest.param("unimodal", "classes", "x", id="unimodal-classes"),
@@ -440,11 +517,22 @@ class TestModelHeaderFields:
         pytest.param(FACTORED_SHARED, "classes", "x", id="factored-shared-classes"),
         pytest.param(FACTORED_SHARED, "seed", "x", id="factored-shared-seed"),
         pytest.param(FACTORED_SHARED, "groups", "x", id="factored-shared-groups"),
+        pytest.param(FACTORED_SHARED, "groups", "3", id="factored-shared-groups-3"),
         pytest.param(FACTORED_SHARED, "lambda", "x", id="factored-shared-lambda"),
         pytest.param(FACTORED_SHARED, "lambda", "-inf", id="factored-shared-lambda--inf"),
         pytest.param(FACTORED_SHARED, "lambda", "nan", id="factored-shared-lambda-nan"),
         pytest.param(FACTORED_SHARED, "lambda", "0.0", id="factored-shared-lambda-0.0"),
         pytest.param(FACTORED_SHARED, "lambda", "-3.0", id="factored-shared-lambda--3.0"),
+        pytest.param("unimodal", "kind", "bimodal", id="unimodal-kind"),
+        pytest.param("unimodal", "modality", "3", id="unimodal-modality-3"),
+        pytest.param(FACTORED_SHARED, "group_of", "0,0,1,2", id="factored-shared-group_of"),
+        pytest.param(FACTORED_SHARED, "lambda", "2", id="factored-shared-lambda-2"),
+        pytest.param(FACTORED, "fused_dim", "3", id="factored-fused_dim-3"),
+        pytest.param(FACTORED_SHARED, "fused_dim", "3", id="factored-shared-fused_dim-3"),
+        pytest.param(FACTORED_SHARED, "classes", "04", id="factored-shared-classes-04"),
+        pytest.param(FACTORED_SHARED, "seed", " 4", id="factored-shared-seed-space"),
+        pytest.param("fused-deep", "top_dims", "8,7,6", id="fused-deep-top_dims"),
+        pytest.param("unimodal", "dims", "5,4,3,4", id="unimodal-dims"),
     ])
     def test_unparsable_field_is_format_error(self, tmp_path, tag, field, value):
         model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
@@ -458,6 +546,34 @@ class TestModelHeaderFields:
         lines[hits[0]] = key + value.encode()
         path.write_bytes(b"\n".join(lines) + sep + payload)
         with pytest.raises(FormatError, match=repr(field)):
+            load_model(path)
+
+    @pytest.mark.parametrize("tag,index,edit", _line_edits(manifest=False))
+    def test_edited_line_is_format_error(self, tmp_path, tag, index, edit):
+        path, key, offset = _edit_line(tmp_path, tag, index, edit)
+        with pytest.raises(FormatError, match=rf"^missing header field '{key}'$"
+                                              rf"|at byte offset {offset} reads '"):
+            load_model(path)
+
+    @pytest.mark.parametrize("tag,index,line", [
+        pytest.param("unimodal", 4, "note: an unknown key", id="unimodal-unknown-key"),
+        pytest.param(FACTORED_SHARED, 5, "note: an unknown key", id="shared-unknown-key"),
+        pytest.param(FULL, 7, "fused_dim: 4", id="full-fused_dim"),
+        pytest.param("unimodal", 6, "groups: 2", id="unimodal-groups"),
+        pytest.param("unimodal", 6, "group_of: 0,0,1,1", id="unimodal-group_of"),
+        pytest.param("fused-deep", 7, "groups: 2", id="fused-groups"),
+    ])
+    def test_inserted_line_names_its_offset(self, tmp_path, tag, index, line):
+        # inserted before V1_HEADERS[tag][index]
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
+        path = tmp_path / "edited.model"
+        save_model(model, path)
+        head, sep, payload = path.read_bytes().partition(b"\nbinary\n")
+        lines = head.split(b"\n")
+        lines.insert(index + 1, line.encode())
+        path.write_bytes(b"\n".join(lines) + sep + payload)
+        with pytest.raises(FormatError, match=rf"at byte offset {_header_offset(tag, index)} "
+                                              rf"reads '{re.escape(line)}'"):
             load_model(path)
 
 
@@ -522,7 +638,57 @@ class TestModelPayloadValues:
 
 class TestModelManifest:
     """A manifest names each header key and each array once; a repeated one
-    is a FormatError that names it and gives the repeated line's offset."""
+    is a FormatError that names it and gives the repeated line's offset. A
+    manifest other than ``params()`` names, shapes and order is a FormatError
+    naming an offset."""
+
+    @pytest.mark.parametrize("tag,index,edit", _line_edits(manifest=True))
+    def test_edited_line_is_format_error(self, tmp_path, tag, index, edit):
+        path, _, offset = _edit_line(tmp_path, tag, index, edit)
+        with pytest.raises(FormatError, match=rf"at byte offset {offset} reads '"):
+            load_model(path)
+
+    @pytest.mark.parametrize("tag,name,renamed", [
+        ("unimodal", "tower.W1", "tower.X1"),  # the tower ends a layer early
+        ("unimodal", "tower.b1", "tower.c1"),  # the tower lacks its last bias
+        ("fused-deep", "top.W1", "top.W7"),
+        (FACTORED, "head.U2", "head.U3"),
+        (FACTORED, "head.b", "head.c"),  # the last array
+    ])
+    def test_renamed_array_names_its_offset(self, tmp_path, tag, name, renamed):
+        # same length, so the payload still fits and the build meets the name
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
+        path = tmp_path / "renamed.model"
+        save_model(model, path)
+        index = next(i for i, line in enumerate(V1_HEADERS[tag])
+                     if line.startswith(f"array: {name} "))
+        line = V1_HEADERS[tag][index].encode()
+        blob = path.read_bytes()
+        assert blob.count(line) == 1
+        path.write_bytes(blob.replace(line, line.replace(name.encode(), renamed.encode())))
+        with pytest.raises(FormatError, match=rf"at byte offset {_header_offset(tag, index)} "
+                                              rf"reads 'array: {re.escape(renamed)} "):
+            load_model(path)
+
+    @pytest.mark.parametrize("tag,first", [("unimodal", 6), (FACTORED, 15), (FACTORED, 18)])
+    def test_arrays_in_another_order_are_refused(self, tmp_path, tag, first):
+        # the two arrays swap their lines and their payload bytes, so every
+        # name still labels its own values and the payload size fits
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
+        path = tmp_path / "reordered.model"
+        save_model(model, path)
+        head, sep, _ = path.read_bytes().partition(b"\nbinary\n")
+        lines = head.split(b"\n")
+        lines[first + 1], lines[first + 2] = lines[first + 2], lines[first + 1]
+        arrays = model.params()
+        names = list(arrays)
+        k = first - (len(V1_HEADERS[tag]) - len(names))  # index among the arrays
+        names[k], names[k + 1] = names[k + 1], names[k]
+        path.write_bytes(b"\n".join(lines) + sep
+                         + b"".join(arrays[n].astype("<f8").tobytes() for n in names))
+        with pytest.raises(FormatError, match=rf"at byte offset {_header_offset(tag, first)} "
+                                              rf"reads 'array: "):
+            load_model(path)
 
     @pytest.mark.parametrize("name", ["tower1.W0", "head.U1", "head.b"])
     def test_repeated_array_is_format_error(self, tmp_path, name):
@@ -555,6 +721,29 @@ class TestModelManifest:
         with pytest.raises(FormatError,
                            match=rf"header key '{key}' repeated at byte offset {offset}$"):
             load_model(path)
+
+
+class TestModelHeaderFuzz:
+    def test_single_byte_substitutions(self, tmp_path):
+        """Every header byte of every zoo model, replaced by a seeded other
+        byte: the load raises FormatError, or its model saves to the edited
+        bytes (an edited value of ``seed``, ``arch``, ``lambda`` or the label
+        tree is a valid header of another model)."""
+        rng = np.random.default_rng(0)
+        path, again = tmp_path / "fuzzed.model", tmp_path / "again.model"
+        for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
+            save_model(model, path)
+            blob = path.read_bytes()
+            for pos in range(blob.index(b"\nbinary\n") + len(b"\nbinary\n")):
+                edited = bytearray(blob)
+                edited[pos] = (blob[pos] + int(rng.integers(1, 256))) % 256
+                path.write_bytes(bytes(edited))
+                try:
+                    loaded = load_model(path)
+                except FormatError:
+                    continue
+                save_model(loaded, again)
+                assert again.read_bytes() == edited, (tag, pos)
 
 
 class TestDatasetValidation:

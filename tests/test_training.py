@@ -536,6 +536,36 @@ class TestGradCheck:
         fine = grad_check(model, sample, h=1e-3).max_rel_error
         assert 20 < coarse / fine < 500
 
+    @staticmethod
+    def _small_bilinear():
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED,
+                          dims_a=(3, 4, 2), dims_v=(3, 4, 2), fused_dim=2,
+                          epochs=0, init_scale=0.5, seed=4)
+        rng = np.random.default_rng(0)
+        return (build_model(cfg, 3, 3, 4, LabelTree.balanced(4, 2)),
+                (rng.standard_normal(3), rng.standard_normal(3), 1))
+
+    def test_nan_gradient_fails(self, monkeypatch):
+        # NaN compares false with every error, so it must not pass as the smallest
+        model, sample = self._small_bilinear()
+        exact = model.loglik_and_grads
+
+        def nan_grads(*args):
+            loglik, grads = exact(*args)
+            grads["tower2.b0"][1] = np.nan
+            return loglik, grads
+
+        monkeypatch.setattr(model, "loglik_and_grads", nan_grads)
+        report = grad_check(model, sample)
+        assert not report.passed()
+        assert (report.worst_param, report.worst_index) == ("tower2.b0", (1,))
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.inf, np.nan])
+    def test_step_must_be_finite_and_positive(self, h):
+        model, sample = self._small_bilinear()
+        with pytest.raises(ValueError, match="finite and positive"):
+            grad_check(model, sample, h=h)
+
 
 class TestConfigAndMetrics:
     def test_invalid_configs_rejected(self):
