@@ -11,9 +11,11 @@ pairs and the change first in odd ones. Per metric it prints each side's
 median and quartiles, the change's wins (ties count for neither side), the
 parent's quartile spread, and whether the change is better in at least nine
 tenths of the pairs and its median beyond that spread. It also prints the
-failed and attempted operations of each side. Which direction is better comes
-from this checkout's ``BENCHMARK.json``. ``--save`` keeps every result line,
-and ``--load`` summarises a saved file without running.
+failed and attempted operations of each side; a change that fails a larger
+share of its operations than the parent has no gain on any metric. Which
+direction is better comes from this checkout's ``BENCHMARK.json``. ``--save``
+keeps every result line, and ``--load`` summarises a saved file without
+running.
 """
 
 import argparse
@@ -39,6 +41,7 @@ class MetricSummary:
     change: tuple[float, float, float]
     wins: Optional[int]            # pairs in which the change is strictly better
     pairs: int
+    fails_more: bool = False       # the change fails a larger share of its operations
 
     @property
     def parent_spread(self) -> float:
@@ -50,8 +53,9 @@ class MetricSummary:
 
     @property
     def gain(self) -> bool:
-        """Better in at least 9/10 of the pairs, by more than the parent's spread."""
-        if self.better is None or not self.pairs:
+        """Better in at least 9/10 of the pairs, by more than the parent's spread,
+        and failing no larger share of operations than the parent."""
+        if self.fails_more or self.better is None or not self.pairs:
             return False
         diff = self.change[0] - self.parent[0]
         if self.better == "lower":
@@ -83,6 +87,7 @@ def summarize(pairs, better: dict[str, str]) -> list[MetricSummary]:
         return []
     names = set.intersection(*(set(r["metrics"]) for pair in pairs for r in pair))
     first = pairs[0][0]["metrics"]
+    more = fails_more(pairs)
     out = []
     for name in sorted(names):
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
@@ -93,7 +98,7 @@ def summarize(pairs, better: dict[str, str]) -> list[MetricSummary]:
             sign = 1 if direction == "higher" else -1
             wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
         out.append(MetricSummary(name, first[name]["unit"], direction, quartiles(parent),
-                                 quartiles(change), wins, len(pairs)))
+                                 quartiles(change), wins, len(pairs), more))
     return out
 
 
@@ -101,6 +106,15 @@ def failures(results) -> tuple[int, int, int]:
     """(failed operations, attempted operations, runs not correct)."""
     return (sum(r["failed"] for r in results), sum(r["attempted"] for r in results),
             sum(1 for r in results if not r["correct"]))
+
+
+def fails_more(pairs) -> bool:
+    """Whether the change fails a larger share of its attempted operations
+    than the parent (a side that attempted none failed none)."""
+    def share(results):
+        failed, attempted, _ = failures(results)
+        return failed / attempted if attempted else 0.0
+    return share([c for _, c in pairs]) > share([p for p, _ in pairs])
 
 
 def report(pairs, better: dict[str, str]) -> str:
@@ -119,6 +133,8 @@ def report(pairs, better: dict[str, str]) -> str:
         failed, attempted, incorrect = failures(results)
         lines.append(f"{side}: {failed} of {attempted} operations failed; "
                      f"{incorrect} runs not correct")
+    if fails_more(pairs):
+        lines[-1] += "; a larger share than the parent's, so no metric is a gain"
     return "\n".join(lines)
 
 

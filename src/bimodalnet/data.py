@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .bilinear import FACTORED_SHARED, FULL, VARIANTS, BilinearHead, LabelTree, check_lam
-from .fusion import KINDS, OUT, TOP, SoftmaxHead, stack_names
+from .fusion import KINDS, OUT, TOP, Classifier, SoftmaxHead, stack_names
 from .linalg import FlatArrays
 from .mlp import MlpTower
 
@@ -154,8 +154,8 @@ class SynthSpec:
                 f"interaction_rank {self.interaction_rank} exceeds min(d1, d2) = "
                 f"{min(self.d1, self.d2)}"
             )
-        if self.noise_std < 0 or self.linear_scale < 0:
-            raise ValueError("noise_std and linear_scale must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.noise_std, self.linear_scale)):
+            raise ValueError("noise_std and linear_scale must be finite and >= 0")
 
 
 @dataclass
@@ -615,9 +615,12 @@ def _read_bilinear_head(meta, arrays, towers, prefix) -> BilinearHead:
     names = {"w_stack": "W"} if variant == FULL else {"u1": "U1", "u2": "U2", "w": "w"}
     names.update(v1="V1", v2="V2", b="b")
     kwargs = {key: arrays.pop(prefix + name) for key, name in names.items()}
-    return BilinearHead(variant, towers[0].feature_dim, towers[1].feature_dim,
-                        len(kwargs["b"]), lam=_field(meta, "lambda", check_lam), tree=tree,
-                        **kwargs)
+    classes = len(kwargs["b"])
+    if tree is not None and tree.num_leaves != classes:
+        raise FormatError(f"header field 'group_of' has {tree.num_leaves} leaves; "
+                          f"the head has {classes} classes")
+    return BilinearHead(variant, towers[0].feature_dim, towers[1].feature_dim, classes,
+                        lam=_field(meta, "lambda", check_lam), tree=tree, **kwargs)
 
 
 # header fields and reader of each head type of the kind table
@@ -646,8 +649,8 @@ def load_model(path):
         inputs = None
         if "modality" in spec.fields:  # modality 1 or 2 reads input slot 0 or 1
             inputs = (_field(meta, "modality", {"1": 0, "2": 1}.__getitem__),)
-        model = spec.cls(towers, head, inputs, seed=_field(meta, "seed", int),
-                         arch=_field(meta, "arch"), params=payload)
+        model = Classifier(meta["kind"], towers, head, inputs, seed=_field(meta, "seed", int),
+                           arch=_field(meta, "arch"), params=payload)
     except FormatError:
         raise
     except (KeyError, ValueError) as exc:

@@ -2,9 +2,9 @@
 
 The paper's three model families are one shape: sigmoid towers, each
 reading one modality, under a softmax-type head. ``Classifier`` is that one
-implementation; the kind table ``KINDS`` says, per kind, which towers it
-has, which head, which parameters stay frozen and how its model file
-header reads.
+type, with no subclasses: its ``kind`` argument names a row of the kind
+table ``KINDS``, which says which towers the kind has, which head, whether
+its towers start frozen and how its model file header reads.
 """
 
 from __future__ import annotations
@@ -145,7 +145,10 @@ def init_softmax_head(input_dim: int, num_classes: int, seed,
 
 
 class Classifier:
-    """Sigmoid towers, each reading input slot 0 (x1) or 1 (x2), under one head.
+    """Sigmoid towers, each reading input slot 0 (x1) or 1 (x2), under one head,
+    as the row ``kind`` of ``KINDS`` lays them out.
+
+    ``inputs`` gives each tower's slot; by default tower i reads slot i.
 
     Every parameter array is a view into one float64 vector, laid out in
     ``params()`` order, which is the payload order of the model file; the
@@ -157,20 +160,20 @@ class Classifier:
     ``release_gradients``.
 
     Parameters named in ``frozen`` take no updates; ``loglik_and_grads``
-    back-propagates only into towers that have a trainable parameter.
-    ``frozen`` may be reassigned at any time.
+    back-propagates only into towers that have a trainable parameter. The
+    kind's row says whether the towers start frozen, and ``frozen`` may be
+    reassigned at any time.
 
     ``tree`` is the label tree the posteriors use (a factored-shared head's),
     else None.
     """
 
-    kind = ""
-
-    def __init__(self, towers, head, inputs=None, frozen=None, seed: int = 0, arch: str = "",
+    def __init__(self, kind: str, towers, head, inputs=None, seed: int = 0, arch: str = "",
                  params: Optional[FlatArrays] = None):
-        spec = KINDS[self.kind]
+        spec = KINDS[kind]
+        self.kind = kind
         self.towers = list(towers)
-        self.inputs = spec.inputs if inputs is None else tuple(inputs)
+        self.inputs = tuple(range(len(self.towers)) if inputs is None else inputs)
         if not set(self.inputs) <= {0, 1}:
             raise ValueError(f"input slots must be 0 or 1, got {self.inputs}")
         head.check_features([t.feature_dim for t in self.towers])
@@ -195,9 +198,7 @@ class Classifier:
             tower.weights, tower.biases = views[0::2], views[1::2]
         head.bind({k: self._params[name] for k, name in self._head_names.items()})
         self._grads: Optional[FlatArrays] = None  # made by the first loglik_and_grads
-        if frozen is None:
-            frozen = [n for names in self._tower_names for n in names] if spec.frozen else ()
-        self.frozen = frozen
+        self.frozen = [n for names in self._tower_names for n in names] if spec.frozen else ()
 
     @property
     def frozen(self) -> frozenset:
@@ -274,31 +275,11 @@ class Classifier:
         return float(np.add.reduce(log_likelihoods(probs, targets)) / targets.shape[0]), grads
 
 
-class UnimodalClassifier(Classifier):
-    """One tower under the softmax head, reading a single modality."""
-
-    kind = "unimodal"
-
-
-class FusedClassifier(Classifier):
-    """Two frozen towers under the softmax head on their fused features."""
-
-    kind = "fused"
-
-
-class BilinearClassifier(Classifier):
-    """Two towers trained jointly under a bilinear softmax head."""
-
-    kind = "bilinear"
-
-
 @dataclass(frozen=True)
 class Kind:
     """One row of the kind table."""
 
-    cls: type
     towers: tuple[str, ...]          # parameter prefix of each tower
-    inputs: tuple[int, ...]          # default input slot of each tower
     dims: tuple[str, ...]            # header field with each tower's layer dims
     head: str                        # "softmax" (SoftmaxHead) or "bilinear" (BilinearHead)
     fields: tuple[str, ...]          # header fields after kind, classes, seed and arch
@@ -308,13 +289,11 @@ class Kind:
 
 
 KINDS = {
-    "unimodal": Kind(UnimodalClassifier, towers=("tower",), inputs=(0,), dims=("dims",),
-                     head="softmax", fields=("modality", "dims")),
-    "fused": Kind(FusedClassifier, towers=("tower_a", "tower_v"), inputs=(0, 1),
-                  dims=("dims_a", "dims_v"), head="softmax",
+    "unimodal": Kind(towers=("tower",), dims=("dims",), head="softmax",
+                     fields=("modality", "dims")),
+    "fused": Kind(towers=("tower_a", "tower_v"), dims=("dims_a", "dims_v"), head="softmax",
                   fields=("dims_a", "dims_v", "top_dims"), frozen=True),
-    "bilinear": Kind(BilinearClassifier, towers=("tower1", "tower2"), inputs=(0, 1),
-                     dims=("dims_a", "dims_v"), head="bilinear",
+    "bilinear": Kind(towers=("tower1", "tower2"), dims=("dims_a", "dims_v"), head="bilinear",
                      fields=("variant", "dims_a", "dims_v", "fused_dim", "lambda", "groups",
                              "group_of"),
                      head_prefix="head.", project=("head.U1", "head.U2")),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bilinear import FACTORED_SHARED, FULL, VARIANTS, LabelTree, check_lam, init_head
 from .data import Dataset, DatasetFile
-from .fusion import BilinearClassifier, FusedClassifier, UnimodalClassifier, init_softmax_head
+from .fusion import Classifier, init_softmax_head
 from .linalg import FlatArrays, frobenius_project, row_blocks
 from .mlp import init_tower, log_likelihoods
 
@@ -238,7 +238,7 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
             tree=tree, seed=_child_seed(config.seed, _SEED_HEAD),
             scale=scale, lam=config.lam,
         )
-        return BilinearClassifier(towers, head, seed=config.seed, arch=config.arch)
+        return Classifier("bilinear", towers, head, seed=config.seed, arch=config.arch)
 
     top = None
     out_in = sum(t.feature_dim for t in towers)
@@ -247,8 +247,8 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
                          _child_seed(config.seed, _SEED_TOP), scale)
         out_in = top.feature_dim
     head = init_softmax_head(out_in, num_classes, _child_seed(config.seed, _SEED_OUT), scale, top)
-    cls = UnimodalClassifier if unimodal else FusedClassifier
-    return cls(towers, head, inputs=slots, seed=config.seed, arch=config.arch)
+    return Classifier("unimodal" if unimodal else "fused", towers, head, inputs=slots,
+                      seed=config.seed, arch=config.arch)
 
 
 def train_model(model, config: TrainConfig, train_set: Dataset,

@@ -101,6 +101,16 @@ class TestSynth:
               "--n-train", "50", "--n-test", "10", "--seed", "77"])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--noise-std", "--linear-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_scale_must_be_finite_and_non_negative(self, tmp_path, capsys, flag, value):
+        train, test = tmp_path / "train.bin", tmp_path / "test.bin"
+        code = main(["synth", "--out-train", str(train), "--out-test", str(test),
+                     "--n-train", "50", "--n-test", "10", flag, value])
+        assert code == 1
+        assert "noise_std and linear_scale must be finite and >= 0" in capsys.readouterr().err
+        assert not train.exists() and not test.exists()
+
 
 ARCH_SMALL = "[5,6,3,4 | 5,6,3,4 | F=2]"
 

@@ -18,7 +18,7 @@ from bimodalnet.data import (
     save_dataset,
     save_model,
 )
-from bimodalnet.fusion import BilinearClassifier
+from bimodalnet.fusion import Classifier
 from bimodalnet.mlp import init_tower
 from bimodalnet.training import TrainConfig, build_model
 from tests.conftest import no_unclosed_files
@@ -356,7 +356,7 @@ class TestModelRoundTrip:
     def test_head_without_a_label_tree(self, tmp_path, variant):
         # an unshared head may have no tree: its header has no groups or group_of
         towers = [init_tower((5, 4), 0), init_tower((6, 4), 1)]
-        model = BilinearClassifier(towers, init_head(variant, 4, 4, 4, fused_dim=2, seed=2))
+        model = Classifier("bilinear", towers, init_head(variant, 4, 4, 4, fused_dim=2, seed=2))
         path = tmp_path / "treeless.model"
         save_model(model, path)
         assert b"group" not in path.read_bytes().partition(b"\nbinary\n")[0]
@@ -526,6 +526,9 @@ class TestModelHeaderFields:
         pytest.param("unimodal", "kind", "bimodal", id="unimodal-kind"),
         pytest.param("unimodal", "modality", "3", id="unimodal-modality-3"),
         pytest.param(FACTORED_SHARED, "group_of", "0,0,1,2", id="factored-shared-group_of"),
+        pytest.param(FULL, "group_of", "0,0,1", id="full-group_of-3-leaves"),
+        pytest.param(FACTORED, "group_of", "0,0,1", id="factored-group_of-3-leaves"),
+        pytest.param(FACTORED_SHARED, "group_of", "0,0,1", id="factored-shared-group_of-3-leaves"),
         pytest.param(FACTORED_SHARED, "lambda", "2", id="factored-shared-lambda-2"),
         pytest.param(FACTORED, "fused_dim", "3", id="factored-fused_dim-3"),
         pytest.param(FACTORED_SHARED, "fused_dim", "3", id="factored-shared-fused_dim-3"),

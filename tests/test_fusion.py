@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from bimodalnet.bilinear import LabelTree
 from bimodalnet.data import SynthSpec, generate_synthetic, load_model, save_model
 from bimodalnet.fusion import (
+    Classifier,
     Ensemble,
-    FusedClassifier,
     fuse_features,
     init_softmax_head,
 )
@@ -140,7 +140,7 @@ def tiny_dataset():
     return generate_synthetic(spec)
 
 
-class TestFusedClassifier:
+class TestFusedKind:
     def test_frozen_tower_contract(self):
         train, _ = tiny_dataset()
         cfg = TrainConfig(mode="fused", dims_a=(4, 6, 3), dims_v=(5, 6, 3),
@@ -168,7 +168,7 @@ class TestFusedClassifier:
         tower_v = init_tower([5, 3], seed=1)
         head = init_softmax_head(6, 4, seed=2, top=init_tower([7, 6], seed=3))
         with pytest.raises(ShapeError):
-            FusedClassifier([tower_a, tower_v], head)
+            Classifier("fused", [tower_a, tower_v], head)
 
 
 class TestParameterVector:

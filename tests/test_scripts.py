@@ -110,14 +110,24 @@ def test_ab_pairs_summary_of_canned_results():
     assert ev.parent == (104.5, 102.25, 106.75)
     assert ev.change == (154.5, 152.25, 156.75)
     assert (ev.wins, ev.pairs, ev.parent_spread) == (10, 10, 4.5)
-    assert ev.gain and ev.ratio == 154.5 / 104.5
+    # the change fails 1 of 200 operations against none: no metric is a gain
+    assert not ev.gain and ev.ratio == 154.5 / 104.5
     assert rows["rss"].wins == 0 and not rows["rss"].gain  # ties count for neither side
     assert rows["train"].wins == 8 and not rows["train"].gain
     assert ab.failures([c for _, c in pairs]) == (1, 200, 1)
     text = ab.report(pairs, better)
+    assert "eval | u | 104.5 [102.25, 106.75] | 154.5 [152.25, 156.75] | 1.478 | 10/10 | 4.5 | no" \
+        in text.splitlines()
+    assert text.splitlines()[-1] == ("change: 1 of 200 operations failed; 1 runs not correct; "
+                                     "a larger share than the parent's, so no metric is a gain")
+    # with an equal failure share the wins stand
+    pairs[5] = (_result({"eval": 105.0, "rss": 50.0, "train": 105.0}, failed=1), pairs[5][1])
+    assert ab.summarize(pairs, better)[0].gain
+    text = ab.report(pairs, better)
     assert "eval | u | 104.5 [102.25, 106.75] | 154.5 [152.25, 156.75] | 1.478 | 10/10 | 4.5 | yes" \
         in text.splitlines()
-    assert text.splitlines()[-1] == "change: 1 of 200 operations failed; 1 runs not correct"
+    assert text.splitlines()[-2:] == ["parent: 1 of 200 operations failed; 1 runs not correct",
+                                      "change: 1 of 200 operations failed; 1 runs not correct"]
 
 
 def test_ab_pairs_loads_saved_runs_and_directions(tmp_path):

@@ -16,7 +16,7 @@ from bimodalnet.data import (
     open_dataset,
     save_dataset,
 )
-from bimodalnet.fusion import Ensemble, FusedClassifier, SoftmaxHead
+from bimodalnet.fusion import Classifier, Ensemble, SoftmaxHead
 from bimodalnet.linalg import FlatArrays, frobenius_norm
 from bimodalnet.mlp import init_tower
 from bimodalnet.training import (
@@ -468,7 +468,7 @@ class TestTrainJoint:
             name in ("head.U1", "head.U2", "head.w")
         )
         head = SoftmaxHead(np.zeros((6, 2)), np.zeros(2))
-        fused = FusedClassifier([bil.tower1.copy(), bil.tower2.copy()], head)
+        fused = Classifier("fused", [bil.tower1.copy(), bil.tower2.copy()], head)
         train_model(bil, cfg, train)
         train_model(fused, cfg, train)
         p_bil = bil.posterior_batch(train.x1[:20], train.x2[:20])
