@@ -12,10 +12,14 @@ median and quartiles, the change's wins (ties count for neither side), the
 parent's quartile spread, and whether the change is better in at least nine
 tenths of the pairs and its median beyond that spread. It also prints the
 failed and attempted operations of each side; a change that fails a larger
-share of its operations than the parent has no gain on any metric. Which
-direction is better comes from this checkout's ``BENCHMARK.json``. ``--save``
-keeps every result line, and ``--load`` summarises a saved file without
-running.
+share of its operations than the parent has no gain on any metric. For
+each end-to-end metric it prints how the change stands against that
+metric's relative bound: ``worse`` when the change's median is worse than
+the parent's by more than the bound, ``unresolved`` when the parent's
+quartile spread over its median exceeds the bound and not every change run
+beats every parent run, else ``within``. Which direction is better, and each
+bound, come from this checkout's ``BENCHMARK.json``. ``--save`` keeps every
+result line, and ``--load`` summarises a saved file without running.
 """
 
 import argparse
@@ -42,6 +46,7 @@ class MetricSummary:
     wins: Optional[int]            # pairs in which the change is strictly better
     pairs: int
     fails_more: bool = False       # the change fails a larger share of its operations
+    bound: Optional[str] = None    # "worse", "unresolved" or "within"; None without a bound
 
     @property
     def parent_spread(self) -> float:
@@ -73,16 +78,39 @@ def quartiles(values) -> tuple[float, float, float]:
     return q2, q1, q3
 
 
+def bound_check(parent, change, better: str, bound: float) -> str:
+    """How the change's runs stand against a relative ``bound`` on how much
+    worse than the parent's they may be: "worse", "unresolved" or "within"."""
+    sign = 1 if better == "higher" else -1
+    median, q1, q3 = quartiles(parent)
+    if sign * (median - quartiles(change)[0]) > bound * abs(median):
+        return "worse"
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > bound * abs(median) and not beats_all:
+        return "unresolved"
+    return "within"
+
+
+def _benchmark() -> dict:
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def directions() -> dict[str, str]:
     """Whether higher or lower is better, by metric name, from BENCHMARK.json."""
-    with open(BENCHMARK, encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = _benchmark()
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
-def summarize(pairs, better: dict[str, str]) -> list[MetricSummary]:
+def relative_bounds() -> dict[str, float]:
+    """The relative bound of each end-to-end metric, from BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in _benchmark()["end_to_end"]}
+
+
+def summarize(pairs, better: dict[str, str], bounds=None) -> list[MetricSummary]:
     """One summary per metric present in every result of ``pairs``, a list of
-    (parent result, change result) as run.py prints them on its last line."""
+    (parent result, change result) as run.py prints them on its last line;
+    ``bounds`` holds the relative bound of each metric that has one."""
     if not pairs:
         return []
     names = set.intersection(*(set(r["metrics"]) for pair in pairs for r in pair))
@@ -93,12 +121,14 @@ def summarize(pairs, better: dict[str, str]) -> list[MetricSummary]:
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         direction = better.get(name)
-        wins = None
+        wins = check = None
         if direction is not None:
             sign = 1 if direction == "higher" else -1
             wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+            if bounds and name in bounds:
+                check = bound_check(parent, change, direction, bounds[name])
         out.append(MetricSummary(name, first[name]["unit"], direction, quartiles(parent),
-                                 quartiles(change), wins, len(pairs), more))
+                                 quartiles(change), wins, len(pairs), more, check))
     return out
 
 
@@ -117,18 +147,18 @@ def fails_more(pairs) -> bool:
     return share([c for _, c in pairs]) > share([p for p, _ in pairs])
 
 
-def report(pairs, better: dict[str, str]) -> str:
+def report(pairs, better: dict[str, str], bounds=None) -> str:
     def fmt(q):
         return f"{q[0]:.6g} [{q[1]:.6g}, {q[2]:.6g}]"
 
     lines = [f"{len(pairs)} pairs; median [first quartile, third quartile]",
              "metric | unit | parent | change | change/parent | change wins | "
-             "parent spread | gain"]
-    for m in summarize(pairs, better):
+             "parent spread | gain | bound"]
+    for m in summarize(pairs, better, bounds):
         wins = "-" if m.wins is None else f"{m.wins}/{m.pairs}"
         lines.append(f"{m.name} | {m.unit} | {fmt(m.parent)} | {fmt(m.change)} | "
                      f"{m.ratio:.3f} | {wins} | {m.parent_spread:.6g} | "
-                     f"{'yes' if m.gain else 'no'}")
+                     f"{'yes' if m.gain else 'no'} | {m.bound or '-'}")
     for side, results in zip(SIDES, zip(*pairs)):
         failed, attempted, incorrect = failures(results)
         lines.append(f"{side}: {failed} of {attempted} operations failed; "
@@ -203,7 +233,7 @@ def main(argv=None) -> int:
                 pairs = run_pairs(args, save)
         else:
             pairs = run_pairs(args, None)
-    print(report(pairs, directions()))
+    print(report(pairs, directions(), relative_bounds()))
     return 0
 
 

@@ -39,7 +39,7 @@ import numpy as np
 # perfbench's spans time Classifier.loglik_and_grads through this name; as it is the
 # class that defines the method, the tracer puts back exactly what it patched
 from .fusion import Classifier as BilinearClassifier  # noqa: F401
-from .linalg import ShapeError, as_vector, row_blocks
+from .linalg import ShapeError, as_ints, as_vector, row_blocks
 from .mlp import backward, forward  # noqa: F401  bound here only for perfbench's span-wiring test
 from .mlp import softmax, target_delta
 
@@ -74,7 +74,7 @@ class LabelTree:
     num_groups: int
 
     def __post_init__(self):
-        self.group_of = np.asarray(self.group_of, dtype=np.int64)
+        self.group_of = as_ints(self.group_of, "group_of")
         if self.group_of.ndim != 1 or self.group_of.size == 0:
             raise ValueError("group_of must be a non-empty 1-D integer array")
         g = int(self.num_groups)
@@ -197,8 +197,7 @@ class BilinearHead:
             )
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        names = ("W",) if self.variant == FULL else ("U1", "U2", "w")
-        return {name: getattr(self, _ATTRS[name]) for name in names + ("V1", "V2", "b")}
+        return {name: getattr(self, attr) for name, attr in array_attrs(self.variant).items()}
 
     def bind(self, arrays) -> None:
         """Point the parameters at ``arrays``, keyed as in ``param_arrays``."""
@@ -221,38 +220,30 @@ class BilinearHead:
 _ATTRS = {"W": "w_stack", "U1": "u1", "U2": "u2", "w": "w", "V1": "v1", "V2": "v2", "b": "b"}
 
 
+def array_attrs(variant: str) -> dict[str, str]:
+    """The attribute behind each ``param_arrays`` name of a ``variant`` head,
+    in payload order: the bilinear arrays, then V1, V2 and b."""
+    names = ("W",) if variant == FULL else ("U1", "U2", "w")
+    return {name: _ATTRS[name] for name in names + ("V1", "V2", "b")}
+
+
 def init_head(variant: str, dim1: int, dim2: int, num_classes: int,
               fused_dim: Optional[int] = None, tree: Optional[LabelTree] = None,
               seed=0, scale: float = 0.05, lam: float = 2.0) -> BilinearHead:
-    """Seeded uniform [-scale, scale] bilinear and linear weights, zero biases."""
+    """Seeded uniform [-scale, scale] weights, drawn in payload order (the
+    bilinear arrays, then V1 and V2), and zero biases."""
     rng = np.random.default_rng(seed)
     k1, k2, c = dim1, dim2, num_classes
     if variant == FULL:
-        head = BilinearHead(
-            FULL, k1, k2, c,
-            w_stack=rng.uniform(-scale, scale, size=(c, k1, k2)),
-            v1=rng.uniform(-scale, scale, size=(k1, c)),
-            v2=rng.uniform(-scale, scale, size=(k2, c)),
-            lam=lam, tree=tree,
-        )
+        shapes = {"w_stack": (c, k1, k2)}
     else:
         if fused_dim is None or fused_dim < 1:
             raise ValueError("factored variants need fused_dim >= 1")
-        cols = c
-        if variant == FACTORED_SHARED:
-            if tree is None:
-                raise ValueError("factored-shared head requires a label tree")
-            cols = tree.num_groups
-        head = BilinearHead(
-            variant, k1, k2, c,
-            u1=rng.uniform(-scale, scale, size=(k1, fused_dim)),
-            u2=rng.uniform(-scale, scale, size=(k2, fused_dim)),
-            w=rng.uniform(-scale, scale, size=(fused_dim, cols)),
-            v1=rng.uniform(-scale, scale, size=(k1, c)),
-            v2=rng.uniform(-scale, scale, size=(k2, c)),
-            lam=lam, tree=tree,
-        )
-    return head
+        cols = tree.num_groups if variant == FACTORED_SHARED and tree is not None else c
+        shapes = {"u1": (k1, fused_dim), "u2": (k2, fused_dim), "w": (fused_dim, cols)}
+    shapes.update(v1=(k1, c), v2=(k2, c))
+    arrays = {attr: rng.uniform(-scale, scale, size=shape) for attr, shape in shapes.items()}
+    return BilinearHead(variant, k1, k2, c, lam=lam, tree=tree, **arrays)
 
 
 def materialize_w(head: BilinearHead, leaf: int) -> np.ndarray:
@@ -263,17 +254,6 @@ def materialize_w(head: BilinearHead, leaf: int) -> np.ndarray:
         raise ValueError(f"leaf {leaf} out of range [0, {head.num_classes})")
     col = head.tree.group_of[leaf] if head.variant == FACTORED_SHARED else leaf
     return (head.u1 * head.w[:, col]) @ head.u2.T
-
-
-def _feature_rows(head: BilinearHead, f1, f2):
-    f1 = np.asarray(f1, dtype=np.float64)
-    f2 = np.asarray(f2, dtype=np.float64)
-    if f1.shape[-1] != head.dim1 or f2.shape[-1] != head.dim2:
-        raise ShapeError(
-            f"feature dims ({f1.shape[-1]}, {f2.shape[-1]}) do not match head "
-            f"dims ({head.dim1}, {head.dim2})"
-        )
-    return np.atleast_2d(f1), np.atleast_2d(f2)
 
 
 def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray):
@@ -310,26 +290,31 @@ def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray):
     return logits, a1, a2
 
 
-def posterior_batch(head: BilinearHead, f1, f2) -> np.ndarray:
-    logits = _leaf_logits(head, *_feature_rows(head, f1, f2))[0]
+def posterior_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Class posteriors (B, C) of float64 feature rows f1 (B, K1), f2 (B, K2),
+    as the towers return them; their widths are the head's, which
+    ``check_features`` holds when the head is put under its towers."""
+    logits = _leaf_logits(head, f1, f2)[0]
     return softmax(logits, out=logits)
 
 
 def posterior(head: BilinearHead, v1, v2) -> np.ndarray:
     """Class posterior for a single pair of feature vectors."""
-    return posterior_batch(head, as_vector(v1, "v1"), as_vector(v2, "v2"))[0]
+    v1, v2 = as_vector(v1, "v1"), as_vector(v2, "v2")
+    head.check_features((v1.size, v2.size))
+    return posterior_batch(head, v1[None], v2[None])[0]
 
 
 def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, out=None,
                  input_delta: bool = True):
-    """Batched head gradients; returns (probs, grads, delta1, delta2).
+    """Batched head gradients of feature rows as ``posterior_batch`` takes
+    them; returns (probs, grads, delta1, delta2).
 
     Gradients are sums over the batch of per-sample gradients scaled by
     ``scale`` (pass 1/B for the batch mean), written into the arrays of
     ``out`` (keyed as in ``param_arrays``) when given, else into new ones.
     The towers' error signals delta1, delta2 are None without ``input_delta``.
     """
-    f1, f2 = _feature_rows(head, f1, f2)
     logits, a1, a2 = _leaf_logits(head, f1, f2)
     probs = softmax(logits, out=logits)
     delta_l = target_delta(probs, targets, scale)  # (B, C)
@@ -365,16 +350,12 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
 
 
 def param_count(head: BilinearHead) -> dict[str, int]:
-    """Parameter counts split into bilinear / linear / bias blocks."""
-    k1, k2, c = head.dim1, head.dim2, head.num_classes
-    if head.variant == FULL:
-        bilinear = c * k1 * k2
-    else:
-        f = head.fused_dim
-        cols = head.num_groups if head.variant == FACTORED_SHARED else c
-        bilinear = f * (k1 + k2) + f * cols
-    linear = c * (k1 + k2)
-    bias = c
+    """Sizes of the arrays the head holds, split into bilinear / linear / bias
+    blocks."""
+    sizes = {name: arr.size for name, arr in head.param_arrays().items()}
+    linear = sizes.pop("V1") + sizes.pop("V2")
+    bias = sizes.pop("b")
+    bilinear = sum(sizes.values())
     return {
         "bilinear": bilinear,
         "linear": linear,

@@ -16,9 +16,17 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .bilinear import FACTORED_SHARED, FULL, VARIANTS, BilinearHead, LabelTree, check_lam
+from .bilinear import (
+    FACTORED_SHARED,
+    FULL,
+    VARIANTS,
+    BilinearHead,
+    LabelTree,
+    array_attrs,
+    check_lam,
+)
 from .fusion import KINDS, OUT, TOP, Classifier, SoftmaxHead, stack_names
-from .linalg import FlatArrays
+from .linalg import FlatArrays, as_ints
 from .mlp import MlpTower
 
 DATASET_MAGIC = b"BMDATSET"
@@ -72,7 +80,7 @@ class Dataset:
     def __post_init__(self, _finite: bool):
         self.x1 = np.asarray(self.x1, dtype=np.float64)
         self.x2 = np.asarray(self.x2, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        self.y = as_ints(self.y, "labels")
         if self.x1.ndim != 2 or self.x2.ndim != 2 or self.y.ndim != 1:
             raise ValueError("x1/x2 must be 2-D sample rows and y 1-D labels")
         if not (self.x1.shape[0] == self.x2.shape[0] == self.y.shape[0]):
@@ -504,8 +512,18 @@ def save_model(model, path) -> None:
 
 def _parse_model_header(fh):
     """(header bytes, fields, array shapes by name) of an open model file,
-    which is left at the start of the payload."""
-    raw = [fh.readline()]
+    which is left at the start of the payload. The magic line is checked
+    first, read no further than a v1 one, so another file fails there."""
+    magic = f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii")
+    first = fh.readline(len(magic))
+    if first != magic:
+        shown = first.rstrip(b"\n").decode("ascii", "backslashreplace")
+        if first.partition(b" ")[0] != MODEL_MAGIC.encode("ascii"):
+            raise FormatError(f"bad magic line {shown!r}: not a bimodalnet model file")
+        raise VersionError(
+            f"unsupported model version {shown!r}, expected {MODEL_MAGIC} {MODEL_VERSION}"
+        )
+    raw = [first]
     while True:
         line = fh.readline()
         if not line:
@@ -518,13 +536,6 @@ def _parse_model_header(fh):
     except UnicodeDecodeError as exc:
         raise FormatError(f"non-ASCII header byte at offset {exc.start}") from exc
     lines = text.split("\n")
-    tokens = lines[0].split(" ")
-    if not tokens or tokens[0] != MODEL_MAGIC:
-        raise FormatError(f"bad magic line {lines[0]!r}: not a bimodalnet model file")
-    if len(tokens) != 2 or tokens[1] != MODEL_VERSION:
-        raise VersionError(
-            f"unsupported model version {lines[0]!r}, expected {MODEL_MAGIC} {MODEL_VERSION}"
-        )
     meta: dict[str, str] = {}
     shapes: dict[str, tuple[int, ...]] = {}
     offset = len(lines[0]) + 1
@@ -612,9 +623,7 @@ def _read_bilinear_head(meta, arrays, towers, prefix) -> BilinearHead:
             tree = LabelTree(group_of, groups)
         except ValueError as exc:
             raise FormatError(f"header fields 'groups' and 'group_of' disagree: {exc}") from exc
-    names = {"w_stack": "W"} if variant == FULL else {"u1": "U1", "u2": "U2", "w": "w"}
-    names.update(v1="V1", v2="V2", b="b")
-    kwargs = {key: arrays.pop(prefix + name) for key, name in names.items()}
+    kwargs = {attr: arrays.pop(prefix + name) for name, attr in array_attrs(variant).items()}
     classes = len(kwargs["b"])
     if tree is not None and tree.num_leaves != classes:
         raise FormatError(f"header field 'group_of' has {tree.num_leaves} leaves; "

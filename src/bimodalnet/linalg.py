@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "FlatArrays",
     "ShapeError",
+    "as_ints",
     "as_matrix",
     "as_vector",
     "frobenius_norm",
@@ -41,6 +42,21 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     if v.ndim != 1:
         raise ShapeError(f"{name} must be 1-D, got shape {v.shape}")
     return v
+
+
+def as_ints(a, name: str) -> np.ndarray:
+    """``a`` as an int64 array; an entry that the conversion would change (a
+    fraction, NaN or +-inf) is a ValueError naming its index."""
+    a = np.asarray(a)
+    if a.dtype.kind != "f":
+        return np.asarray(a, dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        ints = a.astype(np.int64)
+    changed = np.flatnonzero(ints != a)
+    if changed.size:
+        i = changed[0]
+        raise ValueError(f"{name} must be integers, got {a.flat[i]} at index {i}")
+    return ints
 
 
 def frobenius_norm(m) -> float:

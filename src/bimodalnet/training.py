@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bilinear import FACTORED_SHARED, FULL, VARIANTS, LabelTree, check_lam, init_head
+from .bilinear import FACTORED_SHARED, VARIANTS, LabelTree, check_lam, init_head
 from .data import Dataset, DatasetFile
 from .fusion import Classifier, init_softmax_head
 from .linalg import FlatArrays, frobenius_project, row_blocks
@@ -230,12 +230,9 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
         towers.append(init_tower(dims, seed, scale))
 
     if config.mode == "bilinear":
-        if config.variant == FACTORED_SHARED and tree is None:
-            raise ValueError("factored-shared variant needs the dataset's label tree")
         head = init_head(
             config.variant, towers[0].feature_dim, towers[1].feature_dim, num_classes,
-            fused_dim=config.fused_dim if config.variant != FULL else None,
-            tree=tree, seed=_child_seed(config.seed, _SEED_HEAD),
+            fused_dim=config.fused_dim, tree=tree, seed=_child_seed(config.seed, _SEED_HEAD),
             scale=scale, lam=config.lam,
         )
         return Classifier("bilinear", towers, head, seed=config.seed, arch=config.arch)

@@ -215,6 +215,26 @@ class TestLeafLogitPieces:
         assert peak < 1000 * 1328 * 8 + LEAF_PIECE_BYTES + 4 * 1000 * 200 * 8, peak
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_init_head_draws_in_payload_order(variant):
+    """One generator seeded with ``seed`` draws the bilinear arrays (W, or U1,
+    U2 and w), then V1 and V2, uniform in [-scale, scale]; b is zero."""
+    k1, k2, c, f, g, scale = 3, 4, 6, 2, 3, 0.3
+    head = init_head(variant, k1, k2, c, fused_dim=f, tree=LabelTree.balanced(c, g),
+                     seed=11, scale=scale)
+    rng = np.random.default_rng(11)
+    if variant == FULL:
+        shapes = [(c, k1, k2)]
+    else:
+        shapes = [(k1, f), (k2, f), (f, g if variant == FACTORED_SHARED else c)]
+    expected = [rng.uniform(-scale, scale, size=shape) for shape in shapes + [(k1, c), (k2, c)]]
+    got = list(head.param_arrays().values())
+    assert len(got) == len(expected) + 1
+    for arr, want in zip(got, expected):
+        assert np.array_equal(arr, want)
+    assert np.array_equal(got[-1], np.zeros(c))
+
+
 class TestMaterialize:
     def test_identity_factorization(self):
         head = BilinearHead(FACTORED, 2, 2, 3, u1=np.eye(2), u2=np.eye(2),

@@ -1,3 +1,4 @@
+import io
 import re
 
 import numpy as np
@@ -305,6 +306,27 @@ class TestCorruptDatasetFile:
                 reader.rows(0, 10)
 
 
+class CountingReader(io.BytesIO):
+    """An in-memory file that counts the bytes its reads return."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.bytes_read = 0
+
+    def _count(self, got):
+        self.bytes_read += got if isinstance(got, int) else len(got)
+        return got
+
+    def read(self, size=-1):
+        return self._count(super().read(size))
+
+    def readline(self, size=-1):
+        return self._count(super().readline(size))
+
+    def readinto(self, buffer):
+        return self._count(super().readinto(buffer))
+
+
 def _model_zoo(tree):
     zoo = []
     zoo.append(("unimodal", build_model(
@@ -376,6 +398,20 @@ class TestModelRoundTrip:
         path.write_bytes(b"bimodalnet-model v9\nbinary\n")
         with pytest.raises(VersionError):
             load_model(path)
+
+    @pytest.mark.parametrize("other", ["dataset", "zeros"])
+    def test_other_file_fails_at_its_first_line(self, tmp_path, other):
+        if other == "dataset":
+            _, path = _small_file(tmp_path)
+        else:
+            path = tmp_path / "zeros.bin"
+            path.write_bytes(bytes(4 << 20))
+        with pytest.raises(FormatError, match="magic"):
+            load_model(path)
+        reader = CountingReader(path.read_bytes())
+        with pytest.raises(FormatError, match="magic"):
+            data_module._parse_model_header(reader)
+        assert 0 < reader.bytes_read <= len(b"bimodalnet-model v1\n")
 
     def test_truncated_payload(self, tmp_path):
         tree = LabelTree.balanced(4, 2)
@@ -773,6 +809,19 @@ class TestDatasetValidation:
         x[0, 0] = np.inf
         with pytest.raises(ValueError):
             Dataset(x, np.zeros((2, 3)), np.array([0, 1]), LabelTree.balanced(4, 2))
+
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda ids: Dataset(np.zeros((4, 3)), np.zeros((4, 3)), ids,
+                                         LabelTree.balanced(4, 2)).y, id="labels"),
+        pytest.param(lambda ids: LabelTree(ids, 2).group_of, id="group_of"),
+    ])
+    def test_non_integer_ids_rejected(self, build, bad):
+        # an id that the int64 conversion would change is refused, by index
+        with pytest.raises(ValueError, match="must be integers, got .* at index 2$"):
+            build(np.array([0.0, 1.0, bad, 1.0]))
+        for ids in (np.array([0, 1, 1, 0]), np.array([0.0, 1.0, 1.0, 0.0])):
+            assert np.array_equal(build(ids), [0, 1, 1, 0])
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -97,15 +97,21 @@ def _result(values, failed=0, attempted=20):
 
 def test_ab_pairs_summary_of_canned_results():
     ab = load_script("ab_pairs")
-    better = {"eval": "higher", "rss": "lower", "train": "higher"}
+    better = {"eval": "higher", "noisy": "higher", "rss": "lower", "train": "higher",
+              "wall": "lower"}
+    bounds = {"eval": 0.25, "noisy": 0.25, "rss": 0.1, "wall": 0.1}  # train has none
     pairs = []
     for i in range(10):
         # train: the change wins 8 pairs by a wide margin and loses 2
         train = 150.0 + i if i < 8 else 90.0
-        pairs.append((_result({"eval": 100.0 + i, "rss": 50.0, "train": 100.0 + i}),
-                      _result({"eval": 150.0 + i, "rss": 50.0, "train": train},
+        # noisy: the parent's runs alternate 140 and 60, a spread of 80% of its median
+        noisy = 60.0 if i % 2 else 140.0
+        pairs.append((_result({"eval": 100.0 + i, "noisy": noisy, "rss": 50.0,
+                               "train": 100.0 + i, "wall": 10.0}),
+                      _result({"eval": 150.0 + i, "noisy": 100.0 + i, "rss": 50.0,
+                               "train": train, "wall": 12.0},
                               failed=1 if i == 3 else 0)))
-    rows = {m.name: m for m in ab.summarize(pairs, better)}
+    rows = {m.name: m for m in ab.summarize(pairs, better, bounds)}
     ev = rows["eval"]
     assert ev.parent == (104.5, 102.25, 106.75)
     assert ev.change == (154.5, 152.25, 156.75)
@@ -115,17 +121,30 @@ def test_ab_pairs_summary_of_canned_results():
     assert rows["rss"].wins == 0 and not rows["rss"].gain  # ties count for neither side
     assert rows["train"].wins == 8 and not rows["train"].gain
     assert ab.failures([c for _, c in pairs]) == (1, 200, 1)
-    text = ab.report(pairs, better)
-    assert "eval | u | 104.5 [102.25, 106.75] | 154.5 [152.25, 156.75] | 1.478 | 10/10 | 4.5 | no" \
-        in text.splitlines()
+    # the change's median is 20% worse than the parent's, past the 10% bound
+    assert rows["wall"].bound == "worse"
+    # the parent's spread exceeds the bound, and some parent runs beat change runs
+    assert rows["noisy"].bound == "unresolved"
+    assert rows["eval"].bound == rows["rss"].bound == "within"
+    assert rows["train"].bound is None
+    # a wide parent spread resolves when every change run beats every parent run
+    assert ab.bound_check([60.0, 140.0] * 5, [141.0] * 10, "higher", 0.25) == "within"
+    assert ab.relative_bounds()["peak_rss_mb"] == 0.1  # end-to-end bounds of BENCHMARK.json
+    text = ab.report(pairs, better, bounds)
+    lines = {line.split(" | ")[0]: line for line in text.splitlines()}
+    assert lines["eval"] == ("eval | u | 104.5 [102.25, 106.75] | 154.5 [152.25, 156.75] | "
+                             "1.478 | 10/10 | 4.5 | no | within")
+    assert lines["wall"].endswith(" | 1.200 | 0/10 | 0 | no | worse")
+    assert lines["noisy"].endswith(" | no | unresolved")
+    assert lines["train"].endswith(" | no | -")
     assert text.splitlines()[-1] == ("change: 1 of 200 operations failed; 1 runs not correct; "
                                      "a larger share than the parent's, so no metric is a gain")
     # with an equal failure share the wins stand
     pairs[5] = (_result({"eval": 105.0, "rss": 50.0, "train": 105.0}, failed=1), pairs[5][1])
     assert ab.summarize(pairs, better)[0].gain
     text = ab.report(pairs, better)
-    assert "eval | u | 104.5 [102.25, 106.75] | 154.5 [152.25, 156.75] | 1.478 | 10/10 | 4.5 | yes" \
-        in text.splitlines()
+    assert ("eval | u | 104.5 [102.25, 106.75] | 154.5 [152.25, 156.75] | 1.478 | 10/10 | 4.5 | "
+            "yes | -") in text.splitlines()  # no bounds given
     assert text.splitlines()[-2:] == ["parent: 1 of 200 operations failed; 1 runs not correct",
                                       "change: 1 of 200 operations failed; 1 runs not correct"]
 
