@@ -77,7 +77,12 @@ class LabelTree:
         self.group_of = as_ints(self.group_of, "group_of")
         if self.group_of.ndim != 1 or self.group_of.size == 0:
             raise ValueError("group_of must be a non-empty 1-D integer array")
-        g = int(self.num_groups)
+        try:
+            g = int(self.num_groups)
+        except (OverflowError, ValueError):  # +-inf, NaN
+            g = None
+        if g != self.num_groups:
+            raise ValueError(f"num_groups must be an integer, got {self.num_groups!r}")
         if not 1 <= g <= self.group_of.size:
             raise ValueError(f"need 1 <= num_groups <= num_leaves, got G={g}, C={self.group_of.size}")
         present = np.unique(self.group_of)

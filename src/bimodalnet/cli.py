@@ -135,6 +135,21 @@ def _seed_value(text: str) -> int:
     return int(text)
 
 
+def _parse_top(text: str) -> tuple[int, ...]:
+    """Hidden dims of the fused top written as text: positive integers
+    separated by commas; empty or "softmax" for none."""
+    text = text.strip()
+    if text in ("", "softmax"):
+        return ()
+    try:
+        dims = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse fusion top dims {text!r}") from None
+    if any(d < 1 for d in dims):
+        raise argparse.ArgumentTypeError(f"fusion top dims must be positive, got {dims}")
+    return dims
+
+
 # The train command's settings, one entry per flag: its option strings, then
 # its argparse keywords. A config file takes the same names (see
 # ``read_config_file``); every flag defaults to None, "not given".
@@ -145,7 +160,8 @@ _TRAIN_FLAGS = (
     (("--arch",), {"help": 'e.g. "[360,500,200,1328 | 540,500,200,1328 | F=200]"'}),
     (("--variant",), {"choices": VARIANTS}),
     (("--fusion-top",),
-     {"help": 'hidden dims of the fused top, e.g. "64,32"; empty or "softmax" for none'}),
+     {"type": _parse_top,
+      "help": 'hidden dims of the fused top, e.g. "64,32"; empty or "softmax" for none'}),
     (("--learning-rate", "--lr"), {"type": float}),
     (("--epochs",), {"type": int}),
     (("--minibatch-size",), {"type": int}),
@@ -214,19 +230,6 @@ def _seed(given, default: int) -> int:
         raise ConfigError(f"{SEED_ENV_VAR} {exc}") from None
 
 
-def _parse_top(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if text in ("", "softmax"):
-        return ()
-    try:
-        dims = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse fusion top dims {text!r}") from None
-    if any(d < 1 for d in dims):
-        raise ValueError(f"fusion top dims must be positive, got {dims}")
-    return dims
-
-
 def _warm_towers(settings: dict, config: TrainConfig):
     """(tower_a, tower_v) of the ``--tower-a``/``--tower-v`` model files,
     None for a flag not given; None when neither is given.
@@ -287,8 +290,6 @@ def _train_config_from(settings: dict, dataset: Dataset) -> TrainConfig:
         given.update(dims_a=dims_a, dims_v=dims_v, fused_dim=fused_dim)
     elif mode != "fused":
         raise ValueError(f"mode {mode!r} requires --arch")
-    if "fusion_top" in given:
-        given["fusion_top"] = _parse_top(given["fusion_top"])
     return TrainConfig(**given)
 
 

@@ -25,9 +25,9 @@ from .bilinear import (
     array_attrs,
     check_lam,
 )
-from .fusion import KINDS, OUT, TOP, Classifier, SoftmaxHead, stack_names
+from .fusion import KINDS, OUT, TOP, Classifier, SoftmaxHead
 from .linalg import FlatArrays, as_ints
-from .mlp import MlpTower
+from .mlp import MlpTower, layer_names
 
 DATASET_MAGIC = b"BMDATSET"
 DATASET_VERSION = 1
@@ -513,7 +513,10 @@ def save_model(model, path) -> None:
 def _parse_model_header(fh):
     """(header bytes, fields, array shapes by name) of an open model file,
     which is left at the start of the payload. The magic line is checked
-    first, read no further than a v1 one, so another file fails there."""
+    first, read no further than a v1 one, so another file fails there; each
+    later line must be ASCII and ``key: value`` or ``binary``, and the first
+    that is not is a FormatError naming its offset, with nothing after it
+    read."""
     magic = f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii")
     first = fh.readline(len(magic))
     if first != magic:
@@ -523,32 +526,27 @@ def _parse_model_header(fh):
         raise VersionError(
             f"unsupported model version {shown!r}, expected {MODEL_MAGIC} {MODEL_VERSION}"
         )
-    raw = [first]
+    raw, meta, shapes = [first], {}, {}
+    offset = len(first)
     while True:
         line = fh.readline()
-        if not line:
-            raise FormatError(f"missing binary marker before byte offset {fh.tell()}")
         if line == b"binary\n":
             break
-        raw.append(line)
-    try:
-        text = b"".join(raw)[:-1].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"non-ASCII header byte at offset {exc.start}") from exc
-    lines = text.split("\n")
-    meta: dict[str, str] = {}
-    shapes: dict[str, tuple[int, ...]] = {}
-    offset = len(lines[0]) + 1
-    for line in lines[1:]:
-        key, sep, value = line.partition(": ")
+        if not line.endswith(b"\n"):
+            raise FormatError(f"missing binary marker before byte offset {offset + len(line)}")
+        try:
+            text = line[:-1].decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-ASCII header byte at offset {offset + exc.start}") from exc
+        key, sep, value = text.partition(": ")
         if not sep:
-            raise FormatError(f"malformed header line {line!r} at byte offset {offset}")
+            raise FormatError(f"malformed header line {text!r} at byte offset {offset}")
         if key == "array":
             name, _, shape_csv = value.partition(" ")
             try:
                 shape = tuple(int(t) for t in shape_csv.split(","))
             except ValueError as exc:
-                raise FormatError(f"malformed array shape in {line!r} "
+                raise FormatError(f"malformed array shape in {text!r} "
                                   f"at byte offset {offset}") from exc
             if name in shapes:
                 raise FormatError(f"array {name!r} listed again at byte offset {offset}")
@@ -557,8 +555,9 @@ def _parse_model_header(fh):
             if key in meta:
                 raise FormatError(f"header key {key!r} repeated at byte offset {offset}")
             meta[key] = value
-        offset += len(line) + 1
-    return b"".join(raw) + b"binary\n", meta, shapes
+        raw.append(line)
+        offset += len(line)
+    return b"".join(raw) + line, meta, shapes
 
 
 def _read_arrays(fh, offset: int, shapes) -> FlatArrays:
@@ -600,7 +599,7 @@ def _take_tower(arrays, prefix: str) -> MlpTower:
     """The payload's sigmoid stack ``prefix.W0, prefix.b0, ...``, whose
     layer dims are its weights' shapes."""
     layers = next(n for n in range(1, len(arrays) + 2) if f"{prefix}.W{n}" not in arrays)
-    stack = [arrays.pop(name) for name in stack_names(prefix, layers)]
+    stack = [arrays.pop(f"{prefix}.{name}") for name in layer_names(layers)]
     dims = [w.shape[0] for w in stack[:1]] + [w.shape[-1] for w in stack[0::2]]
     try:
         return MlpTower(dims, stack[0::2], stack[1::2], _finite=True)

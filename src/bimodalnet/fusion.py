@@ -18,9 +18,9 @@ from .linalg import FlatArrays, ShapeError
 from .mlp import (
     DEFAULT_INIT_SCALE,
     MlpTower,
-    TowerGradients,
     backward,
     forward,
+    layer_names,
     log_likelihoods,
     softmax,
     target_delta,
@@ -29,22 +29,6 @@ from .mlp import (
 # parameter-name prefixes of the softmax head's two blocks
 TOP = "top"
 OUT = "out"
-
-
-def stack_names(prefix: str, num_layers: int) -> list[str]:
-    """Parameter names ``prefix.W0, prefix.b0, prefix.W1, ...`` of a sigmoid stack."""
-    return [f"{prefix}.{p}{l}" for l in range(num_layers) for p in "Wb"]
-
-
-def stack_arrays(stack) -> list[np.ndarray]:
-    """W0, b0, W1, ... of a tower or of its gradients, in ``stack_names`` order."""
-    return [a for pair in zip(stack.weights, stack.biases) for a in pair]
-
-
-def stack_gradients(arrays) -> TowerGradients:
-    """Gradient buffers of a sigmoid stack, from W0, b0, W1, ... in
-    ``stack_names`` order."""
-    return TowerGradients(arrays[0::2], arrays[1::2], None)
 
 
 def fuse_features(features) -> np.ndarray:
@@ -66,14 +50,11 @@ class SoftmaxHead:
             raise ShapeError(
                 f"softmax head shapes disagree: W {self.weights.shape} b {self.bias.shape}"
             )
-        self._top_names = []
-        if self.top is not None:
-            if self.top.feature_dim != self.weights.shape[0]:
-                raise ShapeError(
-                    f"output layer input {self.weights.shape[0]} does not match top "
-                    f"feature dim {self.top.feature_dim}"
-                )
-            self._top_names = stack_names(TOP, self.top.num_layers)
+        if self.top is not None and self.top.feature_dim != self.weights.shape[0]:
+            raise ShapeError(
+                f"output layer input {self.weights.shape[0]} does not match top "
+                f"feature dim {self.top.feature_dim}"
+            )
 
     @property
     def num_classes(self) -> int:
@@ -85,7 +66,8 @@ class SoftmaxHead:
             raise ShapeError(f"head input {expected} does not match fused dim {sum(dims)}")
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        named = dict(zip(self._top_names, stack_arrays(self.top))) if self.top is not None else {}
+        named = {} if self.top is None else {
+            f"{TOP}.{k}": a for k, a in self.top.param_arrays().items()}
         named[f"{OUT}.W"] = self.weights
         named[f"{OUT}.b"] = self.bias
         return named
@@ -93,8 +75,7 @@ class SoftmaxHead:
     def bind(self, arrays) -> None:
         """Point the parameters at ``arrays``, keyed as in ``param_arrays``."""
         if self.top is not None:
-            top = [arrays[name] for name in self._top_names]
-            self.top.weights, self.top.biases = top[0::2], top[1::2]
+            self.top.bind({k: arrays[f"{TOP}.{k}"] for k in layer_names(self.top.num_layers)})
         self.weights = arrays[f"{OUT}.W"]
         self.bias = arrays[f"{OUT}.b"]
 
@@ -123,7 +104,7 @@ class SoftmaxHead:
         np.matmul(feats.T, delta, out=grads[f"{OUT}.W"])
         np.add.reduce(delta, axis=0, out=grads[f"{OUT}.b"])
         if trace is not None:
-            top = stack_gradients([grads[name] for name in self._top_names])
+            top = [grads[f"{TOP}.{k}"] for k in layer_names(self.top.num_layers)]
             delta = backward(self.top, trace, delta @ self.weights.T, top,
                              input_delta).delta_input
         elif input_delta:
@@ -151,13 +132,13 @@ class Classifier:
     ``inputs`` gives each tower's slot; by default tower i reads slot i.
 
     Every parameter array is a view into one float64 vector, laid out in
-    ``params()`` order, which is the payload order of the model file; the
-    towers and the head are rebound to these views at construction. That
-    vector is ``params`` when the towers and the head already hold its
-    views in that order (``load_model`` builds them so), else a copy. The
-    gradients live in a second vector with the same layout, allocated by
-    the first ``loglik_and_grads`` after construction or after
-    ``release_gradients``.
+    ``params()`` order, the payload order of the model file: the parts (the
+    towers in kind order, then the head) each bind the views of their
+    ``param_arrays`` under their name prefix at construction. That vector is
+    ``params`` when the parts already hold its views in that order
+    (``load_model`` builds them so), else a copy. The gradients live in a
+    second vector with the same layout, allocated by the first
+    ``loglik_and_grads`` after construction or after ``release_gradients``.
 
     Parameters named in ``frozen`` take no updates; ``loglik_and_grads``
     back-propagates only into towers that have a trainable parameter. The
@@ -183,22 +164,21 @@ class Classifier:
         self.arch = arch
         for name, tower in zip(spec.towers, self.towers):
             setattr(self, name, tower)  # model.tower, model.tower_a, model.tower1, ...
-        self._tower_names = [stack_names(name, tower.num_layers)
-                             for name, tower in zip(spec.towers, self.towers)]
-        self._head_names = {k: spec.head_prefix + k for k in head.param_arrays()}
-        self._project = tuple(n for n in spec.project if n in self._head_names.values())
-        named: dict[str, np.ndarray] = {}
-        for names, tower in zip(self._tower_names, self.towers):
-            named.update(zip(names, stack_arrays(tower)))
-        for name, arr in head.param_arrays().items():
-            named[self._head_names[name]] = arr
+        # the parts, the towers in kind order then the head, each with its
+        # name map: param_arrays name -> the model's parameter name
+        parts = self.towers + [head]
+        self._names, named = [], {}
+        for prefix, part in zip([t + "." for t in spec.towers] + [spec.head_prefix], parts):
+            arrays = part.param_arrays()
+            self._names.append({k: prefix + k for k in arrays})
+            named.update(zip(self._names[-1].values(), arrays.values()))
         self._params = FlatArrays.of(named, params)
-        for names, tower in zip(self._tower_names, self.towers):
-            views = [self._params[n] for n in names]
-            tower.weights, tower.biases = views[0::2], views[1::2]
-        head.bind({k: self._params[name] for k, name in self._head_names.items()})
+        for part, names in zip(parts, self._names):
+            part.bind({k: self._params[n] for k, n in names.items()})
+        self._project = tuple(n for n in spec.project if n in self._names[-1].values())
         self._grads: Optional[FlatArrays] = None  # made by the first loglik_and_grads
-        self.frozen = [n for names in self._tower_names for n in names] if spec.frozen else ()
+        self.frozen = ([n for names in self._names[:-1] for n in names.values()]
+                       if spec.frozen else ())
 
     @property
     def frozen(self) -> frozenset:
@@ -211,17 +191,17 @@ class Classifier:
         self._grad_views = None
 
     def _gradient_views(self):
-        """(the head's gradient arrays, each tower's gradients or None when
-        all its parameters are frozen, the mapping ``loglik_and_grads`` returns)."""
+        """(the head's gradient arrays, each tower's, or None when all its
+        parameters are frozen, the mapping ``loglik_and_grads`` returns)."""
         if self._grads is None:
             self._grads = self._params.zeros_like()
-        towers = [None if self._frozen.issuperset(names)
-                  else stack_gradients([self._grads[n] for n in names])
-                  for names in self._tower_names]
-        returned = [n for names, out in zip(self._tower_names, towers) if out is not None
-                    for n in names]
-        return ({k: self._grads[name] for k, name in self._head_names.items()}, towers,
-                self._grads.select(returned + list(self._head_names.values())))
+        *towers, head = self._names
+        outs = [None if self._frozen.issuperset(names.values())
+                else [self._grads[n] for n in names.values()] for names in towers]
+        returned = [n for names, out in zip(towers, outs) if out is not None
+                    for n in names.values()]
+        return ({k: self._grads[n] for k, n in head.items()}, outs,
+                self._grads.select(returned + list(head.values())))
 
     def release_gradients(self) -> None:
         """Drop the gradient vector and the views of it; the next

@@ -15,17 +15,18 @@ sigmoid per layer.
 ``forward`` accepts a single input (1-D) or a batch of row vectors (2-D);
 ``backward`` takes batch rows only. No function writes to its arguments,
 with three exceptions, all through an ``out`` argument: ``backward`` writes
-its gradients into the arrays of ``out`` when it is given one (a classifier
-passes views of its gradient vector); ``softmax`` writes its result into
-``out``, which may be the logits array itself (a head normalises the logits
-it owns in place); and ``sigmoid`` writes into ``out``, which may be its
-input (``forward`` activates the pre-activation it allocated in place).
-Every other in-place operation acts on a buffer the function allocated
-itself.
+its gradients into ``out`` when it is given one, the stack's gradient arrays
+in ``layer_names`` order (a classifier passes views of its gradient vector);
+``softmax`` writes its result into ``out``, which may be the logits array
+itself (a head normalises the logits it owns in place); and ``sigmoid``
+writes into ``out``, which may be its input (``forward`` activates the
+pre-activation it allocated in place). Every other in-place operation acts
+on a buffer the function allocated itself.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass
 from typing import Optional
 
@@ -37,6 +38,13 @@ DEFAULT_INIT_SCALE = 0.05
 
 # floor on a target's probability before its log is taken
 PROB_FLOOR = 1e-300
+
+
+@functools.cache
+def layer_names(num_layers: int) -> tuple[str, ...]:
+    """Array names ``W0, b0, W1, b1, ...`` of a stack of ``num_layers`` layers
+    (cached: every model construction and fused-top step names its stacks)."""
+    return tuple(f"{p}{l}" for l in range(num_layers) for p in "Wb")
 
 
 def sigmoid(u, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -117,6 +125,16 @@ class MlpTower:
     def num_layers(self) -> int:
         return len(self.layer_dims) - 1
 
+    def param_arrays(self) -> dict[str, np.ndarray]:
+        """The weights and biases by their ``layer_names`` names, in that order."""
+        stack = [a for pair in zip(self.weights, self.biases) for a in pair]
+        return dict(zip(layer_names(self.num_layers), stack))
+
+    def bind(self, arrays) -> None:
+        """Point the parameters at ``arrays``, keyed as in ``param_arrays``."""
+        stack = [arrays[name] for name in layer_names(self.num_layers)]
+        self.weights, self.biases = stack[0::2], stack[1::2]
+
     def copy(self) -> "MlpTower":
         return MlpTower(
             self.layer_dims,
@@ -179,7 +197,7 @@ def forward(tower: MlpTower, x) -> ForwardTrace:
 
 
 def backward(tower: MlpTower, trace: ForwardTrace, delta_top,
-             out: Optional[TowerGradients] = None, input_delta: bool = True) -> TowerGradients:
+             out: Optional[list[np.ndarray]] = None, input_delta: bool = True) -> TowerGradients:
     """Gradients of a scalar objective E from delta_top = dE/d(features).
 
     Follows the ascent convention: the returned arrays are dE/dW_l, dE/db_l
@@ -190,7 +208,7 @@ def backward(tower: MlpTower, trace: ForwardTrace, delta_top,
     pinned by the finite-difference suite.
     The trace and delta_top hold batch rows; gradients are summed over
     rows, so pre-scale delta_top by 1/B to get batch means. They are written
-    into the arrays of ``out`` when given (its ``delta_input`` is ignored),
+    into ``out`` when given, the gradient arrays in ``layer_names`` order,
     else into new arrays.
     """
     delta = np.asarray(delta_top, dtype=np.float64)
@@ -200,18 +218,17 @@ def backward(tower: MlpTower, trace: ForwardTrace, delta_top,
             f"{trace.post[-1].shape}"
         )
     if out is None:
-        out = TowerGradients([np.empty(w.shape) for w in tower.weights],
-                             [np.empty(b.shape) for b in tower.biases], None)
+        out = [np.empty(a.shape) for a in tower.param_arrays().values()]
     for l in reversed(range(tower.num_layers)):
         h = trace.post[l]
         s = 1.0 - h
         s *= h
         s *= delta  # dE/du_l
         h_prev = trace.x if l == 0 else trace.post[l - 1]
-        np.matmul(h_prev.T, s, out=out.weights[l])
-        np.add.reduce(s, axis=0, out=out.biases[l])
+        np.matmul(h_prev.T, s, out=out[2 * l])
+        np.add.reduce(s, axis=0, out=out[2 * l + 1])
         delta = s @ tower.weights[l].T if l or input_delta else None
-    return TowerGradients(out.weights, out.biases, delta)
+    return TowerGradients(out[0::2], out[1::2], delta)
 
 
 def target_delta(probs: np.ndarray, targets: np.ndarray, scale: float = 1.0) -> np.ndarray:

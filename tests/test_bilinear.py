@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,16 @@ class TestLabelTree:
     def test_rejects_uneven_balanced(self):
         with pytest.raises(ValueError):
             LabelTree.balanced(5, 2)
+
+    @pytest.mark.parametrize("groups", [2.5, 1.999, math.inf, -math.inf, math.nan])
+    def test_rejects_a_group_count_that_is_not_an_integer(self, groups):
+        with pytest.raises(ValueError, match=rf"^num_groups must be an integer, "
+                                             rf"got {re.escape(repr(groups))}$"):
+            LabelTree(np.array([0, 0, 1, 1]), groups)
+
+    def test_integral_float_group_count_is_that_integer(self):
+        tree = LabelTree(np.array([0, 0, 1, 1]), 2.0)
+        assert tree.num_groups == 2 and type(tree.num_groups) is int
 
 
 class TestPosterior:

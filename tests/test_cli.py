@@ -556,6 +556,63 @@ class TestRefusedSettings:
         assert not out.exists()
 
 
+class TestFusionTop:
+    """A malformed ``--fusion-top`` is a usage error, refused before any data
+    is read, from a flag and from a config file alike."""
+
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "cannot parse fusion top dims 'abc'"),
+        ("0", "fusion top dims must be positive, got (0,)"),
+        ("4,-1", "fusion top dims must be positive, got (4, -1)"),
+    ])
+    def test_refused_flag_writes_no_model(self, tmp_path, capsys, value, message):
+        out = tmp_path / "m.bin"
+        code = main(["train", "--data", str(tmp_path / "absent.bin"), "--mode", "fused",
+                     "--arch", ARCH_SMALL, f"--fusion-top={value}", "--out", str(out)])
+        assert code == 2
+        assert f"argument --fusion-top: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refused_config_value_names_its_line(self, synth_files, tmp_path, capsys):
+        train, _ = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode = fused\narch = {ARCH_SMALL}\nfusion_top = abc\n")
+        out = tmp_path / "m.bin"
+        assert main(["train", "--data", str(train), "--out", str(out),
+                     "--config", str(cfg)]) == 2
+        assert (f"error: {cfg}:3: key 'fusion_top' cannot parse fusion top dims 'abc'\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["", "softmax"])
+    def test_empty_or_softmax_is_no_top(self, synth_files, tmp_path, value):
+        train, _ = synth_files
+        out = tmp_path / "m.bin"
+        assert main(["train", "--data", str(train), "--mode", "fused", "--arch", ARCH_SMALL,
+                     f"--fusion-top={value}", "--epochs", "0", "--out", str(out)]) == 0
+        assert load_model(out).head.top is None
+
+
+class TestMissingSettings:
+    @pytest.mark.parametrize("mode,missing,code,message", [
+        ("bilinear", "--data", 2, "train requires --data"),
+        ("bilinear", "--out", 2, "train requires --out"),
+        ("bilinear", "--arch", 1, "mode 'bilinear' requires --arch"),
+        ("audio", "--arch", 1, "mode 'audio' requires --arch"),
+        ("visual", "--arch", 1, "mode 'visual' requires --arch"),
+    ])
+    def test_train_without_a_required_setting(self, synth_files, tmp_path, capsys, mode,
+                                              missing, code, message):
+        train, _ = synth_files
+        out = tmp_path / "m.bin"
+        given = {"--data": str(train), "--out": str(out), "--arch": ARCH_SMALL}
+        del given[missing]
+        argv = ["train", "--mode", mode, "--epochs", "0"]
+        assert main(argv + [arg for pair in given.items() for arg in pair]) == code
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not out.exists()
+
+
 class TestNegativeSeed:
     """A negative seed is a usage error naming where it was given."""
 

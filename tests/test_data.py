@@ -1,5 +1,6 @@
 import io
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -304,6 +305,34 @@ class TestCorruptDatasetFile:
             path.write_bytes(path.read_bytes()[:500])
             with pytest.raises(FormatError, match="truncated file"):
                 reader.rows(0, 10)
+
+
+class TestDatasetHeader:
+    """A header value that describes no split is a FormatError naming it."""
+
+    @pytest.mark.parametrize("offset,value,message", [
+        (33, 0, "need 1 <= groups <= classes, got G=0 C=4"),
+        (33, 5, "need 1 <= groups <= classes, got G=5 C=4"),
+        (21, 0, "feature dims must be >= 1, got (0, 6)"),
+        (25, 0, "feature dims must be >= 1, got (5, 0)"),
+        (12, 2, "unknown split id 2"),
+    ])
+    @pytest.mark.parametrize("read", ["load", "open"])
+    def test_refused_header_value(self, tmp_path, read, offset, value, message):
+        _, path = _small_file(tmp_path)
+        fmt = "<B" if offset == 12 else "<I"  # the split id is one byte
+        _patch(path, offset, struct.pack(fmt, value))
+        reader = load_dataset if read == "load" else open_dataset
+        with pytest.raises(FormatError, match=rf"^invalid header: {re.escape(message)}$"):
+            reader(path)
+
+    @pytest.mark.parametrize("group_of", [[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 1, 1]])
+    def test_leaf_to_group_table_that_is_not_a_partition(self, tmp_path, group_of):
+        _, path = _small_file(tmp_path)
+        _patch(path, 37, np.array(group_of, "<i4").tobytes())
+        with pytest.raises(FormatError, match=r"^invalid dataset contents: groups must "
+                                              r"partition the leaves"):
+            load_dataset(path)
 
 
 class CountingReader(io.BytesIO):
@@ -760,6 +789,27 @@ class TestModelManifest:
         with pytest.raises(FormatError,
                            match=rf"header key '{key}' repeated at byte offset {offset}$"):
             load_model(path)
+
+
+class TestModelHeaderRead:
+    @pytest.mark.parametrize("tag", list(V1_HEADERS))
+    def test_corrupted_binary_line_ends_the_read(self, tmp_path, tag):
+        # a line that is neither "key: value" nor "binary" ends the header
+        # read, so the payload after it is never read as header
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
+        path = tmp_path / "marker.model"
+        save_model(model, path)
+        blob = path.read_bytes()
+        end = blob.index(b"\nbinary\n") + len(b"\nbinary\n")
+        offset = end - len(b"binary\n")
+        path.write_bytes(blob[:offset] + b"binarx\n" + blob[end:])
+        message = rf"^malformed header line 'binarx' at byte offset {offset}$"
+        with pytest.raises(FormatError, match=message):
+            load_model(path)
+        reader = CountingReader(path.read_bytes())
+        with pytest.raises(FormatError, match=message):
+            data_module._parse_model_header(reader)
+        assert reader.bytes_read == end
 
 
 class TestModelHeaderFuzz:

@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 from bimodalnet.bilinear import LabelTree
 from bimodalnet.data import SynthSpec, generate_synthetic, load_model, save_model
 from bimodalnet.fusion import (
+    KINDS,
     Classifier,
     Ensemble,
     fuse_features,
     init_softmax_head,
 )
 from bimodalnet.linalg import ShapeError
-from bimodalnet.mlp import MlpTower, forward, init_tower
+from bimodalnet.mlp import MlpTower, forward, init_tower, sigmoid
 from bimodalnet.training import TrainConfig, build_model, train_model
 from tests.test_data import _model_zoo
 
@@ -274,6 +276,66 @@ class TestParameterVector:
         _, grads = model.loglik_and_grads(train.x1[:4], train.x2[:4], train.y[:4])
         assert set(grads) == {"tower_a.W0", "tower_a.b0", "out.W", "out.b"}
         assert np.abs(grads["tower_a.W0"]).sum() > 0
+
+
+def _stacks(model):
+    """The sigmoid stacks of ``model``: its towers, then its head's ``top``."""
+    top = getattr(model.head, "top", None)
+    return list(model.towers) + ([top] if top is not None else [])
+
+
+class TestParts:
+    """A classifier's parameters are its parts' ``param_arrays``, each under
+    its prefix: the towers in kind order, then the head, whose ``top`` stack
+    names its own arrays under ``top.``."""
+
+    def test_prefixed_part_arrays_are_the_params(self):
+        for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
+            spec = KINDS[model.kind]
+            parts = [(f"{name}.{k}", a) for name, tower in zip(spec.towers, model.towers)
+                     for k, a in tower.param_arrays().items()]
+            parts += [(spec.head_prefix + k, a) for k, a in model.head.param_arrays().items()]
+            params = model.params()
+            assert [name for name, _ in parts] == list(params), tag
+            assert all(a is params[name] for name, a in parts), tag
+            top = getattr(model.head, "top", None)
+            assert (top is not None) == (tag == "fused-deep"), tag
+            if top is not None:
+                named = [(f"top.{k}", id(a)) for k, a in top.param_arrays().items()]
+                assert named == [(k, id(a)) for k, a in model.head.param_arrays().items()
+                                 if k.startswith("top.")], tag
+
+    def test_bound_stack_computes_with_the_arrays(self, rng):
+        for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
+            for stack in _stacks(model):
+                arrays = {k: rng.standard_normal(a.shape)
+                          for k, a in stack.param_arrays().items()}
+                stack.bind(arrays)
+                assert all(stack.param_arrays()[k] is a for k, a in arrays.items()), tag
+                x = rng.standard_normal((3, stack.input_dim))
+                h = x
+                for l in range(stack.num_layers):
+                    h = sigmoid(h @ arrays[f"W{l}"] + arrays[f"b{l}"])
+                assert np.array_equal(forward(stack, x).features, h), tag
+
+
+class TestRefusedComposition:
+    @pytest.mark.parametrize("inputs", [(2,), (-1,), (0, 1, 2)])
+    def test_input_slot_outside_0_and_1(self, inputs):
+        towers = [init_tower((5, 4), 0)]
+        with pytest.raises(ValueError, match=rf"^input slots must be 0 or 1, got "
+                                             rf"{re.escape(str(inputs))}$"):
+            Classifier("unimodal", towers, init_softmax_head(4, 3, 1), inputs)
+
+    @pytest.mark.parametrize("group_of", [[0, 1, 0, 1], [0, 0, 0, 1]])
+    def test_members_that_disagree_on_the_label_tree(self, group_of):
+        cfg = TrainConfig(mode="bilinear", variant="factored-shared",
+                          dims_a=(4, 3), dims_v=(5, 3), fused_dim=2, epochs=0, seed=1)
+        first = build_model(cfg, 4, 5, 4, LabelTree.balanced(4, 2))
+        other = build_model(cfg, 4, 5, 4, LabelTree(np.array(group_of), 2))
+        assert Ensemble([first, first]).tree == first.tree
+        with pytest.raises(ValueError, match="^ensemble members disagree on the label tree$"):
+            Ensemble([first, other])
 
 
 class TestEnsemble:

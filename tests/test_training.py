@@ -587,6 +587,15 @@ class TestConfigAndMetrics:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value,pattern", [
+        ("variant", "bogus", r"^variant must be one of \(.*\), got 'bogus'$"),
+        ("epochs", -1, r"^epochs must be >= 0, got -1$"),
+        ("epochs", -7, r"^epochs must be >= 0, got -7$"),
+    ])
+    def test_refused_value_is_named(self, field, value, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            TrainConfig(**{field: value})
+
     def test_zero_learning_rate_and_init_scale_allowed(self):
         cfg = TrainConfig(learning_rate=0.0, init_scale=0.0, lam=3)
         assert (cfg.learning_rate, cfg.init_scale, cfg.lam) == (0.0, 0.0, 3.0)
