@@ -6,9 +6,11 @@ Sets the workload up in a child process, then runs ``--passes`` passes of
 its command cycle in this process, one CLI command at a time, as
 ``perfbench/run.py`` does (same inputs, same argv, BLAS on one thread).
 Prints one JSON line per command: the pass, its kind, exit code, seconds,
-this process's peak resident set after it (``ru_maxrss``, MiB) and the minor
-page faults taken during it, so that a memory claim can name the command
-that sets the peak. perfbench is imported, not changed.
+this process's peak resident set after it (``ru_maxrss``, MiB), its resident
+set after it (``rss_mb``, from ``/proc/self/statm``) and the minor page
+faults taken during it, so that a memory claim can name the command that
+sets the peak, and pages a command leaves resident show even when an
+earlier peak is higher. perfbench is imported, not changed.
 """
 
 import argparse
@@ -33,6 +35,13 @@ def load_perfbench():
     spec.loader.exec_module(run)
     import workloads
     return run, workloads
+
+
+def resident_mb() -> float:
+    """This process's resident set now, in MiB (Linux ``/proc/self/statm``)."""
+    with open("/proc/self/statm") as fh:
+        pages = int(fh.read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / float(1 << 20)
 
 
 def main(argv=None) -> int:
@@ -60,6 +69,7 @@ def main(argv=None) -> int:
                     "pass": n, "kind": kind, "exit_code": result.exit_code,
                     "seconds": round(result.seconds, 4),
                     "maxrss_mb": round(usage.ru_maxrss / 1024.0, 1),
+                    "rss_mb": round(resident_mb(), 1),
                     "minor_faults": usage.ru_minflt - before,
                 }), flush=True)
     return 0

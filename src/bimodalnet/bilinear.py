@@ -41,7 +41,7 @@ import numpy as np
 from .fusion import Classifier as BilinearClassifier  # noqa: F401
 from .linalg import ShapeError, as_ints, as_vector, row_blocks
 from .mlp import backward, forward  # noqa: F401  bound here only for perfbench's span-wiring test
-from .mlp import softmax, target_delta
+from .mlp import init_params, softmax, target_delta
 
 FULL = "full"
 FACTORED = "factored"
@@ -232,23 +232,36 @@ def array_attrs(variant: str) -> dict[str, str]:
     return {name: _ATTRS[name] for name in names + ("V1", "V2", "b")}
 
 
+def head_shapes(variant: str, dim1: int, dim2: int, num_classes: int,
+                fused_dim: Optional[int] = None,
+                tree: Optional[LabelTree] = None) -> dict[str, tuple[int, ...]]:
+    """The shape of each array of a ``variant`` head, by its ``param_arrays``
+    name, in payload order; the shared variant's w has one column per group
+    of ``tree``."""
+    if variant not in VARIANTS:
+        raise VariantError(f"unknown variant {variant!r}")
+    if variant != FULL and (fused_dim is None or fused_dim < 1):
+        raise ValueError("factored variants need fused_dim >= 1")
+    k1, k2, c, f = dim1, dim2, num_classes, fused_dim
+    cols = tree.num_groups if variant == FACTORED_SHARED and tree is not None else c
+    shapes = {"W": (c, k1, k2), "U1": (k1, f), "U2": (k2, f), "w": (f, cols),
+              "V1": (k1, c), "V2": (k2, c), "b": (c,)}
+    return {name: shapes[name] for name in array_attrs(variant)}
+
+
 def init_head(variant: str, dim1: int, dim2: int, num_classes: int,
               fused_dim: Optional[int] = None, tree: Optional[LabelTree] = None,
-              seed=0, scale: float = 0.05, lam: float = 2.0) -> BilinearHead:
-    """Seeded uniform [-scale, scale] weights, drawn in payload order (the
-    bilinear arrays, then V1 and V2), and zero biases."""
-    rng = np.random.default_rng(seed)
-    k1, k2, c = dim1, dim2, num_classes
-    if variant == FULL:
-        shapes = {"w_stack": (c, k1, k2)}
-    else:
-        if fused_dim is None or fused_dim < 1:
-            raise ValueError("factored variants need fused_dim >= 1")
-        cols = tree.num_groups if variant == FACTORED_SHARED and tree is not None else c
-        shapes = {"u1": (k1, fused_dim), "u2": (k2, fused_dim), "w": (fused_dim, cols)}
-    shapes.update(v1=(k1, c), v2=(k2, c))
-    arrays = {attr: rng.uniform(-scale, scale, size=shape) for attr, shape in shapes.items()}
-    return BilinearHead(variant, k1, k2, c, lam=lam, tree=tree, **arrays)
+              seed=0, scale: float = 0.05, lam: float = 2.0, out=None) -> BilinearHead:
+    """A head whose arrays follow the init rule (``mlp.init_params``): seeded
+    uniform [-scale, scale] weights, drawn in payload order (the bilinear
+    arrays, then V1 and V2), and zero biases. The arrays are drawn into
+    ``out``, keyed as in ``head_shapes``, when given, else into new ones."""
+    if out is None:
+        shapes = head_shapes(variant, dim1, dim2, num_classes, fused_dim, tree)
+        out = {name: np.empty(shape) for name, shape in shapes.items()}
+    init_params(out, seed, scale)
+    return BilinearHead(variant, dim1, dim2, num_classes, lam=lam, tree=tree,
+                        **{_ATTRS[name]: a for name, a in out.items()})
 
 
 def materialize_w(head: BilinearHead, leaf: int) -> np.ndarray:

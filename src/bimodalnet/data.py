@@ -516,7 +516,8 @@ def _parse_model_header(fh):
     first, read no further than a v1 one, so another file fails there; each
     later line must be ASCII and ``key: value`` or ``binary``, and the first
     that is not is a FormatError naming its offset, with nothing after it
-    read."""
+    read; a line that starts ``binary`` must be exactly ``binary\n``, and
+    fails at the byte after ``binary``."""
     magic = f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii")
     first = fh.readline(len(magic))
     if first != magic:
@@ -528,10 +529,18 @@ def _parse_model_header(fh):
         )
     raw, meta, shapes = [first], {}, {}
     offset = len(first)
+    marker = b"binary\n"
     while True:
-        line = fh.readline()
-        if line == b"binary\n":
+        # a line's first bytes are read apart, so a marker line whose line
+        # break is corrupted fails there, before any payload byte is read
+        line = fh.readline(len(marker))
+        if line == marker:
             break
+        if line.startswith(marker[:-1]):
+            raise FormatError(f"binary marker not followed by a line break "
+                              f"at byte offset {offset + len(marker) - 1}")
+        if not line.endswith(b"\n"):
+            line += fh.readline()
         if not line.endswith(b"\n"):
             raise FormatError(f"missing binary marker before byte offset {offset + len(line)}")
         try:

@@ -20,7 +20,9 @@ from .mlp import (
     MlpTower,
     backward,
     forward,
+    init_params,
     layer_names,
+    layer_shapes,
     log_likelihoods,
     softmax,
     target_delta,
@@ -115,14 +117,33 @@ class SoftmaxHead:
         return probs, grads, np.split(delta, cuts, axis=-1)
 
 
+def softmax_head_shapes(input_dim: int, num_classes: int,
+                        top_dims=None) -> dict[str, tuple[int, ...]]:
+    """The shape of each array of a softmax head, by its ``param_arrays``
+    name, in payload order: a ``top`` stack with layer dims ``top_dims``,
+    when given, then W and b. ``input_dim`` is the width of the features
+    under W."""
+    shapes = {} if top_dims is None else {
+        f"{TOP}.{k}": shape for k, shape in layer_shapes(top_dims).items()}
+    shapes[f"{OUT}.W"] = (input_dim, num_classes)
+    shapes[f"{OUT}.b"] = (num_classes,)
+    return shapes
+
+
 def init_softmax_head(input_dim: int, num_classes: int, seed,
                       scale: float = DEFAULT_INIT_SCALE,
-                      top: Optional[MlpTower] = None) -> SoftmaxHead:
-    """Seeded uniform [-scale, scale] weights, zero biases; ``input_dim`` is
-    the width of the features under W."""
-    rng = np.random.default_rng(seed)
-    return SoftmaxHead(rng.uniform(-scale, scale, size=(input_dim, num_classes)),
-                       np.zeros(num_classes), top)
+                      top: Optional[MlpTower] = None, out=None) -> SoftmaxHead:
+    """A head whose W and b follow the init rule (``mlp.init_params``): seeded
+    uniform [-scale, scale] weights, zero biases; ``input_dim`` is the width
+    of the features under W. They are drawn into the ``out.W`` and ``out.b``
+    arrays of ``out``, keyed as in ``softmax_head_shapes``, when given, else
+    into new ones. ``top`` is a built tower (its own part of the init)."""
+    if out is None:
+        shapes = softmax_head_shapes(input_dim, num_classes)
+        out = {name: np.empty(shape) for name, shape in shapes.items()}
+    weights, bias = out[f"{OUT}.W"], out[f"{OUT}.b"]
+    init_params({"W": weights, "b": bias}, seed, scale)
+    return SoftmaxHead(weights, bias, top)
 
 
 class Classifier:
@@ -136,9 +157,10 @@ class Classifier:
     towers in kind order, then the head) each bind the views of their
     ``param_arrays`` under their name prefix at construction. That vector is
     ``params`` when the parts already hold its views in that order
-    (``load_model`` builds them so), else a copy. The gradients live in a
-    second vector with the same layout, allocated by the first
-    ``loglik_and_grads`` after construction or after ``release_gradients``.
+    (``load_model`` and ``build_model`` build them so), else a copy. The
+    gradients live in a second vector with the same layout, allocated by the
+    first ``loglik_and_grads`` after construction or after
+    ``release_gradients``.
 
     Parameters named in ``frozen`` take no updates; ``loglik_and_grads``
     back-propagates only into towers that have a trainable parameter. The
@@ -168,7 +190,7 @@ class Classifier:
         # name map: param_arrays name -> the model's parameter name
         parts = self.towers + [head]
         self._names, named = [], {}
-        for prefix, part in zip([t + "." for t in spec.towers] + [spec.head_prefix], parts):
+        for prefix, part in zip(spec.prefixes, parts):
             arrays = part.param_arrays()
             self._names.append({k: prefix + k for k in arrays})
             named.update(zip(self._names[-1].values(), arrays.values()))
@@ -267,6 +289,11 @@ class Kind:
     frozen: bool = False             # towers take no updates by default
     project: tuple[str, ...] = ()    # rescaled onto the lambda-ball after each step
 
+    @property
+    def prefixes(self) -> tuple[str, ...]:
+        """The parameter-name prefix of each part: the towers', then the head's."""
+        return tuple(t + "." for t in self.towers) + (self.head_prefix,)
+
 
 KINDS = {
     "unimodal": Kind(towers=("tower",), dims=("dims",), head="softmax",
@@ -278,6 +305,19 @@ KINDS = {
                              "group_of"),
                      head_prefix="head.", project=("head.U1", "head.U2")),
 }
+
+
+def part_views(kind: str, shapes) -> tuple[FlatArrays, list[dict[str, np.ndarray]]]:
+    """A new, uninitialised parameter vector for a ``kind`` model whose parts,
+    the towers in kind order then the head, have arrays of ``shapes`` (one
+    mapping per part, keyed as in its ``param_arrays``), and each part's
+    views of it, keyed the same way. A ``Classifier`` of parts built on those
+    views takes the vector as its ``params``, with no copy."""
+    prefixes = KINDS[kind].prefixes
+    params = FlatArrays.empty({prefix + name: shape for prefix, part in zip(prefixes, shapes)
+                               for name, shape in part.items()})
+    return params, [{name: params[prefix + name] for name in part}
+                    for prefix, part in zip(prefixes, shapes)]
 
 
 class Ensemble:

@@ -127,11 +127,15 @@ class FlatArrays(Mapping):
         if (source is not None and list(source) == list(arrays)
                 and all(source[name] is a for name, a in arrays.items())):
             return source
-        shapes = {name: np.shape(a) for name, a in arrays.items()}
-        packed = cls(np.empty(sum(math.prod(s) for s in shapes.values())), shapes)
+        packed = cls.empty({name: np.shape(a) for name, a in arrays.items()})
         for name, a in arrays.items():
             packed[name] = a
         return packed
+
+    @classmethod
+    def empty(cls, shapes) -> "FlatArrays":
+        """Views of a new, uninitialised vector with the given shapes, in order."""
+        return cls(np.empty(sum(math.prod(s) for s in shapes.values())), shapes)
 
     def zeros_like(self) -> "FlatArrays":
         """The same names over a new zero vector, sharing this ``layout``

@@ -14,19 +14,23 @@ sigmoid per layer.
 
 ``forward`` accepts a single input (1-D) or a batch of row vectors (2-D);
 ``backward`` takes batch rows only. No function writes to its arguments,
-with three exceptions, all through an ``out`` argument: ``backward`` writes
-its gradients into ``out`` when it is given one, the stack's gradient arrays
-in ``layer_names`` order (a classifier passes views of its gradient vector);
-``softmax`` writes its result into ``out``, which may be the logits array
-itself (a head normalises the logits it owns in place); and ``sigmoid``
-writes into ``out``, which may be its input (``forward`` activates the
-pre-activation it allocated in place). Every other in-place operation acts
-on a buffer the function allocated itself.
+with five exceptions: ``init_params`` fills the arrays it is given, and the
+other four write through an ``out`` argument. ``init_tower`` draws its
+arrays into ``out`` when it is given one (a model build passes views of its
+parameter vector); ``backward`` writes its gradients into ``out`` when it is
+given one, the stack's gradient arrays in ``layer_names`` order (a
+classifier passes views of its gradient vector); ``softmax`` writes its
+result into ``out``, which may be the logits array itself (a head
+normalises the logits it owns in place); and ``sigmoid`` writes into
+``out``, which may be its input (``forward`` activates the pre-activation it
+allocated in place). Every other in-place operation acts on a buffer the
+function allocated itself.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import InitVar, dataclass
 from typing import Optional
 
@@ -162,21 +166,56 @@ class TowerGradients:
     delta_input: Optional[np.ndarray]  # None when backward skipped it
 
 
-def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE) -> MlpTower:
-    """Seeded uniform [-scale, scale] weights, zero biases.
-
-    Identical (layer_dims, seed, scale) give a bit-identical tower.
-    """
+def layer_shapes(layer_dims) -> dict[str, tuple[int, ...]]:
+    """The shape of each array of a stack with layer dims ``layer_dims``, by
+    its ``layer_names`` name, in that order."""
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2:
         raise ValueError("layer_dims must list the input dim and at least one layer")
     if any(d < 1 for d in dims):
         raise ValueError(f"all layer dims must be >= 1, got {dims}")
+    shapes = [s for k, n in zip(dims, dims[1:]) for s in ((k, n), (n,))]
+    return dict(zip(layer_names(len(dims) - 1), shapes))
+
+
+def init_params(arrays, seed, scale: float = DEFAULT_INIT_SCALE) -> None:
+    """The init rule of every part: fill its weight arrays, in the order of
+    ``arrays`` (its payload order), with draws of ``default_rng(seed)``
+    uniform in [-scale, scale], and its biases, the 1-D arrays, with zeros.
+
+    Each array is filled in place, with no temporary: ``rng.random(out=a)``,
+    then ``a *= 2 scale`` and ``a += -scale``. That is bit for bit
+    ``rng.uniform(-scale, scale, a.shape)``, which numpy computes as
+    low + (high - low) * u from the same doubles u.
+    """
+    low, high = -float(scale), float(scale)
+    if not math.isfinite(high - low):
+        raise OverflowError(f"init range [{low}, {high}] exceeds the float range")
     rng = np.random.default_rng(seed)
-    weights = [rng.uniform(-scale, scale, size=(dims[l], dims[l + 1]))
-               for l in range(len(dims) - 1)]
-    biases = [np.zeros(dims[l + 1]) for l in range(len(dims) - 1)]
-    return MlpTower(dims, weights, biases)
+    for a in arrays.values():
+        if a.ndim == 1:
+            a.fill(0.0)
+            continue
+        rng.random(out=a)
+        a *= high - low
+        a += low
+
+
+def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE,
+               out=None) -> MlpTower:
+    """A tower whose arrays follow the init rule (``init_params``): seeded
+    uniform [-scale, scale] weights, zero biases.
+
+    The arrays are drawn into ``out``, keyed as in ``layer_shapes``, when
+    given (a model build passes views of its parameter vector), else into
+    new ones. Identical (layer_dims, seed, scale) give a bit-identical tower.
+    """
+    shapes = layer_shapes(layer_dims)
+    if out is None:
+        out = {name: np.empty(shape) for name, shape in shapes.items()}
+    init_params(out, seed, scale)
+    stack = [out[name] for name in shapes]
+    return MlpTower(layer_dims, stack[0::2], stack[1::2], _finite=True)
 
 
 def forward(tower: MlpTower, x) -> ForwardTrace:

@@ -19,11 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bilinear import FACTORED_SHARED, VARIANTS, LabelTree, check_lam, init_head
+from .bilinear import FACTORED_SHARED, VARIANTS, LabelTree, check_lam, head_shapes, init_head
 from .data import Dataset, DatasetFile
-from .fusion import Classifier, init_softmax_head
+from .fusion import TOP, Classifier, init_softmax_head, part_views, softmax_head_shapes
 from .linalg import FlatArrays, frobenius_project, row_blocks
-from .mlp import init_tower, log_likelihoods
+from .mlp import MlpTower, init_tower, layer_shapes, log_likelihoods
 
 logger = logging.getLogger("bimodalnet.training")
 
@@ -203,13 +203,17 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
     """Construct the model a config describes, seeded deterministically.
 
     ``warm_towers`` optionally supplies pre-trained (tower_a, tower_v) for
-    the fused and bilinear modes; either entry may be None.
+    the fused and bilinear modes; either entry may be None. The model's
+    parameter vector is laid out first and every part is built on its views
+    of it: a new part's arrays are drawn straight into them, each part from
+    its own seed stream (``init_tower``, ``init_head``, ``init_softmax_head``),
+    and a warm tower's are copied in, so no part array exists outside the
+    vector.
     """
-    scale = config.init_scale
     unimodal = config.mode in ("audio", "visual")
     slots = ((0,) if config.mode == "audio" else (1,)) if unimodal else (0, 1)
     warm = (None, None) if unimodal or warm_towers is None else warm_towers
-    towers = []
+    tower_dims, shapes = [], []  # each tower's layer dims; each part's array shapes
     for slot in slots:
         dims, expected = (config.dims_a, config.dims_v)[slot], (d1, d2)[slot]
         if warm[slot] is not None:
@@ -218,34 +222,54 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
                     f"warm-start tower expects input {warm[slot].input_dim}, "
                     f"dataset provides {expected}"
                 )
-            towers.append(warm[slot].copy())
-            continue
-        if not dims:
+            dims = warm[slot].layer_dims
+        elif not dims:
             raise ValueError(f"mode {config.mode!r} needs tower dims for both modalities")
-        if dims[0] != expected:
+        elif dims[0] != expected:
             raise ValueError(
                 f"architecture input dim {dims[0]} does not match dataset dim {expected}"
             )
-        seed = _child_seed(config.seed, (_SEED_TOWER_A, _SEED_TOWER_V)[slot])
-        towers.append(init_tower(dims, seed, scale))
+        shapes.append(layer_shapes(dims))  # refuses dims that make no tower
+        tower_dims.append(dims)
+    features = [dims[-1] for dims in tower_dims]
 
+    top_dims = None
     if config.mode == "bilinear":
-        head = init_head(
-            config.variant, towers[0].feature_dim, towers[1].feature_dim, num_classes,
-            fused_dim=config.fused_dim, tree=tree, seed=_child_seed(config.seed, _SEED_HEAD),
-            scale=scale, lam=config.lam,
-        )
-        return Classifier("bilinear", towers, head, seed=config.seed, arch=config.arch)
+        kind = "bilinear"
+        shapes.append(head_shapes(config.variant, *features, num_classes, config.fused_dim,
+                                  tree))
+    else:
+        kind = "unimodal" if unimodal else "fused"
+        out_in = sum(features)
+        if config.mode == "fused" and config.fusion_top:
+            top_dims = (out_in,) + config.fusion_top
+            out_in = top_dims[-1]
+        shapes.append(softmax_head_shapes(out_in, num_classes, top_dims))
+    params, views = part_views(kind, shapes)
 
-    top = None
-    out_in = sum(t.feature_dim for t in towers)
-    if config.mode == "fused" and config.fusion_top:
-        top = init_tower((out_in,) + config.fusion_top,
-                         _child_seed(config.seed, _SEED_TOP), scale)
-        out_in = top.feature_dim
-    head = init_softmax_head(out_in, num_classes, _child_seed(config.seed, _SEED_OUT), scale, top)
-    return Classifier("unimodal" if unimodal else "fused", towers, head, inputs=slots,
-                      seed=config.seed, arch=config.arch)
+    scale = config.init_scale
+    towers = []
+    for slot, dims, view in zip(slots, tower_dims, views):
+        if warm[slot] is None:
+            seed = _child_seed(config.seed, (_SEED_TOWER_A, _SEED_TOWER_V)[slot])
+            towers.append(init_tower(dims, seed, scale, out=view))
+            continue
+        for name, a in warm[slot].param_arrays().items():
+            np.copyto(view[name], a)
+        stack = list(view.values())  # in layer_names order
+        towers.append(MlpTower(dims, stack[0::2], stack[1::2]))
+    view = views[-1]
+    if kind == "bilinear":
+        head = init_head(config.variant, *features, num_classes, config.fused_dim, tree,
+                         _child_seed(config.seed, _SEED_HEAD), scale, config.lam, out=view)
+    else:
+        top = None if top_dims is None else init_tower(
+            top_dims, _child_seed(config.seed, _SEED_TOP), scale,
+            out={k: view[f"{TOP}.{k}"] for k in layer_shapes(top_dims)})
+        head = init_softmax_head(out_in, num_classes, _child_seed(config.seed, _SEED_OUT),
+                                 scale, top, out=view)
+    return Classifier(kind, towers, head, inputs=slots, seed=config.seed, arch=config.arch,
+                      params=params)
 
 
 def train_model(model, config: TrainConfig, train_set: Dataset,

@@ -811,6 +811,25 @@ class TestModelHeaderRead:
             data_module._parse_model_header(reader)
         assert reader.bytes_read == end
 
+    @pytest.mark.parametrize("tag", list(V1_HEADERS))
+    @pytest.mark.parametrize("byte", [b"\r", b"\x00", b" ", b""], ids=["cr", "nul", "space", "cut"])
+    def test_corrupted_marker_line_break_ends_the_read(self, tmp_path, tag, byte):
+        # the line break after "binary" replaced (or cut out): the read stops
+        # at that byte instead of running on into the payload
+        model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]
+        path = tmp_path / "marker.model"
+        save_model(model, path)
+        blob = path.read_bytes()
+        end = blob.index(b"\nbinary\n") + len(b"\nbinary\n")
+        path.write_bytes(blob[:end - 1] + byte + blob[end:])
+        message = rf"^binary marker not followed by a line break at byte offset {end - 1}$"
+        with pytest.raises(FormatError, match=message):
+            load_model(path)
+        reader = CountingReader(path.read_bytes())
+        with pytest.raises(FormatError, match=message):
+            data_module._parse_model_header(reader)
+        assert reader.bytes_read == end
+
 
 class TestModelHeaderFuzz:
     def test_single_byte_substitutions(self, tmp_path):

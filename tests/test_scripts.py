@@ -88,6 +88,9 @@ def test_rss_cycle_one_pass_of_train_small():
     assert all(isinstance(r["minor_faults"], int) and r["minor_faults"] >= 0 for r in rows)
     peaks = [r["maxrss_mb"] for r in rows]
     assert peaks[0] > 0 and peaks == sorted(peaks)
+    # the resident set after a command is at most the peak so far (the two
+    # are rounded apart, to 0.1 MiB)
+    assert all(0 < r["rss_mb"] <= r["maxrss_mb"] + 0.1 for r in rows)
 
 
 def _result(values, failed=0, attempted=20):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from bimodalnet import training
-from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, LEAF_PIECE_BYTES, LabelTree
+from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LEAF_PIECE_BYTES, LabelTree
 from bimodalnet.data import (
     Dataset,
     SynthSpec,
@@ -689,3 +690,84 @@ class TestEpochSnapshot:
         train_peak = _traced_peak(lambda: train_model(model, cfg, train))
         assert train_peak < vector_bytes / 4, (train_peak, vector_bytes)
         assert np.array_equal(model.params().flat, before)
+
+
+# builds of every mode and variant; towers of 30-120-60 and 50-120-60 under
+# 64 leaves in 8 groups give parameter vectors of 0.12-1.9 MB
+_BUILD_TREE = LabelTree.balanced(64, 8)
+_WARM = (init_tower((30, 120, 60), seed=77, scale=0.7),
+         init_tower((50, 120, 60), seed=78, scale=0.7))
+_BUILDS = {
+    "audio": (dict(mode="audio"), None),
+    "visual": (dict(mode="visual"), None),
+    "fused": (dict(mode="fused"), None),
+    "fused-top": (dict(mode="fused", fusion_top=(90,)), None),
+    "full": (dict(mode="bilinear", variant=FULL), None),
+    "factored": (dict(mode="bilinear", variant=FACTORED, fused_dim=40), None),
+    "factored-shared": (dict(mode="bilinear", variant=FACTORED_SHARED, fused_dim=40), None),
+    "fused-top-warm": (dict(mode="fused", fusion_top=(90,)), _WARM),
+    "factored-shared-warm-a": (dict(mode="bilinear", variant=FACTORED_SHARED, fused_dim=40),
+                               (_WARM[0], None)),
+}
+_FRESH = [tag for tag, (_, warm) in _BUILDS.items() if warm is None]
+
+# the seed-stream slot of each part, by parameter-name prefix
+_TOWER_SLOTS = {"audio": {"tower.": 0}, "visual": {"tower.": 1},
+                "fused": {"tower_a.": 0, "tower_v.": 1},
+                "bilinear": {"tower1.": 0, "tower2.": 1}}
+_HEAD_SLOTS = {"softmax": {"top.": 3, "out.": 4}, "bilinear": {"head.": 2}}
+
+
+def _build(tag, **overrides):
+    fields, warm = _BUILDS[tag]
+    cfg = TrainConfig(**{**dict(dims_a=(30, 120, 60), dims_v=(50, 120, 60), epochs=0,
+                                seed=5, init_scale=0.3), **fields, **overrides})
+    return cfg, build_model(cfg, 30, 50, 64, _BUILD_TREE, warm)
+
+
+class TestBuildModel:
+    """A model is built inside its parameter vector, by one init rule."""
+
+    @pytest.mark.parametrize("tag", list(_BUILDS))
+    def test_traced_peak_is_about_the_parameter_vector(self, tag):
+        # drawing each part apart and packing copies peaked at 2.0-2.1x
+        np.random.default_rng(0).random(1)  # numpy.random imports its modules on first use
+        _build(tag)  # fills caches such as layer_names
+        tracemalloc.start()
+        try:
+            _, model = _build(tag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vector_bytes = model.params().flat.nbytes
+        assert vector_bytes >= 100_000
+        assert peak < 1.25 * vector_bytes, (peak, vector_bytes)
+
+    @pytest.mark.parametrize("tag", list(_BUILDS))
+    def test_each_part_draws_its_weights_in_payload_order(self, tag):
+        cfg, model = _build(tag)
+        kind = "bilinear" if cfg.mode == "bilinear" else "softmax"
+        slots = {**_TOWER_SLOTS[cfg.mode], **_HEAD_SLOTS[kind]}
+        _, warm = _BUILDS[tag]
+        warm_arrays = {}
+        for prefix, tower in zip(_TOWER_SLOTS[cfg.mode], warm or ()):
+            if tower is not None:
+                del slots[prefix]
+                warm_arrays.update({prefix + k: a for k, a in tower.param_arrays().items()})
+        expected = dict(warm_arrays)
+        for prefix, slot in slots.items():
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, slot]))
+            for name, arr in model.params().items():
+                if name.startswith(prefix):
+                    bias = re.fullmatch(r"b\d*", name.rpartition(".")[2])
+                    expected[name] = (np.zeros(arr.shape) if bias else
+                                      rng.uniform(-cfg.init_scale, cfg.init_scale, arr.shape))
+        assert sorted(expected) == sorted(model.params())
+        for name, arr in model.params().items():
+            assert arr.tobytes() == expected[name].tobytes(), name
+
+    @pytest.mark.parametrize("tag", _FRESH)
+    def test_zero_scale_gives_positive_zeros(self, tag):
+        _, model = _build(tag, init_scale=0.0)
+        flat = model.params().flat
+        assert np.all(flat == 0.0) and not np.signbit(flat).any()
