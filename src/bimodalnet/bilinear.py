@@ -204,10 +204,12 @@ class BilinearHead:
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, attr) for name, attr in array_attrs(self.variant).items()}
 
-    def bind(self, arrays) -> None:
-        """Point the parameters at ``arrays``, keyed as in ``param_arrays``."""
-        for name, arr in arrays.items():
-            setattr(self, _ATTRS[name], arr)
+    @classmethod
+    def from_arrays(cls, variant: str, arrays, lam: float = 2.0, tree=None) -> "BilinearHead":
+        """The ``variant`` head holding ``arrays`` themselves, keyed as in
+        ``param_arrays``; its dims and class count are the lengths of V1, V2 and b."""
+        return cls(variant, len(arrays["V1"]), len(arrays["V2"]), len(arrays["b"]), lam=lam,
+                   tree=tree, **{_ATTRS[name]: a for name, a in arrays.items()})
 
     def probabilities(self, features) -> np.ndarray:
         return posterior_batch(self, *features)
@@ -260,8 +262,7 @@ def init_head(variant: str, dim1: int, dim2: int, num_classes: int,
         shapes = head_shapes(variant, dim1, dim2, num_classes, fused_dim, tree)
         out = {name: np.empty(shape) for name, shape in shapes.items()}
     init_params(out, seed, scale)
-    return BilinearHead(variant, dim1, dim2, num_classes, lam=lam, tree=tree,
-                        **{_ATTRS[name]: a for name, a in out.items()})
+    return BilinearHead.from_arrays(variant, out, lam, tree)
 
 
 def materialize_w(head: BilinearHead, leaf: int) -> np.ndarray:

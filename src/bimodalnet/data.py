@@ -605,23 +605,23 @@ def _field(meta: dict[str, str], key: str, parse=str):
 
 
 def _take_tower(arrays, prefix: str) -> MlpTower:
-    """The payload's sigmoid stack ``prefix.W0, prefix.b0, ...``, whose
-    layer dims are its weights' shapes."""
+    """The payload's sigmoid stack ``prefix.W0, prefix.b0, ...``."""
     layers = next(n for n in range(1, len(arrays) + 2) if f"{prefix}.W{n}" not in arrays)
-    stack = [arrays.pop(f"{prefix}.{name}") for name in layer_names(layers)]
-    dims = [w.shape[0] for w in stack[:1]] + [w.shape[-1] for w in stack[0::2]]
+    stack = {name: arrays.pop(f"{prefix}.{name}") for name in layer_names(layers)}
     try:
-        return MlpTower(dims, stack[0::2], stack[1::2], _finite=True)
+        return MlpTower.from_arrays(stack, _finite=True)
     except ValueError as exc:
         raise FormatError(f"inconsistent tower {prefix!r}: {exc}") from exc
 
 
-def _read_softmax_head(meta, arrays, towers, prefix) -> SoftmaxHead:
+def _read_softmax_head(meta, arrays, prefix) -> SoftmaxHead:
     top = _take_tower(arrays, prefix + TOP) if f"{prefix}{TOP}.W0" in arrays else None
-    return SoftmaxHead(arrays.pop(f"{prefix}{OUT}.W"), arrays.pop(f"{prefix}{OUT}.b"), top)
+    named = {} if top is None else {f"{TOP}.{k}": a for k, a in top.param_arrays().items()}
+    named.update((name, arrays.pop(prefix + name)) for name in (f"{OUT}.W", f"{OUT}.b"))
+    return SoftmaxHead.from_arrays(named, _finite=True)
 
 
-def _read_bilinear_head(meta, arrays, towers, prefix) -> BilinearHead:
+def _read_bilinear_head(meta, arrays, prefix) -> BilinearHead:
     variant = VARIANTS[_field(meta, "variant", VARIANTS.index)]
     tree = None
     if {"groups", "group_of"} & meta.keys() or variant == FACTORED_SHARED:
@@ -631,13 +631,12 @@ def _read_bilinear_head(meta, arrays, towers, prefix) -> BilinearHead:
             tree = LabelTree(group_of, groups)
         except ValueError as exc:
             raise FormatError(f"header fields 'groups' and 'group_of' disagree: {exc}") from exc
-    kwargs = {attr: arrays.pop(prefix + name) for name, attr in array_attrs(variant).items()}
-    classes = len(kwargs["b"])
+    named = {name: arrays.pop(prefix + name) for name in array_attrs(variant)}
+    classes = len(named["b"])
     if tree is not None and tree.num_leaves != classes:
         raise FormatError(f"header field 'group_of' has {tree.num_leaves} leaves; "
                           f"the head has {classes} classes")
-    return BilinearHead(variant, towers[0].feature_dim, towers[1].feature_dim, classes,
-                        lam=_field(meta, "lambda", check_lam), tree=tree, **kwargs)
+    return BilinearHead.from_arrays(variant, named, _field(meta, "lambda", check_lam), tree)
 
 
 # header fields and reader of each head type of the kind table
@@ -662,12 +661,16 @@ def load_model(path):
     arrays = dict(payload)  # the build pops each array it takes
     try:
         towers = [_take_tower(arrays, name) for name in spec.towers]
-        head = _HEADS[spec.head][1](meta, arrays, towers, spec.head_prefix)
+        head = _HEADS[spec.head][1](meta, arrays, spec.head_prefix)
+        # an array taken out of payload order counts as not taken
+        held = [prefix + k for prefix, part in zip(spec.prefixes, towers + [head])
+                for k in part.param_arrays()]
+        arrays.update((name, payload[name]) for name, at in zip(payload, held) if name != at)
         inputs = None
         if "modality" in spec.fields:  # modality 1 or 2 reads input slot 0 or 1
             inputs = (_field(meta, "modality", {"1": 0, "2": 1}.__getitem__),)
-        model = Classifier(meta["kind"], towers, head, inputs, seed=_field(meta, "seed", int),
-                           arch=_field(meta, "arch"), params=payload)
+        model = Classifier(meta["kind"], towers, head, payload, inputs,
+                           seed=_field(meta, "seed", int), arch=_field(meta, "arch"))
     except FormatError:
         raise
     except (KeyError, ValueError) as exc:

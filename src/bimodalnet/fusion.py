@@ -4,12 +4,14 @@ The paper's three model families are one shape: sigmoid towers, each
 reading one modality, under a softmax-type head. ``Classifier`` is that one
 type, with no subclasses: its ``kind`` argument names a row of the kind
 table ``KINDS``, which says which towers the kind has, which head, whether
-its towers start frozen and how its model file header reads.
+its towers start frozen and how its model file header reads. A part is
+built on its arrays by its ``from_arrays``, the inverse of ``param_arrays``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -74,12 +76,13 @@ class SoftmaxHead:
         named[f"{OUT}.b"] = self.bias
         return named
 
-    def bind(self, arrays) -> None:
-        """Point the parameters at ``arrays``, keyed as in ``param_arrays``."""
-        if self.top is not None:
-            self.top.bind({k: arrays[f"{TOP}.{k}"] for k in layer_names(self.top.num_layers)})
-        self.weights = arrays[f"{OUT}.W"]
-        self.bias = arrays[f"{OUT}.b"]
+    @classmethod
+    def from_arrays(cls, arrays, _finite: bool = False) -> "SoftmaxHead":
+        """The head holding ``arrays`` themselves, keyed as in ``param_arrays``:
+        a ``top`` stack when there are ``top.`` arrays, then W and b."""
+        top = {k[len(TOP) + 1:]: a for k, a in arrays.items() if k.startswith(f"{TOP}.")}
+        return cls(arrays[f"{OUT}.W"], arrays[f"{OUT}.b"],
+                   MlpTower.from_arrays(top, _finite) if top else None)
 
     def _forward(self, features):
         """(top trace or None, features under W, probabilities)."""
@@ -131,19 +134,18 @@ def softmax_head_shapes(input_dim: int, num_classes: int,
 
 
 def init_softmax_head(input_dim: int, num_classes: int, seed,
-                      scale: float = DEFAULT_INIT_SCALE,
-                      top: Optional[MlpTower] = None, out=None) -> SoftmaxHead:
+                      scale: float = DEFAULT_INIT_SCALE, out=None) -> SoftmaxHead:
     """A head whose W and b follow the init rule (``mlp.init_params``): seeded
     uniform [-scale, scale] weights, zero biases; ``input_dim`` is the width
     of the features under W. They are drawn into the ``out.W`` and ``out.b``
-    arrays of ``out``, keyed as in ``softmax_head_shapes``, when given, else
-    into new ones. ``top`` is a built tower (its own part of the init)."""
+    arrays of ``out``, keyed as in ``softmax_head_shapes``, when given (its
+    ``top.`` arrays, their own part of the init, are the head's top stack),
+    else into new ones."""
     if out is None:
         shapes = softmax_head_shapes(input_dim, num_classes)
         out = {name: np.empty(shape) for name, shape in shapes.items()}
-    weights, bias = out[f"{OUT}.W"], out[f"{OUT}.b"]
-    init_params({"W": weights, "b": bias}, seed, scale)
-    return SoftmaxHead(weights, bias, top)
+    init_params({name: out[name] for name in (f"{OUT}.W", f"{OUT}.b")}, seed, scale)
+    return SoftmaxHead.from_arrays(out, _finite=True)
 
 
 class Classifier:
@@ -152,33 +154,36 @@ class Classifier:
 
     ``inputs`` gives each tower's slot; by default tower i reads slot i.
 
-    Every parameter array is a view into one float64 vector, laid out in
-    ``params()`` order, the payload order of the model file: the parts (the
-    towers in kind order, then the head) each bind the views of their
-    ``param_arrays`` under their name prefix at construction. That vector is
-    ``params`` when the parts already hold its views in that order
-    (``load_model`` and ``build_model`` build them so), else a copy. The
-    gradients live in a second vector with the same layout, allocated by the
-    first ``loglik_and_grads`` after construction or after
+    Every parameter array is a view into one float64 vector, ``params``,
+    laid out in ``params()`` order, the payload order of the model file. The
+    parts (the towers in kind order, then the head) are built on those views
+    and never copied or rebound: their ``param_arrays``, each under the
+    part's name prefix, must be the views of ``params`` in vector order, or
+    the construction is a ValueError naming the first array that is not.
+    The gradients live in a second vector with the same layout, allocated
+    by the first ``loglik_and_grads`` after construction or after
     ``release_gradients``.
 
     Parameters named in ``frozen`` take no updates; ``loglik_and_grads``
     back-propagates only into towers that have a trainable parameter. The
     kind's row says whether the towers start frozen, and ``frozen`` may be
-    reassigned at any time.
+    reassigned at any time; a name that is not a parameter is a ValueError.
 
     ``tree`` is the label tree the posteriors use (a factored-shared head's),
     else None.
     """
 
-    def __init__(self, kind: str, towers, head, inputs=None, seed: int = 0, arch: str = "",
-                 params: Optional[FlatArrays] = None):
+    def __init__(self, kind: str, towers, head, params: FlatArrays, inputs=None,
+                 seed: int = 0, arch: str = ""):
         spec = KINDS[kind]
         self.kind = kind
         self.towers = list(towers)
         self.inputs = tuple(range(len(self.towers)) if inputs is None else inputs)
         if not set(self.inputs) <= {0, 1}:
             raise ValueError(f"input slots must be 0 or 1, got {self.inputs}")
+        if not len(self.inputs) == len(self.towers) == len(spec.towers):
+            raise ValueError(f"a {kind} classifier takes {len(spec.towers)} tower(s), one per "
+                             f"input slot; got {len(self.towers)} and slots {self.inputs}")
         head.check_features([t.feature_dim for t in self.towers])
         self.head = head
         self.tree = getattr(head, "shared_tree", None)
@@ -188,15 +193,14 @@ class Classifier:
             setattr(self, name, tower)  # model.tower, model.tower_a, model.tower1, ...
         # the parts, the towers in kind order then the head, each with its
         # name map: param_arrays name -> the model's parameter name
-        parts = self.towers + [head]
-        self._names, named = [], {}
-        for prefix, part in zip(spec.prefixes, parts):
-            arrays = part.param_arrays()
-            self._names.append({k: prefix + k for k in arrays})
-            named.update(zip(self._names[-1].values(), arrays.values()))
-        self._params = FlatArrays.of(named, params)
-        for part, names in zip(parts, self._names):
-            part.bind({k: self._params[n] for k, n in names.items()})
+        parts = list(zip(spec.prefixes, self.towers + [head]))
+        self._names = [{k: prefix + k for k in part.param_arrays()} for prefix, part in parts]
+        held = [(prefix + k, a) for prefix, part in parts for k, a in part.param_arrays().items()]
+        views = zip_longest(held, params.items(), fillvalue=(None, None))
+        for i, ((name, a), (at, view)) in enumerate(views):
+            if name != at or a is not view:
+                raise ValueError(f"array {name or at!r} is not view {i} of params")
+        self._params = params
         self._project = tuple(n for n in spec.project if n in self._names[-1].values())
         self._grads: Optional[FlatArrays] = None  # made by the first loglik_and_grads
         self.frozen = ([n for names in self._names[:-1] for n in names.values()]
@@ -208,7 +212,10 @@ class Classifier:
 
     @frozen.setter
     def frozen(self, names) -> None:
-        self._frozen = frozenset(names)
+        names = frozenset(names)
+        if not names <= self._params.keys():
+            raise ValueError(f"no parameter {min(names - self._params.keys())!r} to freeze")
+        self._frozen = names
         self._trainable = self._params.select(n for n in self._params if n not in self._frozen)
         self._grad_views = None
 
@@ -311,8 +318,8 @@ def part_views(kind: str, shapes) -> tuple[FlatArrays, list[dict[str, np.ndarray
     """A new, uninitialised parameter vector for a ``kind`` model whose parts,
     the towers in kind order then the head, have arrays of ``shapes`` (one
     mapping per part, keyed as in its ``param_arrays``), and each part's
-    views of it, keyed the same way. A ``Classifier`` of parts built on those
-    views takes the vector as its ``params``, with no copy."""
+    views of it, keyed the same way: the ``params`` of a ``Classifier`` of
+    parts built on those views."""
     prefixes = KINDS[kind].prefixes
     params = FlatArrays.empty({prefix + name: shape for prefix, part in zip(prefixes, shapes)
                                for name, shape in part.items()})

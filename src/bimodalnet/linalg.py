@@ -10,7 +10,6 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Mapping
-from typing import Optional
 
 import numpy as np
 
@@ -121,12 +120,8 @@ class FlatArrays(Mapping):
         self.runs = self._runs()
 
     @classmethod
-    def of(cls, arrays, source: Optional["FlatArrays"] = None) -> "FlatArrays":
-        """``source`` itself when ``arrays`` are its views, named and ordered
-        as in it; else views of a new vector holding copies of ``arrays``."""
-        if (source is not None and list(source) == list(arrays)
-                and all(source[name] is a for name, a in arrays.items())):
-            return source
+    def of(cls, arrays) -> "FlatArrays":
+        """Views of a new vector holding copies of ``arrays``, in their order."""
         packed = cls.empty({name: np.shape(a) for name, a in arrays.items()})
         for name, a in arrays.items():
             packed[name] = a

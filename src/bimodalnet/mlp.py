@@ -13,18 +13,19 @@ takes sigma'(u_l) = h_l (1 - h_l) from them, so training evaluates one
 sigmoid per layer.
 
 ``forward`` accepts a single input (1-D) or a batch of row vectors (2-D);
-``backward`` takes batch rows only. No function writes to its arguments,
-with five exceptions: ``init_params`` fills the arrays it is given, and the
-other four write through an ``out`` argument. ``init_tower`` draws its
-arrays into ``out`` when it is given one (a model build passes views of its
-parameter vector); ``backward`` writes its gradients into ``out`` when it is
-given one, the stack's gradient arrays in ``layer_names`` order (a
-classifier passes views of its gradient vector); ``softmax`` writes its
-result into ``out``, which may be the logits array itself (a head
-normalises the logits it owns in place); and ``sigmoid`` writes into
-``out``, which may be its input (``forward`` activates the pre-activation it
-allocated in place). Every other in-place operation acts on a buffer the
-function allocated itself.
+``backward`` takes batch rows only. A tower holds the very arrays it is
+built from (``MlpTower.from_arrays``), with no copy. No function writes to
+its arguments, with five exceptions: ``init_params``
+fills the arrays it is given, and the other four write through an ``out``
+argument. ``init_tower`` draws its arrays into ``out`` when it is given one
+(a model build passes views of its parameter vector); ``backward`` writes
+its gradients into ``out`` when it is given one, the stack's gradient
+arrays in ``layer_names`` order (a classifier passes views of its gradient
+vector); ``softmax`` writes its result into ``out``, which may be the
+logits array itself (a head normalises the logits it owns in place); and
+``sigmoid`` writes into ``out``, which may be its input (``forward``
+activates the pre-activation it allocated in place). Every other in-place
+operation acts on a buffer the function allocated itself.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def softmax(logits, out: Optional[np.ndarray] = None) -> np.ndarray:
 class MlpTower:
     """Sigmoid stack with layer dims ``K_0 .. K_L`` (``K_0`` = input dim).
 
-    The parameters are checked for finite values, except by ``load_model``,
-    whose reader has checked the payload they are views of (``_finite``).
+    The parameters are checked for finite values unless ``_finite`` says an
+    init function drew them or ``load_model``'s reader checked them.
     """
 
     layer_dims: tuple[int, ...]
@@ -134,17 +135,13 @@ class MlpTower:
         stack = [a for pair in zip(self.weights, self.biases) for a in pair]
         return dict(zip(layer_names(self.num_layers), stack))
 
-    def bind(self, arrays) -> None:
-        """Point the parameters at ``arrays``, keyed as in ``param_arrays``."""
-        stack = [arrays[name] for name in layer_names(self.num_layers)]
-        self.weights, self.biases = stack[0::2], stack[1::2]
-
-    def copy(self) -> "MlpTower":
-        return MlpTower(
-            self.layer_dims,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+    @classmethod
+    def from_arrays(cls, arrays, _finite: bool = False) -> "MlpTower":
+        """The tower holding ``arrays`` themselves, keyed as in
+        ``param_arrays``; its layer dims are the weights' shapes."""
+        stack = [arrays[name] for name in layer_names((len(arrays) + 1) // 2)]
+        dims = [w.shape[0] for w in stack[:1]] + [w.shape[-1] for w in stack[0::2]]
+        return cls(dims, stack[0::2], stack[1::2], _finite)
 
 
 @dataclass
@@ -210,12 +207,10 @@ def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE,
     given (a model build passes views of its parameter vector), else into
     new ones. Identical (layer_dims, seed, scale) give a bit-identical tower.
     """
-    shapes = layer_shapes(layer_dims)
     if out is None:
-        out = {name: np.empty(shape) for name, shape in shapes.items()}
+        out = {name: np.empty(shape) for name, shape in layer_shapes(layer_dims).items()}
     init_params(out, seed, scale)
-    stack = [out[name] for name in shapes]
-    return MlpTower(layer_dims, stack[0::2], stack[1::2], _finite=True)
+    return MlpTower.from_arrays(out, _finite=True)
 
 
 def forward(tower: MlpTower, x) -> ForwardTrace:

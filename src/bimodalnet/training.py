@@ -120,10 +120,10 @@ def sgd_step(params: FlatArrays, grads, learning_rate: float, lam: float,
     of the named matrices onto the ball of radius lam.
 
     ``params`` are views of one parameter vector, such as
-    ``Classifier.trainable_params()`` or ``FlatArrays.of(arrays)``; ``grads``
-    maps each of their names to its gradient. The update is one scaled add
-    per run of parameters that lie back to back in the vector, read straight
-    from the gradient vector when ``grads`` has the same layout.
+    ``Classifier.trainable_params()``; ``grads`` maps each of their names to
+    its gradient. The update is one scaled add per run of parameters that
+    lie back to back in the vector, read straight from the gradient vector
+    when ``grads`` has the same layout.
 
     Raises DivergenceError, naming the parameter, on a non-finite gradient;
     every gradient is checked before any parameter moves.
@@ -207,8 +207,8 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
     parameter vector is laid out first and every part is built on its views
     of it: a new part's arrays are drawn straight into them, each part from
     its own seed stream (``init_tower``, ``init_head``, ``init_softmax_head``),
-    and a warm tower's are copied in, so no part array exists outside the
-    vector.
+    and a warm tower's are copied in (the warm tower is only read), so no
+    part array exists outside the vector.
     """
     unimodal = config.mode in ("audio", "visual")
     slots = ((0,) if config.mode == "audio" else (1,)) if unimodal else (0, 1)
@@ -256,20 +256,18 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
             continue
         for name, a in warm[slot].param_arrays().items():
             np.copyto(view[name], a)
-        stack = list(view.values())  # in layer_names order
-        towers.append(MlpTower(dims, stack[0::2], stack[1::2]))
+        towers.append(MlpTower.from_arrays(view))
     view = views[-1]
     if kind == "bilinear":
         head = init_head(config.variant, *features, num_classes, config.fused_dim, tree,
                          _child_seed(config.seed, _SEED_HEAD), scale, config.lam, out=view)
     else:
-        top = None if top_dims is None else init_tower(
-            top_dims, _child_seed(config.seed, _SEED_TOP), scale,
-            out={k: view[f"{TOP}.{k}"] for k in layer_shapes(top_dims)})
+        if top_dims is not None:
+            init_tower(top_dims, _child_seed(config.seed, _SEED_TOP), scale,
+                       out={k: view[f"{TOP}.{k}"] for k in layer_shapes(top_dims)})
         head = init_softmax_head(out_in, num_classes, _child_seed(config.seed, _SEED_OUT),
-                                 scale, top, out=view)
-    return Classifier(kind, towers, head, inputs=slots, seed=config.seed, arch=config.arch,
-                      params=params)
+                                 scale, out=view)
+    return Classifier(kind, towers, head, params, slots, seed=config.seed, arch=config.arch)
 
 
 def train_model(model, config: TrainConfig, train_set: Dataset,

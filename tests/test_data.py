@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bimodalnet import data as data_module
-from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree, init_head
+from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree
 from bimodalnet.data import (
     Dataset,
     FormatError,
@@ -20,8 +20,6 @@ from bimodalnet.data import (
     save_dataset,
     save_model,
 )
-from bimodalnet.fusion import Classifier
-from bimodalnet.mlp import init_tower
 from bimodalnet.training import TrainConfig, build_model
 from tests.conftest import no_unclosed_files
 
@@ -406,8 +404,10 @@ class TestModelRoundTrip:
     @pytest.mark.parametrize("variant", [FULL, FACTORED])
     def test_head_without_a_label_tree(self, tmp_path, variant):
         # an unshared head may have no tree: its header has no groups or group_of
-        towers = [init_tower((5, 4), 0), init_tower((6, 4), 1)]
-        model = Classifier("bilinear", towers, init_head(variant, 4, 4, 4, fused_dim=2, seed=2))
+        cfg = TrainConfig(mode="bilinear", variant=variant, dims_a=(5, 4), dims_v=(6, 4),
+                          fused_dim=2, epochs=0, seed=2)
+        model = build_model(cfg, 5, 6, 4)
+        assert model.head.tree is None
         path = tmp_path / "treeless.model"
         save_model(model, path)
         assert b"group" not in path.read_bytes().partition(b"\nbinary\n")[0]

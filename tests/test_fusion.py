@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimodalnet.bilinear import LabelTree
+from bimodalnet.bilinear import BilinearHead, LabelTree
 from bimodalnet.data import SynthSpec, generate_synthetic, load_model, save_model
 from bimodalnet.fusion import (
     KINDS,
     Classifier,
     Ensemble,
+    SoftmaxHead,
     fuse_features,
     init_softmax_head,
+    part_views,
+    softmax_head_shapes,
 )
-from bimodalnet.linalg import ShapeError
-from bimodalnet.mlp import MlpTower, forward, init_tower, sigmoid
+from bimodalnet.linalg import FlatArrays, ShapeError
+from bimodalnet.mlp import MlpTower, forward, init_tower
 from bimodalnet.training import TrainConfig, build_model, train_model
 from tests.test_data import _model_zoo
 
@@ -168,9 +171,10 @@ class TestFusedKind:
     def test_top_dim_validation(self):
         tower_a = init_tower([4, 3], seed=0)
         tower_v = init_tower([5, 3], seed=1)
-        head = init_softmax_head(6, 4, seed=2, top=init_tower([7, 6], seed=3))
+        head = SoftmaxHead(np.zeros((6, 4)), np.zeros(4), init_tower([7, 6], seed=3))
+        # the composition is checked before the parameter vector
         with pytest.raises(ShapeError):
-            Classifier("fused", [tower_a, tower_v], head)
+            Classifier("fused", [tower_a, tower_v], head, params=FlatArrays.empty({}))
 
 
 class TestParameterVector:
@@ -277,11 +281,14 @@ class TestParameterVector:
         assert set(grads) == {"tower_a.W0", "tower_a.b0", "out.W", "out.b"}
         assert np.abs(grads["tower_a.W0"]).sum() > 0
 
-
-def _stacks(model):
-    """The sigmoid stacks of ``model``: its towers, then its head's ``top``."""
-    top = getattr(model.head, "top", None)
-    return list(model.towers) + ([top] if top is not None else [])
+    def test_frozen_refuses_a_name_that_is_not_a_parameter(self):
+        train, _ = tiny_dataset()
+        cfg = TrainConfig(mode="fused", dims_a=(4, 3), dims_v=(5, 3), epochs=0, seed=0)
+        model = build_model(cfg, 4, 5, 4, train.tree)
+        before = model.frozen
+        with pytest.raises(ValueError, match=r"^no parameter 'towr_v\.W0' to freeze$"):
+            model.frozen = {"tower_a.W0", "towr_v.W0"}
+        assert model.frozen == before
 
 
 class TestParts:
@@ -305,27 +312,76 @@ class TestParts:
                 assert named == [(k, id(a)) for k, a in model.head.param_arrays().items()
                                  if k.startswith("top.")], tag
 
-    def test_bound_stack_computes_with_the_arrays(self, rng):
+    def test_each_part_is_built_from_its_arrays(self, rng):
+        # from_arrays is the inverse of param_arrays: the part it builds holds
+        # the very arrays, so a classifier takes it on the same vector
+        x1, x2 = rng.standard_normal((3, 5)), rng.standard_normal((3, 6))
         for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
-            for stack in _stacks(model):
-                arrays = {k: rng.standard_normal(a.shape)
-                          for k, a in stack.param_arrays().items()}
-                stack.bind(arrays)
-                assert all(stack.param_arrays()[k] is a for k, a in arrays.items()), tag
-                x = rng.standard_normal((3, stack.input_dim))
-                h = x
-                for l in range(stack.num_layers):
-                    h = sigmoid(h @ arrays[f"W{l}"] + arrays[f"b{l}"])
-                assert np.array_equal(forward(stack, x).features, h), tag
+            towers = [MlpTower.from_arrays(t.param_arrays()) for t in model.towers]
+            head = model.head
+            if isinstance(head, BilinearHead):
+                again = BilinearHead.from_arrays(head.variant, head.param_arrays(), head.lam,
+                                                 head.tree)
+            else:
+                again = SoftmaxHead.from_arrays(head.param_arrays())
+            for part, built in zip(model.towers + [head], towers + [again]):
+                assert type(built) is type(part), tag
+                held, given = built.param_arrays(), part.param_arrays()
+                assert list(held) == list(given), tag
+                assert all(held[k] is a for k, a in given.items()), tag
+            for tower, built, slot in zip(model.towers, towers, model.inputs):
+                x = (x1, x2)[slot]
+                assert forward(built, x).features.tobytes() == forward(tower, x).features.tobytes()
+            rebuilt = Classifier(model.kind, towers, again, params=model.params(),
+                                 inputs=model.inputs)
+            assert (rebuilt.posterior_batch(x1, x2).tobytes()
+                    == model.posterior_batch(x1, x2).tobytes()), tag
 
 
 class TestRefusedComposition:
     @pytest.mark.parametrize("inputs", [(2,), (-1,), (0, 1, 2)])
     def test_input_slot_outside_0_and_1(self, inputs):
         towers = [init_tower((5, 4), 0)]
+        # the composition is checked before the parameter vector
         with pytest.raises(ValueError, match=rf"^input slots must be 0 or 1, got "
                                              rf"{re.escape(str(inputs))}$"):
-            Classifier("unimodal", towers, init_softmax_head(4, 3, 1), inputs)
+            Classifier("unimodal", towers, init_softmax_head(4, 3, 1),
+                       params=FlatArrays.empty({}), inputs=inputs)
+
+    @pytest.mark.parametrize("kind,towers,inputs", [
+        ("unimodal", 2, None),
+        ("fused", 1, None),
+        ("fused", 2, (0,)),
+        ("unimodal", 1, (0, 1)),
+    ])
+    def test_tower_count_and_input_slots_follow_the_kind(self, kind, towers, inputs):
+        # a unimodal model of two towers would hold no head arrays, and a
+        # fused one of one slot would fail in its first matmul
+        parts = [init_tower((5, 4), 0), init_tower((6, 4), 1)][:towers]
+        head = init_softmax_head(4 * towers, 3, 2)
+        expected = len(KINDS[kind].towers)
+        got = tuple(range(towers)) if inputs is None else inputs
+        with pytest.raises(ValueError, match=rf"^a {kind} classifier takes {expected} "
+                                             rf"tower\(s\), one per input slot; got "
+                                             rf"{towers} and slots {re.escape(str(got))}$"):
+            Classifier(kind, parts, head, params=FlatArrays.empty({}), inputs=inputs)
+
+    def test_a_tower_of_another_model_is_refused_and_stays_in_it(self, rng):
+        cfg = TrainConfig(mode="bilinear", variant="factored-shared",
+                          dims_a=(4, 3), dims_v=(5, 3), fused_dim=2, epochs=0, seed=1)
+        bil = build_model(cfg, 4, 5, 4, LabelTree.balanced(4, 2))
+        towers = [bil.tower1, bil.tower2]
+        shapes = [{k: a.shape for k, a in t.param_arrays().items()} for t in towers]
+        params, views = part_views("fused", shapes + [softmax_head_shapes(6, 4)])
+        head = init_softmax_head(6, 4, 3, out=views[-1])
+        with pytest.raises(ValueError, match=r"^array 'tower_a\.W0' is not view 0 of params"):
+            Classifier("fused", towers, head, params=params)
+        # bil keeps its towers: they still compute with its parameter vector
+        assert np.shares_memory(bil.tower1.weights[0], bil.params().flat)
+        x1, x2 = rng.standard_normal((3, 4)), rng.standard_normal((3, 5))
+        before = bil.posterior_batch(x1, x2)
+        bil.params()["tower1.W0"] += 1.0
+        assert not np.array_equal(bil.posterior_batch(x1, x2), before)
 
     @pytest.mark.parametrize("group_of", [[0, 1, 0, 1], [0, 0, 0, 1]])
     def test_members_that_disagree_on_the_label_tree(self, group_of):

@@ -17,7 +17,7 @@ from bimodalnet.data import (
     open_dataset,
     save_dataset,
 )
-from bimodalnet.fusion import Classifier, Ensemble, SoftmaxHead
+from bimodalnet.fusion import Ensemble
 from bimodalnet.linalg import FlatArrays, frobenius_norm
 from bimodalnet.mlp import init_tower
 from bimodalnet.training import (
@@ -468,8 +468,10 @@ class TestTrainJoint:
             if name.startswith(("tower1.", "tower2.")) or
             name in ("head.U1", "head.U2", "head.w")
         )
-        head = SoftmaxHead(np.zeros((6, 2)), np.zeros(2))
-        fused = Classifier("fused", [bil.tower1.copy(), bil.tower2.copy()], head)
+        fused = build_model(TrainConfig(mode="fused"), 6, 6, 2, train.tree,
+                            warm_towers=(bil.tower1, bil.tower2))
+        fused.head.weights[:] = 0.0
+        fused.head.bias[:] = 0.0
         train_model(bil, cfg, train)
         train_model(fused, cfg, train)
         p_bil = bil.posterior_batch(train.x1[:20], train.x2[:20])
