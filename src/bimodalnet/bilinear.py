@@ -39,19 +39,14 @@ import numpy as np
 # perfbench's spans time Classifier.loglik_and_grads through this name; as it is the
 # class that defines the method, the tracer puts back exactly what it patched
 from .fusion import Classifier as BilinearClassifier  # noqa: F401
-from .linalg import ShapeError, as_ints, as_vector, row_blocks
+from .linalg import LEAF_PIECE_BYTES, ShapeError, as_ints, as_vector, leaf_pieces
 from .mlp import backward, forward  # noqa: F401  bound here only for perfbench's span-wiring test
-from .mlp import init_params, softmax, target_delta
+from .mlp import init_arrays, softmax, target_delta
 
 FULL = "full"
 FACTORED = "factored"
 FACTORED_SHARED = "factored-shared"
 VARIANTS = (FULL, FACTORED, FACTORED_SHARED)
-
-# Most bytes of the (rows, C) product f @ V that ``_leaf_logits`` adds into
-# the logits at a time: half of a 2 MiB L2 cache, so each piece is added
-# while it is still in cache, and a read holds no second leaf-width array.
-LEAF_PIECE_BYTES = 1 << 20
 
 
 class VariantError(ValueError):
@@ -214,6 +209,9 @@ class BilinearHead:
     def probabilities(self, features) -> np.ndarray:
         return posterior_batch(self, *features)
 
+    def add_probabilities(self, features, total) -> None:
+        add_posterior(self, *features, total)
+
     def gradients(self, features, targets, scale: float, out=None, input_delta: bool = True):
         """(probs, gradients by array name, error signal for each tower); the
         gradients are written into the arrays of ``out`` when given. Without
@@ -257,12 +255,10 @@ def init_head(variant: str, dim1: int, dim2: int, num_classes: int,
     """A head whose arrays follow the init rule (``mlp.init_params``): seeded
     uniform [-scale, scale] weights, drawn in payload order (the bilinear
     arrays, then V1 and V2), and zero biases. The arrays are drawn into
-    ``out``, keyed as in ``head_shapes``, when given, else into new ones."""
-    if out is None:
-        shapes = head_shapes(variant, dim1, dim2, num_classes, fused_dim, tree)
-        out = {name: np.empty(shape) for name, shape in shapes.items()}
-    init_params(out, seed, scale)
-    return BilinearHead.from_arrays(variant, out, lam, tree)
+    ``out``, keyed as in ``head_shapes`` and of those shapes, when given,
+    else into new ones (``mlp.init_arrays``)."""
+    shapes = head_shapes(variant, dim1, dim2, num_classes, fused_dim, tree)
+    return BilinearHead.from_arrays(variant, init_arrays(shapes, seed, scale, out), lam, tree)
 
 
 def materialize_w(head: BilinearHead, leaf: int) -> np.ndarray:
@@ -281,9 +277,9 @@ def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray):
 
     The logits are built in the one (B, C) array returned, term by term in
     a fixed order: first the bilinear term, then f1 @ V1, f2 @ V2 and b.
-    The last three are added in ``row_blocks`` whose f @ V product stays
-    under LEAF_PIECE_BYTES, so no (B, C) temporary exists beside the
-    logits; a batch that fits one piece is added whole.
+    The last three are added in ``leaf_pieces``, so no (B, C) temporary
+    exists beside the logits; a batch that fits one piece is added whole,
+    with no slicing.
     """
     a1 = a2 = None
     if head.variant == FULL:
@@ -296,17 +292,17 @@ def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray):
             # G distinct bilinear columns: score groups, then copy to leaves
             logits = np.take(logits, head.tree.group_of, axis=1)
     if logits.nbytes <= LEAF_PIECE_BYTES:
-        logits += f1 @ head.v1
-        logits += f2 @ head.v2
-        logits += head.b
+        _add_linear_terms(head, logits, f1, f2)
         return logits, a1, a2
-    most = max(1, LEAF_PIECE_BYTES // (8 * head.num_classes))
-    for start, stop in row_blocks(logits.shape[0], most):
-        piece = logits[start:stop]
-        piece += f1[start:stop] @ head.v1
-        piece += f2[start:stop] @ head.v2
-        piece += head.b
+    for start, stop in leaf_pieces(*logits.shape):
+        _add_linear_terms(head, logits[start:stop], f1[start:stop], f2[start:stop])
     return logits, a1, a2
+
+
+def _add_linear_terms(head: BilinearHead, logits, f1, f2) -> None:
+    logits += f1 @ head.v1
+    logits += f2 @ head.v2
+    logits += head.b
 
 
 def posterior_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -315,6 +311,36 @@ def posterior_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray) -> np.nd
     ``check_features`` holds when the head is put under its towers."""
     logits = _leaf_logits(head, f1, f2)[0]
     return softmax(logits, out=logits)
+
+
+def add_posterior(head: BilinearHead, f1: np.ndarray, f2: np.ndarray,
+                  total: np.ndarray) -> None:
+    """Add ``posterior_batch(head, f1, f2)`` into ``total`` (B, C), bit for
+    bit, one ``leaf_pieces`` piece of rows at a time, so no (B, C) array is
+    formed beside ``total``.
+
+    The product a1 * a2 of f1 @ U1 and f2 @ U2 and the shared variant's
+    (B, G) group scores are formed once for the whole batch, as
+    ``_leaf_logits`` forms them: a group-width product of fewer rows may
+    round differently. The leaf-width bilinear term is formed per piece.
+    """
+    if head.variant != FULL:
+        scores = f1 @ head.u1
+        scores *= f2 @ head.u2  # a1 * a2, in one (B, F) array
+        if head.variant == FACTORED_SHARED:
+            scores = scores @ head.w  # the (B, G) group scores
+    for start, stop in leaf_pieces(len(f1), head.num_classes):
+        p1, p2 = f1[start:stop], f2[start:stop]
+        if head.variant == FULL:
+            logits = np.einsum("bi,cij,bj->bc", p1, head.w_stack, p2, optimize=True)
+        elif head.variant == FACTORED_SHARED:
+            logits = np.take(scores[start:stop], head.tree.group_of, axis=1)
+        else:
+            logits = scores[start:stop] @ head.w
+        _add_linear_terms(head, logits, p1, p2)
+        piece = total[start:stop]
+        piece += softmax(logits, out=logits)
+        del logits  # freed before the next piece forms its own
 
 
 def posterior(head: BilinearHead, v1, v2) -> np.ndarray:

@@ -16,13 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import FlatArrays, ShapeError
+from .linalg import FlatArrays, ShapeError, leaf_pieces
 from .mlp import (
     DEFAULT_INIT_SCALE,
     MlpTower,
     backward,
     forward,
-    init_params,
+    forward_features,
+    init_arrays,
     layer_names,
     layer_shapes,
     log_likelihoods,
@@ -84,18 +85,34 @@ class SoftmaxHead:
         return cls(arrays[f"{OUT}.W"], arrays[f"{OUT}.b"],
                    MlpTower.from_arrays(top, _finite) if top else None)
 
+    def _output(self, feats) -> np.ndarray:
+        """softmax(feats W + b), formed in the one logits array."""
+        logits = feats @ self.weights
+        logits += self.bias
+        return softmax(logits, out=logits)
+
     def _forward(self, features):
         """(top trace or None, features under W, probabilities)."""
         feats = fuse_features(features)
         trace = forward(self.top, feats) if self.top is not None else None
         if trace is not None:
             feats = trace.features
-        logits = feats @ self.weights
-        logits += self.bias
-        return trace, feats, softmax(logits, out=logits)
+        return trace, feats, self._output(feats)
 
     def probabilities(self, features) -> np.ndarray:
         return self._forward(features)[2]
+
+    def add_probabilities(self, features, total) -> None:
+        """Add ``probabilities(features)`` into ``total`` (B, C), bit for bit,
+        one ``leaf_pieces`` piece of rows at a time, so no (B, C) array is
+        formed beside ``total``. Each piece's features are fused, and run
+        through the top stack, on their own."""
+        for start, stop in leaf_pieces(len(total), self.num_classes):
+            feats = fuse_features([f[start:stop] for f in features])
+            if self.top is not None:
+                feats = forward_features(self.top, feats)
+            piece = total[start:stop]
+            piece += self._output(feats)
 
     def gradients(self, features, targets, scale: float, out=None, input_delta: bool = True):
         """(probs, gradients by parameter name, error signal for each tower),
@@ -138,14 +155,11 @@ def init_softmax_head(input_dim: int, num_classes: int, seed,
     """A head whose W and b follow the init rule (``mlp.init_params``): seeded
     uniform [-scale, scale] weights, zero biases; ``input_dim`` is the width
     of the features under W. They are drawn into the ``out.W`` and ``out.b``
-    arrays of ``out``, keyed as in ``softmax_head_shapes``, when given (its
-    ``top.`` arrays, their own part of the init, are the head's top stack),
-    else into new ones."""
-    if out is None:
-        shapes = softmax_head_shapes(input_dim, num_classes)
-        out = {name: np.empty(shape) for name, shape in shapes.items()}
-    init_params({name: out[name] for name in (f"{OUT}.W", f"{OUT}.b")}, seed, scale)
-    return SoftmaxHead.from_arrays(out, _finite=True)
+    arrays of ``out``, keyed as in ``softmax_head_shapes`` and of those
+    shapes, when given (its ``top.`` arrays, their own part of the init, are
+    the head's top stack), else into new ones (``mlp.init_arrays``)."""
+    drawn = init_arrays(softmax_head_shapes(input_dim, num_classes), seed, scale, out)
+    return SoftmaxHead.from_arrays(drawn if out is None else out, _finite=True)
 
 
 class Classifier:
@@ -251,6 +265,16 @@ class Classifier:
         caller owns and may write into."""
         return self.head.probabilities([tr.features for tr in self._traces(x1, x2)])
 
+    def add_posterior(self, x1, x2, total: np.ndarray) -> None:
+        """Add the posteriors of the input rows, bit for bit those of
+        ``posterior_batch``, into ``total`` (B, C), one ``leaf_pieces`` piece
+        at a time. The towers keep only their features (``forward_features``)
+        and the head forms one piece of posteriors at a time, so no (B, C)
+        array exists beside ``total``."""
+        xs = (x1, x2)
+        self.head.add_probabilities([forward_features(tower, xs[slot]) for tower, slot
+                                     in zip(self.towers, self.inputs)], total)
+
     def params(self) -> FlatArrays:
         """Every parameter array, as views of the model's parameter vector."""
         return self._params
@@ -332,10 +356,10 @@ class Ensemble:
     and, among those whose posteriors use one, the same label tree: ``tree``,
     which is None when no member uses one.
 
-    A member's ``posterior_batch`` returns a fresh array the caller owns, but
-    the ensemble never writes into one: it sums the members' posteriors, in
-    member order, into one leaf-width accumulator of its own, so a read
-    holds that accumulator and one member's posterior at a time.
+    A read holds one leaf-width block, the ensemble's accumulator: each
+    member, in member order, adds its posteriors into it a leaf piece at a
+    time (``add_posterior``), so beside it a read holds one member's tower
+    features and leaf-width pieces of at most ``LEAF_PIECE_BYTES``.
     """
 
     kind = "ensemble"
@@ -365,11 +389,11 @@ class Ensemble:
 
     def posterior_batch(self, x1, x2) -> np.ndarray:
         """Mean member posterior, renormalised per row; bit-identical to
-        ``np.stack(posteriors).mean(axis=0)`` followed by the division."""
-        members = iter(self.members)
-        total = np.array(next(members).posterior_batch(x1, x2), dtype=np.float64)
-        for m in members:
-            total += m.posterior_batch(x1, x2)
+        ``np.stack(posteriors).mean(axis=0)`` followed by the division, as
+        the accumulator starts at zero and 0 + p is p for every probability."""
+        total = np.zeros((len(x1), self.num_classes))
+        for m in self.members:
+            m.add_posterior(x1, x2, total)
         total /= len(self.members)
         total /= total.sum(axis=-1, keepdims=True)
         return total

@@ -21,8 +21,15 @@ __all__ = [
     "as_vector",
     "frobenius_norm",
     "frobenius_project",
+    "leaf_pieces",
     "row_blocks",
 ]
+
+# Most bytes of one (rows, C) float64 piece of a leaf-width product, such as
+# f @ V, that a head forms at a time: half of a 2 MiB L2 cache, so each piece
+# is used while it is still in cache, and a read holds no second leaf-width
+# array.
+LEAF_PIECE_BYTES = 1 << 20
 
 
 class ShapeError(ValueError):
@@ -91,6 +98,12 @@ def row_blocks(n: int, most: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def leaf_pieces(rows: int, num_classes: int) -> list[tuple[int, int]]:
+    """The ``row_blocks`` of ``rows`` rows whose (piece, num_classes) float64
+    arrays hold at most LEAF_PIECE_BYTES, or one row when a row holds more."""
+    return row_blocks(rows, max(1, LEAF_PIECE_BYTES // (8 * num_classes)))
+
+
 class FlatArrays(Mapping):
     """Named float64 arrays that are consecutive views of one vector ``flat``.
 
@@ -118,14 +131,6 @@ class FlatArrays(Mapping):
         self._views = {name: flat[start:stop].reshape(shapes[name])
                        for name, (start, stop) in self.layout.items()}
         self.runs = self._runs()
-
-    @classmethod
-    def of(cls, arrays) -> "FlatArrays":
-        """Views of a new vector holding copies of ``arrays``, in their order."""
-        packed = cls.empty({name: np.shape(a) for name, a in arrays.items()})
-        for name, a in arrays.items():
-            packed[name] = a
-        return packed
 
     @classmethod
     def empty(cls, shapes) -> "FlatArrays":

@@ -10,21 +10,23 @@ the tower's feature vector ``v_L``, consumed by a classifier head (see
 
 The forward pass keeps every post-activation ``h_l``; the backward pass
 takes sigma'(u_l) = h_l (1 - h_l) from them, so training evaluates one
-sigmoid per layer.
+sigmoid per layer. A read that needs only the features takes them from
+``forward_features``, which keeps one layer's activations at a time.
 
-``forward`` accepts a single input (1-D) or a batch of row vectors (2-D);
-``backward`` takes batch rows only. A tower holds the very arrays it is
-built from (``MlpTower.from_arrays``), with no copy. No function writes to
-its arguments, with five exceptions: ``init_params``
-fills the arrays it is given, and the other four write through an ``out``
-argument. ``init_tower`` draws its arrays into ``out`` when it is given one
-(a model build passes views of its parameter vector); ``backward`` writes
-its gradients into ``out`` when it is given one, the stack's gradient
-arrays in ``layer_names`` order (a classifier passes views of its gradient
-vector); ``softmax`` writes its result into ``out``, which may be the
-logits array itself (a head normalises the logits it owns in place); and
-``sigmoid`` writes into ``out``, which may be its input (``forward``
-activates the pre-activation it allocated in place). Every other in-place
+``forward`` and ``forward_features`` accept a single input (1-D) or a
+batch of row vectors (2-D); ``backward`` takes batch rows only. A tower
+holds the very arrays it is built from (``MlpTower.from_arrays``), with no
+copy. No function writes to its arguments, with six exceptions:
+``init_params`` fills the arrays it is given, and the other five write
+through an ``out`` argument. ``init_arrays`` and ``init_tower`` draw their
+arrays into ``out`` when given one (a model build passes views of its
+parameter vector); ``backward`` writes its gradients into ``out`` when it
+is given one, the stack's gradient arrays in ``layer_names`` order (a
+classifier passes views of its gradient vector); ``softmax`` writes its
+result into ``out``, which may be the logits array itself (a head
+normalises the logits it owns in place); and ``sigmoid`` writes into
+``out``, which may be its input (a forward pass activates the
+pre-activation it allocated in place). Every other in-place
 operation acts on a buffer the function allocated itself.
 """
 
@@ -198,36 +200,66 @@ def init_params(arrays, seed, scale: float = DEFAULT_INIT_SCALE) -> None:
         a += low
 
 
+def init_arrays(shapes, seed, scale: float = DEFAULT_INIT_SCALE,
+                out=None) -> dict[str, np.ndarray]:
+    """Arrays of ``shapes``, by name and in that order, filled by the init
+    rule (``init_params``): the arrays of ``out`` with those names when
+    ``out`` is given, else new ones. An array of ``out`` whose shape is not
+    its shape in ``shapes`` is a ShapeError naming it, raised before any
+    array is filled."""
+    if out is None:
+        arrays = {name: np.empty(shape) for name, shape in shapes.items()}
+    else:
+        arrays = {name: out[name] for name in shapes}
+        for name, shape in shapes.items():
+            if arrays[name].shape != tuple(shape):
+                raise ShapeError(f"out array {name!r} has shape {arrays[name].shape}, "
+                                 f"expected {tuple(shape)}")
+    init_params(arrays, seed, scale)
+    return arrays
+
+
 def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE,
                out=None) -> MlpTower:
     """A tower whose arrays follow the init rule (``init_params``): seeded
     uniform [-scale, scale] weights, zero biases.
 
-    The arrays are drawn into ``out``, keyed as in ``layer_shapes``, when
-    given (a model build passes views of its parameter vector), else into
-    new ones. Identical (layer_dims, seed, scale) give a bit-identical tower.
+    The arrays are drawn into ``out``, keyed as in ``layer_shapes`` and of
+    those shapes, when given (a model build passes views of its parameter
+    vector), else into new ones (``init_arrays``). Identical (layer_dims,
+    seed, scale) give a bit-identical tower.
     """
-    if out is None:
-        out = {name: np.empty(shape) for name, shape in layer_shapes(layer_dims).items()}
-    init_params(out, seed, scale)
-    return MlpTower.from_arrays(out, _finite=True)
+    return MlpTower.from_arrays(init_arrays(layer_shapes(layer_dims), seed, scale, out),
+                                _finite=True)
 
 
-def forward(tower: MlpTower, x) -> ForwardTrace:
-    """Run the tower, keeping every post-activation for the backward pass."""
-    x = np.asarray(x, dtype=np.float64)
+def _activations(tower: MlpTower, x):
+    """The tower's post-activations of ``x``, one layer at a time."""
     if x.shape[-1] != tower.input_dim:
         raise ShapeError(
             f"input dim {x.shape[-1]} does not match tower input {tower.input_dim}"
         )
-    post = []
     h = x
     for w, b in zip(tower.weights, tower.biases):
         u = h @ w
         u += b
         h = sigmoid(u, out=u)
-        post.append(h)
-    return ForwardTrace(x, post)
+        yield h
+
+
+def forward(tower: MlpTower, x) -> ForwardTrace:
+    """Run the tower, keeping every post-activation for the backward pass."""
+    x = np.asarray(x, dtype=np.float64)
+    return ForwardTrace(x, list(_activations(tower, x)))
+
+
+def forward_features(tower: MlpTower, x) -> np.ndarray:
+    """The tower's last post-activation of ``x``, bit for bit
+    ``forward(tower, x).features``; each layer's is dropped once the next
+    is formed."""
+    for h in _activations(tower, np.asarray(x, dtype=np.float64)):
+        pass
+    return h
 
 
 def backward(tower: MlpTower, trace: ForwardTrace, delta_top,

@@ -12,7 +12,6 @@ from bimodalnet.bilinear import (
     FACTORED,
     FACTORED_SHARED,
     FULL,
-    LEAF_PIECE_BYTES,
     VARIANTS,
     BilinearHead,
     LabelTree,
@@ -23,7 +22,7 @@ from bimodalnet.bilinear import (
     posterior,
     posterior_batch,
 )
-from bimodalnet.linalg import ShapeError
+from bimodalnet.linalg import LEAF_PIECE_BYTES, ShapeError
 from bimodalnet.mlp import softmax, target_delta
 from bimodalnet.training import TrainConfig, build_model, grad_check
 from tests.conftest import finite_difference, max_rel_error
@@ -211,6 +210,16 @@ class TestLeafLogitPieces:
             assert np.array_equal(got[1][name], expected[1][name]), name
         assert np.array_equal(got[2], expected[2]) and np.array_equal(got[3], expected[3])
 
+    @pytest.mark.parametrize("rows", BATCHES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_added_posteriors_are_posterior_batch(self, heads, variant, rows):
+        # 0 + p is p, so adding into zeros gives the posteriors themselves
+        head = heads[variant]
+        f1, f2, _ = self._batch(head, rows)
+        total = np.zeros((rows, 1328))
+        bilinear.add_posterior(head, f1, f2, total)
+        assert np.array_equal(total, posterior_batch(head, f1, f2))
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_no_second_leaf_width_array(self, heads, variant):
         head = heads[variant]
@@ -244,6 +253,21 @@ def test_init_head_draws_in_payload_order(variant):
     for arr, want in zip(got, expected):
         assert np.array_equal(arr, want)
     assert np.array_equal(got[-1], np.zeros(c))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_init_head_refuses_an_out_of_other_shapes(variant):
+    # the arrays of a head with dims (5, 4), asked for one with dims (3, 4):
+    # the first array whose shape differs is named, and nothing is drawn
+    tree = LabelTree.balanced(6, 3)
+    given, wanted = (bilinear.head_shapes(variant, k1, 4, 6, fused_dim=2, tree=tree)
+                     for k1 in (5, 3))
+    out = {name: np.zeros(shape) for name, shape in given.items()}
+    name = next(n for n in wanted if wanted[n] != given[n])
+    with pytest.raises(ShapeError, match="^" + re.escape(
+            f"out array {name!r} has shape {given[name]}, expected {wanted[name]}") + "$"):
+        init_head(variant, 3, 4, 6, fused_dim=2, tree=tree, seed=1, out=out)
+    assert not any(a.any() for a in out.values())
 
 
 class TestMaterialize:

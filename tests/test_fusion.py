@@ -18,7 +18,7 @@ from bimodalnet.fusion import (
     part_views,
     softmax_head_shapes,
 )
-from bimodalnet.linalg import FlatArrays, ShapeError
+from bimodalnet.linalg import FlatArrays, ShapeError, leaf_pieces
 from bimodalnet.mlp import MlpTower, forward, init_tower
 from bimodalnet.training import TrainConfig, build_model, train_model
 from tests.test_data import _model_zoo
@@ -71,6 +71,9 @@ class ConstantMember:
     def posterior_batch(self, x1, x2):
         return np.tile(self.p, (len(x1), 1))
 
+    def add_posterior(self, x1, x2, total):
+        total += self.p
+
 
 class StoredMember:
     """Ensemble member returning the same stored posterior array on every call."""
@@ -81,6 +84,9 @@ class StoredMember:
 
     def posterior_batch(self, x1, x2):
         return self.probs
+
+    def add_posterior(self, x1, x2, total):
+        total += self.probs
 
 
 def stacked_reference(posteriors):
@@ -291,6 +297,15 @@ class TestParameterVector:
         assert model.frozen == before
 
 
+def test_init_softmax_head_refuses_an_out_of_other_shapes():
+    # the arrays of a 4-class head, asked for a 3-class one
+    out = {"out.W": np.zeros((6, 4)), "out.b": np.zeros(4)}
+    with pytest.raises(ShapeError, match=r"^out array 'out.W' has shape \(6, 4\), "
+                                         r"expected \(6, 3\)$"):
+        init_softmax_head(6, 3, 1, out=out)
+    assert not out["out.W"].any()
+
+
 class TestParts:
     """A classifier's parameters are its parts' ``param_arrays``, each under
     its prefix: the towers in kind order, then the head, whose ``top`` stack
@@ -431,3 +446,46 @@ class TestEnsemble:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Ensemble([])
+
+
+class TestPaperShapeEnsemble:
+    """At the paper's shapes an ensemble read adds each member's posteriors
+    into its accumulator a leaf piece at a time, from the towers' features
+    alone, and gives the mean of the members' whole-block posteriors bit for
+    bit."""
+
+    ROWS = 373  # an evaluation block of a 4,096-row split at C=1328
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        tree = LabelTree(np.arange(1328) * 42 // 1328, 42)
+        common = dict(dims_a=(360, 500, 200), dims_v=(540, 500, 200), epochs=0,
+                      init_scale=0.1)
+        configs = [TrainConfig(mode="bilinear", variant="factored-shared", fused_dim=200,
+                               seed=1, **common),
+                   TrainConfig(mode="bilinear", variant="factored", fused_dim=200, seed=2,
+                               **common),
+                   TrainConfig(mode="fused", fusion_top=(200,), seed=3, **common),
+                   TrainConfig(mode="audio", seed=4, **common)]
+        return [build_model(cfg, 360, 540, 1328, tree) for cfg in configs]
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        rng = np.random.default_rng(5)
+        return rng.standard_normal((self.ROWS, 360)), rng.standard_normal((self.ROWS, 540))
+
+    def test_block_spans_several_pieces(self):
+        assert len(leaf_pieces(self.ROWS, 1328)) == 4
+
+    def test_mean_is_the_stacked_mean_of_whole_block_posteriors(self, members, block):
+        expected = stacked_reference([m.posterior_batch(*block) for m in members])
+        assert np.array_equal(Ensemble(members).posterior_batch(*block), expected)
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_one_member_ensemble_is_its_member(self, members, block, i):
+        probs = members[i].posterior_batch(*block)
+        total = np.zeros_like(probs)
+        members[i].add_posterior(*block, total)
+        assert np.array_equal(total, probs)
+        assert np.array_equal(Ensemble(members[i:i + 1]).posterior_batch(*block),
+                              stacked_reference([probs]))

@@ -73,15 +73,6 @@ class TestFlatArrays:
         with pytest.raises(KeyError):
             arrays["c"] = np.zeros(1)
 
-    def test_of_packs_copies(self):
-        source = FlatArrays(np.arange(6.0), {"a": (2, 2), "b": (2,)})
-        arrays = dict(source)
-        packed = FlatArrays.of(arrays)
-        assert not any(np.shares_memory(packed.flat, a) for a in arrays.values())
-        assert list(packed) == list(arrays)
-        for name, a in arrays.items():
-            assert np.array_equal(packed[name], a)
-
     def test_select_shares_views_and_finds_runs(self):
         arrays = FlatArrays(np.zeros(10), {"a": (2,), "b": (3,), "c": (1,), "d": (4,)})
         assert arrays.runs == [(0, 10)]

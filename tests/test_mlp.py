@@ -13,6 +13,7 @@ from bimodalnet.mlp import (
     MlpTower,
     backward,
     forward,
+    forward_features,
     init_tower,
     log_likelihoods,
     sigmoid,
@@ -78,6 +79,13 @@ class TestInitTower:
         with pytest.raises(ValueError):
             init_tower(dims, seed=0)
 
+    def test_out_of_other_shapes_is_refused(self):
+        out = {"W0": np.zeros((3, 2)), "b0": np.zeros(2)}
+        with pytest.raises(ShapeError, match=r"^out array 'W0' has shape \(3, 2\), "
+                                             r"expected \(5, 4\)$"):
+            init_tower((5, 4), 0, out=out)
+        assert not out["W0"].any()  # refused before any draw
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("array", ["W0", "b0", "W1", "b1"])
     def test_non_finite_parameter_is_refused(self, array, value):
@@ -110,6 +118,14 @@ class TestForward:
         tower = init_tower([4, 3], seed=0)
         with pytest.raises(ShapeError):
             forward(tower, np.zeros(5))
+        with pytest.raises(ShapeError):
+            forward_features(tower, np.zeros(5))
+
+    @pytest.mark.parametrize("x_shape", [(4,), (1, 4), (7, 4)])
+    def test_features_alone_are_the_trace_features(self, rng, x_shape):
+        tower = init_tower([4, 5, 6, 3], seed=2, scale=0.5)
+        x = rng.standard_normal(x_shape)
+        assert forward_features(tower, x).tobytes() == forward(tower, x).features.tobytes()
 
     def test_batch_matches_single(self, rng):
         tower = init_tower([4, 5, 3], seed=2, scale=0.5)

@@ -79,18 +79,24 @@ print(json.dumps(seen))
 
 
 def test_rss_cycle_one_pass_of_train_small():
-    child = subprocess.run([sys.executable, os.path.join(SCRIPTS, "rss_cycle.py"),
-                            "--workload", "train-small", "--passes", "1"],
-                           stdout=subprocess.PIPE, text=True, timeout=300, check=True)
-    rows = [json.loads(line) for line in child.stdout.splitlines()]
-    assert [r["kind"] for r in rows] == ["train"] + ["eval", "ensemble"] * 8
-    assert all(r["pass"] == 0 and r["exit_code"] == 0 and r["seconds"] > 0 for r in rows)
-    assert all(isinstance(r["minor_faults"], int) and r["minor_faults"] >= 0 for r in rows)
-    peaks = [r["maxrss_mb"] for r in rows]
-    assert peaks[0] > 0 and peaks == sorted(peaks)
-    # the resident set after a command is at most the peak so far (the two
-    # are rounded apart, to 0.1 MiB)
-    assert all(0 < r["rss_mb"] <= r["maxrss_mb"] + 0.1 for r in rows)
+    for traced in (False, True):
+        child = subprocess.run([sys.executable, os.path.join(SCRIPTS, "rss_cycle.py"),
+                                "--workload", "train-small", "--passes", "1"]
+                               + ["--traced"] * traced,
+                               stdout=subprocess.PIPE, text=True, timeout=300, check=True)
+        rows = [json.loads(line) for line in child.stdout.splitlines()]
+        assert [r["kind"] for r in rows] == ["train"] + ["eval", "ensemble"] * 8
+        assert all(r["pass"] == 0 and r["exit_code"] == 0 and r["seconds"] > 0 for r in rows)
+        assert all(isinstance(r["minor_faults"], int) and r["minor_faults"] >= 0 for r in rows)
+        peaks = [r["maxrss_mb"] for r in rows]
+        assert peaks[0] > 0 and peaks == sorted(peaks)
+        # the resident set after a command is at most the peak so far (the
+        # two are rounded apart, to 0.1 MiB)
+        assert all(0 < r["rss_mb"] <= r["maxrss_mb"] + 0.1 for r in rows)
+        # with --traced, the bytes a command allocated are part of the peak
+        assert all(("traced_peak_mb" in r) == traced for r in rows)
+        if traced:
+            assert all(0 < r["traced_peak_mb"] <= r["maxrss_mb"] for r in rows)
 
 
 def _result(values, failed=0, attempted=20):

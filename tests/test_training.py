@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bimodalnet import training
-from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LEAF_PIECE_BYTES, LabelTree
+from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree
 from bimodalnet.data import (
     Dataset,
     SynthSpec,
@@ -18,7 +18,7 @@ from bimodalnet.data import (
     save_dataset,
 )
 from bimodalnet.fusion import Ensemble
-from bimodalnet.linalg import FlatArrays, frobenius_norm
+from bimodalnet.linalg import LEAF_PIECE_BYTES, FlatArrays, frobenius_norm
 from bimodalnet.mlp import init_tower
 from bimodalnet.training import (
     EVAL_BLOCK_BYTES,
@@ -38,21 +38,29 @@ from bimodalnet.training import (
 )
 
 
+def flat_arrays(arrays) -> FlatArrays:
+    """Views of a new vector holding copies of ``arrays``, in their order."""
+    packed = FlatArrays.empty({name: np.shape(a) for name, a in arrays.items()})
+    for name, a in arrays.items():
+        packed[name] = a
+    return packed
+
+
 class TestSgdStep:
     def test_single_ascent_step(self):
-        params = FlatArrays.of({"theta": np.array([1.0])})
+        params = flat_arrays({"theta": np.array([1.0])})
         sgd_step(params, {"theta": np.array([0.5])}, 0.1, 2.0)
         assert params["theta"][0] == pytest.approx(1.05, abs=1e-15)
 
     def test_projection_halves_norm(self):
         u = np.full((2, 2), 2.0)  # frobenius norm 4
-        params = FlatArrays.of({"head.U1": u})
+        params = flat_arrays({"head.U1": u})
         sgd_step(params, {"head.U1": np.zeros((2, 2))}, 0.1, 2.0,
                  project=("head.U1",))
         assert frobenius_norm(params["head.U1"]) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_gradient_fixed_point(self):
-        params = FlatArrays.of({"a": np.array([1.0, -2.0]), "head.U1": np.full((1, 2), 0.1)})
+        params = flat_arrays({"a": np.array([1.0, -2.0]), "head.U1": np.full((1, 2), 0.1)})
         before = {k: v.copy() for k, v in params.items()}
         sgd_step(params, {k: np.zeros_like(v) for k, v in params.items()},
                  0.5, 2.0, project=("head.U1",))
@@ -60,13 +68,13 @@ class TestSgdStep:
             assert np.array_equal(params[k], before[k])
 
     def test_nonfinite_gradient_names_parameter(self):
-        params = FlatArrays.of({"tower.W0": np.ones((2, 2))})
+        params = flat_arrays({"tower.W0": np.ones((2, 2))})
         with pytest.raises(ValueError, match="tower.W0"):
             sgd_step(params, {"tower.W0": np.array([[1.0, np.nan], [0, 0]])}, 0.1, 2.0)
 
 
     def test_nonfinite_gradient_raises_divergence_error(self):
-        params = FlatArrays.of({"head.U1": np.ones((2, 2))})
+        params = flat_arrays({"head.U1": np.ones((2, 2))})
         with pytest.raises(DivergenceError, match="head.U1") as info:
             sgd_step(params, {"head.U1": np.array([[np.inf, 0], [0, 0]])}, 0.1, 2.0)
         assert type(info.value) is DivergenceError
@@ -95,8 +103,8 @@ class TestSgdStep:
         # gradients given as a plain dict: every entry moves by exactly lr * g
         rng = np.random.default_rng(4)
         n = 2 * STEP_CHUNK + 5
-        params = FlatArrays.of({"a": rng.standard_normal(n), "frozen": np.ones(3),
-                                "c": rng.standard_normal((2, 3))})
+        params = flat_arrays({"a": rng.standard_normal(n), "frozen": np.ones(3),
+                              "c": rng.standard_normal((2, 3))})
         grads = {"a": rng.standard_normal(n), "c": rng.standard_normal((2, 3))}
         want = {name: params[name] + 0.3 * grads[name] for name in grads}
         step = params.select(["a", "c"])
@@ -108,7 +116,7 @@ class TestSgdStep:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_gradient_sum_is_not_divergence(self):
-        params = FlatArrays.of({"a": np.zeros(2)})
+        params = flat_arrays({"a": np.zeros(2)})
         sgd_step(params, {"a": np.array([1e308, 1e308])}, 0.5, 2.0)
         assert np.array_equal(params["a"], [5e307, 5e307])
 
@@ -287,15 +295,16 @@ class TestEvaluationMemory:
         rows_small, rows_large = (max(b - a for a, b in row_blocks(ds.n, eval_rows(1328)))
                                   for ds in (small, large))
         # a bilinear read holds one leaf-width array, its logits, and one
-        # piece of ``f @ V`` at a time; an ensemble read also holds its
-        # accumulator, and neither keeps the previous block's posteriors.
-        # An eighth of an array more covers the group-width arrays of the
-        # block and the split's per-row values.
+        # piece of ``f @ V`` at a time. An ensemble read holds one leaf-width
+        # array, its accumulator, and two pieces at a time: a member's logits
+        # piece and its ``f @ V`` piece. Neither keeps the previous block's
+        # posteriors. An eighth of an array more covers the group-width
+        # arrays of the block and the split's per-row values.
         leaf_bytes = rows_large * 1328 * 8
-        for model, arrays in ((shared, 1), (ensemble, 2)):
+        for model, pieces in ((shared, 1), (ensemble, 2)):
             peak_small, peak_large = self._read_peak(model, small), self._read_peak(model, large)
             assert peak_large < 5 * EVAL_BLOCK_BYTES, (model, peak_large)
-            assert peak_large < (arrays + 1 / 8) * leaf_bytes + LEAF_PIECE_BYTES, (
+            assert peak_large < (1 + 1 / 8) * leaf_bytes + pieces * LEAF_PIECE_BYTES, (
                 model, peak_large)
             # per row of the largest block, the peak does not grow with n
             assert peak_large / rows_large <= 1.1 * peak_small / rows_small, (
