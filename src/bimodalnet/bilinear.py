@@ -36,9 +36,6 @@ from typing import Optional
 
 import numpy as np
 
-# perfbench's spans time Classifier.loglik_and_grads through this name; as it is the
-# class that defines the method, the tracer puts back exactly what it patched
-from .fusion import Classifier as BilinearClassifier  # noqa: F401
 from .linalg import LEAF_PIECE_BYTES, ShapeError, as_ints, as_vector, leaf_pieces
 from .mlp import backward, forward  # noqa: F401  bound here only for perfbench's span-wiring test
 from .mlp import init_arrays, softmax, target_delta
@@ -251,14 +248,21 @@ def head_shapes(variant: str, dim1: int, dim2: int, num_classes: int,
 
 def init_head(variant: str, dim1: int, dim2: int, num_classes: int,
               fused_dim: Optional[int] = None, tree: Optional[LabelTree] = None,
-              seed=0, scale: float = 0.05, lam: float = 2.0, out=None) -> BilinearHead:
+              seed=0, scale: float = 0.05, lam: float = 2.0) -> BilinearHead:
     """A head whose arrays follow the init rule (``mlp.init_params``): seeded
     uniform [-scale, scale] weights, drawn in payload order (the bilinear
-    arrays, then V1 and V2), and zero biases. The arrays are drawn into
-    ``out``, keyed as in ``head_shapes`` and of those shapes, when given,
-    else into new ones (``mlp.init_arrays``)."""
+    arrays, then V1 and V2), and zero biases."""
     shapes = head_shapes(variant, dim1, dim2, num_classes, fused_dim, tree)
-    return BilinearHead.from_arrays(variant, init_arrays(shapes, seed, scale, out), lam, tree)
+    return BilinearHead.from_arrays(variant, init_arrays(shapes, seed, scale), lam, tree)
+
+
+def __getattr__(name: str):
+    # BilinearClassifier, the name by which perfbench's spans time
+    # Classifier.loglik_and_grads; fusion imports this module, so it is looked up late
+    if name != "BilinearClassifier":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .fusion import Classifier
+    return Classifier
 
 
 def materialize_w(head: BilinearHead, leaf: int) -> np.ndarray:
@@ -307,8 +311,8 @@ def _add_linear_terms(head: BilinearHead, logits, f1, f2) -> None:
 
 def posterior_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Class posteriors (B, C) of float64 feature rows f1 (B, K1), f2 (B, K2),
-    as the towers return them; their widths are the head's, which
-    ``check_features`` holds when the head is put under its towers."""
+    as the towers return them; their widths are the head's, as a model's
+    spec makes them."""
     logits = _leaf_logits(head, f1, f2)[0]
     return softmax(logits, out=logits)
 

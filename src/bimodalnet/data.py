@@ -16,18 +16,9 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .bilinear import (
-    FACTORED_SHARED,
-    FULL,
-    VARIANTS,
-    BilinearHead,
-    LabelTree,
-    array_attrs,
-    check_lam,
-)
-from .fusion import KINDS, OUT, TOP, Classifier, SoftmaxHead
+from .bilinear import LabelTree
+from .fusion import KINDS, Classifier, FormatError, ModelSpec
 from .linalg import FlatArrays, as_ints
-from .mlp import MlpTower, layer_names
 
 DATASET_MAGIC = b"BMDATSET"
 DATASET_VERSION = 1
@@ -40,10 +31,6 @@ GROUP_MARGIN = 3.0
 LINEAR_MARGIN = 1.0
 
 SPLITS = ("train", "test")
-
-
-class FormatError(ValueError):
-    """File contents are not a valid serialized artifact."""
 
 
 class VersionError(FormatError):
@@ -254,9 +241,9 @@ def generate_with_planted(spec: SynthSpec):
 
 
 def generate_synthetic(spec: SynthSpec):
-    """Seeded (train, test) draw: Gaussian features labeled by a planted
-    rank-R bilinear interaction per group plus per-leaf linear terms, with
-    feature noise added after labeling."""
+    """Seeded (train, test) draw: Gaussian features with feature noise added,
+    then labeled, as stored, by a planted rank-R bilinear interaction per
+    group plus per-leaf linear terms."""
     train, test, _ = generate_with_planted(spec)
     return train, test
 
@@ -439,24 +426,6 @@ def load_dataset(path) -> Dataset:
 
 # ------------------------------------------------------------------ models
 
-def _csv(values) -> str:
-    return ",".join(map(str, values))
-
-
-def _softmax_fields(head: SoftmaxHead) -> dict[str, str]:
-    return {"top_dims": _csv(head.top.layer_dims) if head.top is not None else ""}
-
-
-def _bilinear_fields(head: BilinearHead) -> dict[str, str]:
-    fields = {"variant": head.variant, "lambda": repr(float(head.lam))}
-    if head.variant != FULL:
-        fields["fused_dim"] = str(head.fused_dim)
-    if head.tree is not None:
-        fields["groups"] = str(head.tree.num_groups)
-        fields["group_of"] = _csv(head.tree.group_of.tolist())
-    return fields
-
-
 def unstorable_at(text: str) -> int:
     """Index of the first character of ``text`` that a model header value
     cannot hold (a non-ASCII character or a line break), or -1."""
@@ -465,58 +434,38 @@ def unstorable_at(text: str) -> int:
     return re.search(r"[^\x00-\x09\x0b-\x7f]", text).start()
 
 
-def _header_keys(spec) -> tuple[str, ...]:
-    return ("kind", "classes", "seed", "arch") + spec.fields
-
-
-def model_header(model) -> bytes:
-    """The ASCII header of ``model``'s file, the only v1 header that describes
-    it: the fields it has, in ``KINDS[kind].fields`` order after kind,
-    classes, seed and arch, then an ``array:`` line per ``params()`` array.
-    A value that is not single-line ASCII is a ValueError naming its key."""
-    spec = KINDS[model.kind]
-    fields = {
-        "kind": model.kind,
-        "classes": str(model.num_classes),
-        "seed": str(int(model.seed)),
-        "arch": str(model.arch),
-        "modality": str(model.inputs[0] + 1),
-    }
-    for field, tower in zip(spec.dims, model.towers):
-        fields[field] = _csv(tower.layer_dims)
-    fields.update(_HEADS[spec.head][0](model.head))
-    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
-    for key in _header_keys(spec):
-        if key not in fields:
-            continue
-        if unstorable_at(fields[key]) >= 0:
-            raise ValueError(f"header value for {key!r} must be single-line ASCII, "
-                             f"got {fields[key]!r}")
-        lines.append(f"{key}: {fields[key]}")
-    for name, arr in model.params().items():
-        lines.append(f"array: {name} {_csv(arr.shape)}")
-    lines.append("binary\n")
-    return "\n".join(lines).encode("ascii")
+def _array_line(name: str, shape) -> str:
+    return f"array: {name} {','.join(map(str, shape))}"
 
 
 def save_model(model, path) -> None:
-    """Write ``model_header(model)`` plus a raw float64 little-endian payload:
-    the buffers of the ``params()`` arrays, in order. A refused header leaves
-    ``path`` as it was."""
-    header = model_header(model)
+    """Write the only v1 header that describes ``model`` (the field lines of
+    its spec, ``ModelSpec.fields``, then an ``array:`` line per ``params()``
+    array) and a raw float64 little-endian payload: the buffers of the
+    ``params()`` arrays, in order. A header value that is not single-line
+    ASCII is a ValueError naming its key, raised before ``path`` is opened."""
+    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
+    for key, value in model.spec.fields().items():
+        if unstorable_at(value) >= 0:
+            raise ValueError(f"header value for {key!r} must be single-line ASCII, "
+                             f"got {value!r}")
+        lines.append(f"{key}: {value}")
+    lines += [_array_line(name, arr.shape) for name, arr in model.params().items()]
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write("\n".join(lines + ["binary\n"]).encode("ascii"))
         for arr in model.params().values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _parse_model_header(fh):
-    """(header bytes, fields, array shapes by name) of an open model file,
-    which is left at the start of the payload. The magic line is checked
-    first, read no further than a v1 one, so another file fails there; each
-    later line must be ASCII and ``key: value`` or ``binary``, and the first
-    that is not is a FormatError naming its offset, with nothing after it
-    read; a line that starts ``binary`` must be exactly ``binary\n``, and
+    """(lines, fields, payload offset) of an open model file, which is left
+    at the start of the payload: the (byte offset, text) of each line after
+    the magic line, and the ``key: value`` of each that is not an ``array:``
+    line. The magic line is checked first, read no further than a v1 one, so
+    another file fails there; each later line must be ASCII and ``key:
+    value`` or ``binary``, and the first that is not, or that repeats a key
+    or an array name, is a FormatError naming its offset, with nothing after
+    it read; a line that starts ``binary`` must be exactly ``binary\n``, and
     fails at the byte after ``binary``."""
     magic = f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii")
     first = fh.readline(len(magic))
@@ -527,7 +476,7 @@ def _parse_model_header(fh):
         raise VersionError(
             f"unsupported model version {shown!r}, expected {MODEL_MAGIC} {MODEL_VERSION}"
         )
-    raw, meta, shapes = [first], {}, {}
+    lines, meta, arrays = [], {}, set()
     offset = len(first)
     marker = b"binary\n"
     while True:
@@ -551,35 +500,51 @@ def _parse_model_header(fh):
         if not sep:
             raise FormatError(f"malformed header line {text!r} at byte offset {offset}")
         if key == "array":
-            name, _, shape_csv = value.partition(" ")
-            try:
-                shape = tuple(int(t) for t in shape_csv.split(","))
-            except ValueError as exc:
-                raise FormatError(f"malformed array shape in {text!r} "
-                                  f"at byte offset {offset}") from exc
-            if name in shapes:
+            name = value.partition(" ")[0]
+            if name in arrays:
                 raise FormatError(f"array {name!r} listed again at byte offset {offset}")
-            shapes[name] = shape
+            arrays.add(name)
+        elif key in meta:
+            raise FormatError(f"header key {key!r} repeated at byte offset {offset}")
         else:
-            if key in meta:
-                raise FormatError(f"header key {key!r} repeated at byte offset {offset}")
             meta[key] = value
-        raw.append(line)
+        lines.append((offset, text))
         offset += len(line)
-    return b"".join(raw) + line, meta, shapes
+    return lines, meta, offset + len(marker)
+
+
+def _checked_shapes(spec: ModelSpec, lines, end: int) -> dict[str, tuple[int, ...]]:
+    """``spec.param_shapes()``, once header ``lines`` (as
+    ``_parse_model_header`` gives them, the payload at ``end``) are found to
+    be the keys of ``spec.fields()``, an ``array:`` line per array of those
+    shapes and the ``binary`` line, in order. Else the first line that
+    differs is a FormatError naming its byte offset and, in place of an
+    array line, the header fields that give it."""
+    shapes, keys = spec.param_shapes(), spec.keys()
+    wanted = [*keys, *(_array_line(name, shape) for name, shape in shapes.items()), "binary"]
+    lines = lines + [(end - len("binary\n"), "binary")]
+    found = [text if text.startswith("array: ") else text.partition(": ")[0] for _, text in lines]
+    if found == wanted:
+        return shapes
+    i = next(i for i, (f, w) in enumerate(zip(found, wanted)) if f != w)
+    offset, text = lines[i]
+    expected = repr(wanted[i])
+    if len(keys) <= i < len(wanted) - 1:  # an array of a tower, by its prefix, or of the head
+        prefixes = KINDS[spec.kind].prefixes
+        part = next((p for p, prefix in enumerate(prefixes[:-1])
+                     if wanted[i].startswith(f"array: {prefix}")), len(prefixes) - 1)
+        expected += f", which header fields {', '.join(map(repr, spec.part_fields()[part]))} give"
+    key, _, value = text.partition(": ")
+    at = f"array {value.partition(' ')[0]!r}" if key == "array" else "header line"
+    raise FormatError(f"{at} at byte offset {offset} reads {text!r}; expected {expected}")
 
 
 def _read_arrays(fh, offset: int, shapes) -> FlatArrays:
     """The payload at ``offset`` of an open model file, read into one vector
-    and viewed as the manifest's arrays; a non-finite entry is a FormatError
+    and viewed as arrays of ``shapes``; a non-finite entry is a FormatError
     naming its array and byte offset."""
     cur = _Cursor(fh, offset)
     for name, shape in shapes.items():
-        if any(d < 0 for d in shape):
-            raise FormatError(
-                f"negative dimension in shape {shape} of array {name!r} "
-                f"at byte offset {cur.off}"
-            )
         cur.advance(8 * math.prod(shape), f"array {name!r}")
     cur.done("payload")
     arrays = FlatArrays(np.empty((cur.off - offset) // 8, dtype="<f8"), shapes)
@@ -593,103 +558,18 @@ def _read_arrays(fh, offset: int, shapes) -> FlatArrays:
     return arrays
 
 
-def _field(meta: dict[str, str], key: str, parse=str):
-    """Header field ``key`` as ``parse`` reads it; a missing field, or one
-    ``parse`` refuses, is a FormatError naming the field."""
-    if key not in meta:
-        raise FormatError(f"missing header field {key!r}")
-    try:
-        return parse(meta[key])
-    except (KeyError, ValueError, OverflowError) as exc:
-        raise FormatError(f"invalid {key!r} header field {meta[key]!r}") from exc
-
-
-def _take_tower(arrays, prefix: str) -> MlpTower:
-    """The payload's sigmoid stack ``prefix.W0, prefix.b0, ...``."""
-    layers = next(n for n in range(1, len(arrays) + 2) if f"{prefix}.W{n}" not in arrays)
-    stack = {name: arrays.pop(f"{prefix}.{name}") for name in layer_names(layers)}
-    try:
-        return MlpTower.from_arrays(stack, _finite=True)
-    except ValueError as exc:
-        raise FormatError(f"inconsistent tower {prefix!r}: {exc}") from exc
-
-
-def _read_softmax_head(meta, arrays, prefix) -> SoftmaxHead:
-    top = _take_tower(arrays, prefix + TOP) if f"{prefix}{TOP}.W0" in arrays else None
-    named = {} if top is None else {f"{TOP}.{k}": a for k, a in top.param_arrays().items()}
-    named.update((name, arrays.pop(prefix + name)) for name in (f"{OUT}.W", f"{OUT}.b"))
-    return SoftmaxHead.from_arrays(named, _finite=True)
-
-
-def _read_bilinear_head(meta, arrays, prefix) -> BilinearHead:
-    variant = VARIANTS[_field(meta, "variant", VARIANTS.index)]
-    tree = None
-    if {"groups", "group_of"} & meta.keys() or variant == FACTORED_SHARED:
-        group_of = _field(meta, "group_of", lambda raw: [int(t) for t in raw.split(",")])
-        groups = _field(meta, "groups", int)
-        try:
-            tree = LabelTree(group_of, groups)
-        except ValueError as exc:
-            raise FormatError(f"header fields 'groups' and 'group_of' disagree: {exc}") from exc
-    named = {name: arrays.pop(prefix + name) for name in array_attrs(variant)}
-    classes = len(named["b"])
-    if tree is not None and tree.num_leaves != classes:
-        raise FormatError(f"header field 'group_of' has {tree.num_leaves} leaves; "
-                          f"the head has {classes} classes")
-    return BilinearHead.from_arrays(variant, named, _field(meta, "lambda", check_lam), tree)
-
-
-# header fields and reader of each head type of the kind table
-_HEADS = {
-    "softmax": (_softmax_fields, _read_softmax_head),
-    "bilinear": (_bilinear_fields, _read_bilinear_head),
-}
-
-
 def load_model(path):
     """Rebuild a saved classifier; posteriors of the result are bit-identical.
 
-    The model is built from the payload, read straight into its parameter
-    vector, and the header fields that no array shape gives, each required.
-    The file's header must then be ``model_header`` of that model: the first
-    line that differs is a FormatError naming its byte offset.
+    The header's fields are read into the model's spec (``ModelSpec.parse``,
+    which refuses a missing field and a value other than the one
+    ``save_model`` would write for it), and the header's lines must then be
+    the spec's field keys and its arrays' manifest, in order
+    (``_checked_shapes``). The payload is read straight into the model's
+    parameter vector, on which the model is built.
     """
     with open(path, "rb") as fh:
-        header, meta, shapes = _parse_model_header(fh)
-        payload = _read_arrays(fh, len(header), shapes)
-    spec = _field(meta, "kind", KINDS.__getitem__)
-    arrays = dict(payload)  # the build pops each array it takes
-    try:
-        towers = [_take_tower(arrays, name) for name in spec.towers]
-        head = _HEADS[spec.head][1](meta, arrays, spec.head_prefix)
-        # an array taken out of payload order counts as not taken
-        held = [prefix + k for prefix, part in zip(spec.prefixes, towers + [head])
-                for k in part.param_arrays()]
-        arrays.update((name, payload[name]) for name, at in zip(payload, held) if name != at)
-        inputs = None
-        if "modality" in spec.fields:  # modality 1 or 2 reads input slot 0 or 1
-            inputs = (_field(meta, "modality", {"1": 0, "2": 1}.__getitem__),)
-        model = Classifier(meta["kind"], towers, head, payload, inputs,
-                           seed=_field(meta, "seed", int), arch=_field(meta, "arch"))
-    except FormatError:
-        raise
-    except (KeyError, ValueError) as exc:
-        reason = (f"missing array {exc}" if isinstance(exc, KeyError)
-                  else f"inconsistent model contents: {exc}")
-        # name the first line with a key no header of this kind has, or an array not taken
-        start, keys = header.index(b"\n") + 1, _header_keys(spec)
-        for found in header[start:].decode().split("\n"):
-            key, _, value = found.partition(": ")
-            if key not in keys and (key != "array" or value.partition(" ")[0] in arrays):
-                break
-            start += len(found) + 1
-        if found == "binary" and not isinstance(exc, KeyError):
-            raise FormatError(reason) from exc  # every array taken: no one line is at fault
-        raise FormatError(f"header line at byte offset {start} reads {found!r}: {reason}") from exc
-    expected = model_header(model)
-    if header != expected:
-        start = header.rfind(b"\n", 0, len(os.path.commonprefix([header, expected]))) + 1
-        found, wanted = (h[start:].split(b"\n", 1)[0].decode() for h in (header, expected))
-        raise FormatError(f"header field {found.partition(':')[0]!r} at byte offset {start} "
-                          f"reads {found!r}; save_model writes {wanted!r} for this model")
-    return model
+        lines, meta, end = _parse_model_header(fh)
+        spec = ModelSpec.parse(meta)
+        params = _read_arrays(fh, end, _checked_shapes(spec, lines, end))
+    return Classifier(spec, params)

@@ -2,28 +2,37 @@
 
 The paper's three model families are one shape: sigmoid towers, each
 reading one modality, under a softmax-type head. ``Classifier`` is that one
-type, with no subclasses: its ``kind`` argument names a row of the kind
-table ``KINDS``, which says which towers the kind has, which head, whether
-its towers start frozen and how its model file header reads. A part is
-built on its arrays by its ``from_arrays``, the inverse of ``param_arrays``.
+type, with no subclasses. A model short of its parameter values is one
+record, its ``ModelSpec``: a row of the kind table ``KINDS`` plus the
+towers' and head's dims and fields. It gives each part's array shapes,
+writes the model file header's fields and is read back from them, so a
+model is built, saved and loaded from its spec alone. A classifier builds
+its parts on views of its parameter vector with their ``from_arrays``, the
+inverse of ``param_arrays``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
 
+from .bilinear import (
+    FACTORED_SHARED,
+    FULL,
+    VARIANTS,
+    BilinearHead,
+    LabelTree,
+    check_lam,
+    head_shapes,
+)
 from .linalg import FlatArrays, ShapeError, leaf_pieces
 from .mlp import (
-    DEFAULT_INIT_SCALE,
     MlpTower,
     backward,
     forward,
     forward_features,
-    init_arrays,
     layer_names,
     layer_shapes,
     log_likelihoods,
@@ -64,11 +73,6 @@ class SoftmaxHead:
     @property
     def num_classes(self) -> int:
         return self.weights.shape[1]
-
-    def check_features(self, dims) -> None:
-        expected = self.weights.shape[0] if self.top is None else self.top.input_dim
-        if sum(dims) != expected:
-            raise ShapeError(f"head input {expected} does not match fused dim {sum(dims)}")
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         named = {} if self.top is None else {
@@ -137,45 +141,32 @@ class SoftmaxHead:
         return probs, grads, np.split(delta, cuts, axis=-1)
 
 
-def softmax_head_shapes(input_dim: int, num_classes: int,
-                        top_dims=None) -> dict[str, tuple[int, ...]]:
-    """The shape of each array of a softmax head, by its ``param_arrays``
-    name, in payload order: a ``top`` stack with layer dims ``top_dims``,
-    when given, then W and b. ``input_dim`` is the width of the features
-    under W."""
-    shapes = {} if top_dims is None else {
-        f"{TOP}.{k}": shape for k, shape in layer_shapes(top_dims).items()}
-    shapes[f"{OUT}.W"] = (input_dim, num_classes)
+def softmax_head_shapes(fused_dim: int, num_classes: int,
+                        top_dims=()) -> dict[str, tuple[int, ...]]:
+    """The shape of each array of a softmax head on features ``fused_dim``
+    wide, by its ``param_arrays`` name, in payload order: a ``top`` stack of
+    hidden dims ``top_dims`` over those features, when it has one, then W
+    and b."""
+    dims = (fused_dim, *top_dims)
+    shapes = {f"{TOP}.{k}": shape for k, shape in layer_shapes(dims).items()} if top_dims else {}
+    shapes[f"{OUT}.W"] = (dims[-1], num_classes)
     shapes[f"{OUT}.b"] = (num_classes,)
     return shapes
 
 
-def init_softmax_head(input_dim: int, num_classes: int, seed,
-                      scale: float = DEFAULT_INIT_SCALE, out=None) -> SoftmaxHead:
-    """A head whose W and b follow the init rule (``mlp.init_params``): seeded
-    uniform [-scale, scale] weights, zero biases; ``input_dim`` is the width
-    of the features under W. They are drawn into the ``out.W`` and ``out.b``
-    arrays of ``out``, keyed as in ``softmax_head_shapes`` and of those
-    shapes, when given (its ``top.`` arrays, their own part of the init, are
-    the head's top stack), else into new ones (``mlp.init_arrays``)."""
-    drawn = init_arrays(softmax_head_shapes(input_dim, num_classes), seed, scale, out)
-    return SoftmaxHead.from_arrays(drawn if out is None else out, _finite=True)
-
-
 class Classifier:
-    """Sigmoid towers, each reading input slot 0 (x1) or 1 (x2), under one head,
-    as the row ``kind`` of ``KINDS`` lays them out.
-
-    ``inputs`` gives each tower's slot; by default tower i reads slot i.
+    """The model ``spec`` describes: sigmoid towers, each reading input slot
+    0 (x1) or 1 (x2), under one head, as the row ``spec.kind`` of ``KINDS``
+    lays them out.
 
     Every parameter array is a view into one float64 vector, ``params``,
-    laid out in ``params()`` order, the payload order of the model file. The
-    parts (the towers in kind order, then the head) are built on those views
-    and never copied or rebound: their ``param_arrays``, each under the
-    part's name prefix, must be the views of ``params`` in vector order, or
-    the construction is a ValueError naming the first array that is not.
-    The gradients live in a second vector with the same layout, allocated
-    by the first ``loglik_and_grads`` after construction or after
+    laid out as ``spec.param_shapes()``, the payload order of the model file.
+    The classifier builds its parts, the towers in kind order then the head,
+    on those views with their ``from_arrays``, and never copies or rebinds
+    them; it takes the values as they are (``build_model`` draws them and
+    ``load_model`` has checked them). ``kind`` and ``inputs`` are the
+    spec's. The gradients live in a second vector with the same layout,
+    allocated by the first ``loglik_and_grads`` after construction or after
     ``release_gradients``.
 
     Parameters named in ``frozen`` take no updates; ``loglik_and_grads``
@@ -187,38 +178,31 @@ class Classifier:
     else None.
     """
 
-    def __init__(self, kind: str, towers, head, params: FlatArrays, inputs=None,
-                 seed: int = 0, arch: str = ""):
-        spec = KINDS[kind]
-        self.kind = kind
-        self.towers = list(towers)
-        self.inputs = tuple(range(len(self.towers)) if inputs is None else inputs)
-        if not set(self.inputs) <= {0, 1}:
-            raise ValueError(f"input slots must be 0 or 1, got {self.inputs}")
-        if not len(self.inputs) == len(self.towers) == len(spec.towers):
-            raise ValueError(f"a {kind} classifier takes {len(spec.towers)} tower(s), one per "
-                             f"input slot; got {len(self.towers)} and slots {self.inputs}")
-        head.check_features([t.feature_dim for t in self.towers])
-        self.head = head
-        self.tree = getattr(head, "shared_tree", None)
-        self.seed = seed
-        self.arch = arch
-        for name, tower in zip(spec.towers, self.towers):
+    def __init__(self, spec: ModelSpec, params: FlatArrays):
+        kind = KINDS[spec.kind]
+        if not set(spec.inputs) <= {0, 1}:
+            raise ValueError(f"input slots must be 0 or 1, got {spec.inputs}")
+        if not len(spec.inputs) == len(spec.dims) == len(kind.towers):
+            raise ValueError(f"a {spec.kind} classifier takes {len(kind.towers)} tower(s), one "
+                             f"per input slot; got {len(spec.dims)} and slots {spec.inputs}")
+        views = part_views(spec, params)
+        self.spec = spec
+        self.kind = spec.kind
+        self.inputs = spec.inputs
+        self.towers = [MlpTower.from_arrays(view, _finite=True) for view in views[:-1]]
+        self.head = (BilinearHead.from_arrays(spec.variant, views[-1], spec.lam, spec.tree)
+                     if kind.head == "bilinear" else
+                     SoftmaxHead.from_arrays(views[-1], _finite=True))
+        self.tree = getattr(self.head, "shared_tree", None)
+        for name, tower in zip(kind.towers, self.towers):
             setattr(self, name, tower)  # model.tower, model.tower_a, model.tower1, ...
-        # the parts, the towers in kind order then the head, each with its
-        # name map: param_arrays name -> the model's parameter name
-        parts = list(zip(spec.prefixes, self.towers + [head]))
-        self._names = [{k: prefix + k for k in part.param_arrays()} for prefix, part in parts]
-        held = [(prefix + k, a) for prefix, part in parts for k, a in part.param_arrays().items()]
-        views = zip_longest(held, params.items(), fillvalue=(None, None))
-        for i, ((name, a), (at, view)) in enumerate(views):
-            if name != at or a is not view:
-                raise ValueError(f"array {name or at!r} is not view {i} of params")
+        # each part's name map: param_arrays name -> the model's parameter name
+        self._names = [{k: prefix + k for k in view} for prefix, view in zip(kind.prefixes, views)]
         self._params = params
-        self._project = tuple(n for n in spec.project if n in self._names[-1].values())
+        self._project = tuple(n for n in kind.project if n in self._names[-1].values())
         self._grads: Optional[FlatArrays] = None  # made by the first loglik_and_grads
         self.frozen = ([n for names in self._names[:-1] for n in names.values()]
-                       if spec.frozen else ())
+                       if kind.frozen else ())
 
     @property
     def frozen(self) -> frozenset:
@@ -313,9 +297,7 @@ class Kind:
     """One row of the kind table."""
 
     towers: tuple[str, ...]          # parameter prefix of each tower
-    dims: tuple[str, ...]            # header field with each tower's layer dims
     head: str                        # "softmax" (SoftmaxHead) or "bilinear" (BilinearHead)
-    fields: tuple[str, ...]          # header fields after kind, classes, seed and arch
     head_prefix: str = ""            # prefix of the head's parameter names
     frozen: bool = False             # towers take no updates by default
     project: tuple[str, ...] = ()    # rescaled onto the lambda-ball after each step
@@ -327,28 +309,183 @@ class Kind:
 
 
 KINDS = {
-    "unimodal": Kind(towers=("tower",), dims=("dims",), head="softmax",
-                     fields=("modality", "dims")),
-    "fused": Kind(towers=("tower_a", "tower_v"), dims=("dims_a", "dims_v"), head="softmax",
-                  fields=("dims_a", "dims_v", "top_dims"), frozen=True),
-    "bilinear": Kind(towers=("tower1", "tower2"), dims=("dims_a", "dims_v"), head="bilinear",
-                     fields=("variant", "dims_a", "dims_v", "fused_dim", "lambda", "groups",
-                             "group_of"),
-                     head_prefix="head.", project=("head.U1", "head.U2")),
+    "unimodal": Kind(towers=("tower",), head="softmax"),
+    "fused": Kind(towers=("tower_a", "tower_v"), head="softmax", frozen=True),
+    "bilinear": Kind(towers=("tower1", "tower2"), head="bilinear", head_prefix="head.",
+                     project=("head.U1", "head.U2")),
 }
 
 
-def part_views(kind: str, shapes) -> tuple[FlatArrays, list[dict[str, np.ndarray]]]:
-    """A new, uninitialised parameter vector for a ``kind`` model whose parts,
-    the towers in kind order then the head, have arrays of ``shapes`` (one
-    mapping per part, keyed as in its ``param_arrays``), and each part's
-    views of it, keyed the same way: the ``params`` of a ``Classifier`` of
-    parts built on those views."""
-    prefixes = KINDS[kind].prefixes
-    params = FlatArrays.empty({prefix + name: shape for prefix, part in zip(prefixes, shapes)
-                               for name, shape in part.items()})
-    return params, [{name: params[prefix + name] for name in part}
-                    for prefix, part in zip(prefixes, shapes)]
+class FormatError(ValueError):
+    """File contents are not a valid serialized artifact."""
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _canonical(read, write):
+    """The reader of a header value by ``read``, which refuses (ValueError)
+    a text other than the one ``write`` writes for the value read."""
+    def canonical(text: str):
+        value = read(text)
+        if write(value) != text:
+            raise ValueError(f"{text!r} is not written {write(value)!r}")
+        return value
+    return canonical
+
+
+_int = _canonical(int, str)
+_ints = _canonical(lambda text: tuple(map(int, text.split(","))), _csv)
+
+
+def _count(text: str) -> int:
+    count = _int(text)
+    if count < 1:
+        raise ValueError(f"{count} is not a count")
+    return count
+
+
+def _dims(text: str) -> tuple[int, ...]:
+    dims = _ints(text)
+    layer_shapes(dims)  # refuses dims that make no stack
+    return dims
+
+
+def _field(meta, key: str, read):
+    """Header field ``key`` of ``meta`` as ``read`` reads it; a missing field,
+    or one ``read`` refuses, is a FormatError naming the field."""
+    if key not in meta:
+        raise FormatError(f"missing header field {key!r}")
+    try:
+        return read(meta[key])
+    except (KeyError, ValueError, OverflowError) as exc:
+        raise FormatError(f"invalid {key!r} header field {meta[key]!r}") from exc
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A model short of its parameter values: its kind (a row of ``KINDS``),
+    class count, seed, arch notation, each tower's input slot and layer
+    dims, and its head's fields, None where the head has no such field: a
+    bilinear head's variant, fused dim (None for the full variant), lambda
+    and label tree (None without one), and the hidden dims of a fused
+    model's top stack over the towers' features (() without one).
+    """
+
+    kind: str
+    classes: int
+    seed: int
+    arch: str
+    inputs: tuple[int, ...]            # each tower's input slot
+    dims: tuple[tuple[int, ...], ...]  # each tower's layer dims
+    variant: Optional[str]
+    fused_dim: Optional[int]
+    lam: Optional[float]
+    tree: Optional[LabelTree]
+    top_dims: Optional[tuple[int, ...]]
+
+    def part_shapes(self) -> list[dict[str, tuple[int, ...]]]:
+        """The shape of each array of each part, the towers in kind order then
+        the head, keyed as in the part's ``param_arrays``, in payload order."""
+        features = [dims[-1] for dims in self.dims]
+        if KINDS[self.kind].head == "bilinear":
+            head = head_shapes(self.variant, *features, self.classes, self.fused_dim, self.tree)
+        else:
+            head = softmax_head_shapes(sum(features), self.classes, self.top_dims or ())
+        return [layer_shapes(dims) for dims in self.dims] + [head]
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shape of every parameter array by its name in the model, each
+        part's ``part_shapes`` under the part's prefix, in payload order."""
+        return {prefix + name: shape for prefix, part
+                in zip(KINDS[self.kind].prefixes, self.part_shapes())
+                for name, shape in part.items()}
+
+    def keys(self) -> tuple[str, ...]:
+        """The model's v1 header fields, in header order."""
+        keys = ("kind", "classes", "seed", "arch")
+        if self.kind == "unimodal":
+            return keys + ("modality", "dims")
+        if self.kind == "fused":
+            return keys + ("dims_a", "dims_v", "top_dims")
+        return (keys + ("variant", "dims_a", "dims_v")
+                + ("fused_dim",) * (self.fused_dim is not None) + ("lambda",)
+                + ("groups", "group_of") * (self.tree is not None))
+
+    def part_fields(self) -> list[tuple[str, ...]]:
+        """The header fields that give each part's shapes, in part order."""
+        keys = self.keys()
+        dims = tuple(k for k in keys if k.startswith("dims"))
+        head = {"classes", "variant", "top_dims", "fused_dim", *dims}
+        if self.variant == FACTORED_SHARED:
+            head.add("groups")  # the shared variant's w has a column per group
+        return [(k,) for k in dims] + [tuple(k for k in keys if k in head)]
+
+    def fields(self) -> dict[str, str]:
+        """The model's v1 header field lines, key -> value, in ``keys`` order;
+        ``top_dims`` lists the top stack's layer dims from the fused width on."""
+        top = (sum(dims[-1] for dims in self.dims), *self.top_dims) if self.top_dims else ()
+        texts = {"kind": self.kind, "classes": str(self.classes), "seed": str(self.seed),
+                 "arch": self.arch, "modality": str(self.inputs[0] + 1), "variant": self.variant,
+                 "dims": _csv(self.dims[0]), "top_dims": _csv(top),
+                 "fused_dim": str(self.fused_dim), "lambda": repr(self.lam)}
+        texts.update(zip(("dims_a", "dims_v"), map(_csv, self.dims)))
+        if self.tree is not None:
+            texts.update(groups=str(self.tree.num_groups),
+                         group_of=_csv(self.tree.group_of.tolist()))
+        return {key: texts[key] for key in self.keys()}
+
+    @classmethod
+    def parse(cls, meta) -> ModelSpec:
+        """The spec whose ``fields`` are ``meta``'s fields of its kind, each
+        of which must be there and be the text ``fields`` writes for the
+        value read from it; a missing or refused field is a FormatError
+        naming it. Keys of no field of the model are left to the caller."""
+        _field(meta, "kind", KINDS.__getitem__)
+        kind = meta["kind"]
+        classes = _field(meta, "classes", _count)
+        seed, arch = _field(meta, "seed", _int), _field(meta, "arch", str)
+        variant = fused_dim = lam = tree = top_dims = None
+        if kind == "unimodal":
+            inputs = (_field(meta, "modality", {"1": 0, "2": 1}.__getitem__),)
+            dims = (_field(meta, "dims", _dims),)
+        else:
+            inputs = (0, 1)
+            dims = (_field(meta, "dims_a", _dims), _field(meta, "dims_v", _dims))
+        if kind == "fused":
+            width = f"{dims[0][-1] + dims[1][-1]},"  # the top stack's input, when it has one
+            top_dims = _field(meta, "top_dims", _canonical(
+                lambda text: _dims(text)[1:] if text else (),
+                lambda top: width + _csv(top) if top else ""))
+        if kind == "bilinear":
+            variant = VARIANTS[_field(meta, "variant", VARIANTS.index)]
+            if variant != FULL:
+                fused_dim = _field(meta, "fused_dim", _count)
+            lam = _field(meta, "lambda", _canonical(check_lam, repr))
+            if variant == FACTORED_SHARED or {"groups", "group_of"} & meta.keys():
+                group_of, groups = _field(meta, "group_of", _ints), _field(meta, "groups", _int)
+                try:
+                    tree = LabelTree(group_of, groups)
+                except (ValueError, OverflowError) as exc:
+                    raise FormatError(f"header fields 'groups' and 'group_of' disagree: "
+                                      f"{exc}") from exc
+                if tree.num_leaves != classes:
+                    raise FormatError(f"header field 'group_of' has {tree.num_leaves} leaves; "
+                                      f"the model has {classes} classes")
+        return cls(kind, classes, seed, arch, inputs, dims, variant, fused_dim, lam, tree,
+                   top_dims)
+
+
+def part_views(spec: ModelSpec, params: FlatArrays) -> list[dict[str, np.ndarray]]:
+    """Each part's views of ``params``, keyed as in the part's
+    ``param_arrays``: the towers' in kind order, then the head's. ``params``
+    must be the arrays of ``spec.param_shapes()``, in that order, or the
+    views are a ShapeError."""
+    if [(name, a.shape) for name, a in params.items()] != list(spec.param_shapes().items()):
+        raise ShapeError(f"params are not the arrays of a {spec.kind} model of this spec")
+    return [{name: params[prefix + name] for name in part}
+            for prefix, part in zip(KINDS[spec.kind].prefixes, spec.part_shapes())]
 
 
 class Ensemble:

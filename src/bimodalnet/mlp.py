@@ -16,12 +16,11 @@ sigmoid per layer. A read that needs only the features takes them from
 ``forward`` and ``forward_features`` accept a single input (1-D) or a
 batch of row vectors (2-D); ``backward`` takes batch rows only. A tower
 holds the very arrays it is built from (``MlpTower.from_arrays``), with no
-copy. No function writes to its arguments, with six exceptions:
-``init_params`` fills the arrays it is given, and the other five write
-through an ``out`` argument. ``init_arrays`` and ``init_tower`` draw their
-arrays into ``out`` when given one (a model build passes views of its
-parameter vector); ``backward`` writes its gradients into ``out`` when it
-is given one, the stack's gradient arrays in ``layer_names`` order (a
+copy. No function writes to its arguments, with four exceptions:
+``init_params`` fills the arrays it is given (a model build passes views
+of its parameter vector), and the other three write through an ``out``
+argument. ``backward`` writes its gradients into ``out`` when it is given
+one, the stack's gradient arrays in ``layer_names`` order (a
 classifier passes views of its gradient vector); ``softmax`` writes its
 result into ``out``, which may be the logits array itself (a head
 normalises the logits it owns in place); and ``sigmoid`` writes into
@@ -200,37 +199,20 @@ def init_params(arrays, seed, scale: float = DEFAULT_INIT_SCALE) -> None:
         a += low
 
 
-def init_arrays(shapes, seed, scale: float = DEFAULT_INIT_SCALE,
-                out=None) -> dict[str, np.ndarray]:
-    """Arrays of ``shapes``, by name and in that order, filled by the init
-    rule (``init_params``): the arrays of ``out`` with those names when
-    ``out`` is given, else new ones. An array of ``out`` whose shape is not
-    its shape in ``shapes`` is a ShapeError naming it, raised before any
-    array is filled."""
-    if out is None:
-        arrays = {name: np.empty(shape) for name, shape in shapes.items()}
-    else:
-        arrays = {name: out[name] for name in shapes}
-        for name, shape in shapes.items():
-            if arrays[name].shape != tuple(shape):
-                raise ShapeError(f"out array {name!r} has shape {arrays[name].shape}, "
-                                 f"expected {tuple(shape)}")
+def init_arrays(shapes, seed, scale: float = DEFAULT_INIT_SCALE) -> dict[str, np.ndarray]:
+    """New arrays of ``shapes``, by name and in that order, filled by the init
+    rule (``init_params``)."""
+    arrays = {name: np.empty(shape) for name, shape in shapes.items()}
     init_params(arrays, seed, scale)
     return arrays
 
 
-def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE,
-               out=None) -> MlpTower:
+def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE) -> MlpTower:
     """A tower whose arrays follow the init rule (``init_params``): seeded
-    uniform [-scale, scale] weights, zero biases.
-
-    The arrays are drawn into ``out``, keyed as in ``layer_shapes`` and of
-    those shapes, when given (a model build passes views of its parameter
-    vector), else into new ones (``init_arrays``). Identical (layer_dims,
+    uniform [-scale, scale] weights, zero biases. Identical (layer_dims,
     seed, scale) give a bit-identical tower.
     """
-    return MlpTower.from_arrays(init_arrays(layer_shapes(layer_dims), seed, scale, out),
-                                _finite=True)
+    return MlpTower.from_arrays(init_arrays(layer_shapes(layer_dims), seed, scale), _finite=True)
 
 
 def _activations(tower: MlpTower, x):

@@ -19,11 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bilinear import FACTORED_SHARED, VARIANTS, LabelTree, check_lam, head_shapes, init_head
+from .bilinear import FACTORED_SHARED, FULL, VARIANTS, LabelTree, check_lam
 from .data import Dataset, DatasetFile
-from .fusion import TOP, Classifier, init_softmax_head, part_views, softmax_head_shapes
+from .fusion import OUT, Classifier, ModelSpec, part_views
 from .linalg import FlatArrays, frobenius_project, row_blocks
-from .mlp import MlpTower, init_tower, layer_shapes, log_likelihoods
+from .mlp import init_params, log_likelihoods
 
 logger = logging.getLogger("bimodalnet.training")
 
@@ -203,19 +203,21 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
     """Construct the model a config describes, seeded deterministically.
 
     ``warm_towers`` optionally supplies pre-trained (tower_a, tower_v) for
-    the fused and bilinear modes; either entry may be None. The model's
-    parameter vector is laid out first and every part is built on its views
-    of it: a new part's arrays are drawn straight into them, each part from
-    its own seed stream (``init_tower``, ``init_head``, ``init_softmax_head``),
-    and a warm tower's are copied in (the warm tower is only read), so no
-    part array exists outside the vector.
+    the fused and bilinear modes; either entry may be None. The config, the
+    data's dims and the warm towers give the model's spec, and the model's
+    parameter vector is laid out from it (``ModelSpec.param_shapes``): each
+    new part's arrays are drawn straight into their views of it by the init
+    rule (``mlp.init_params``), each part from its own seed stream, and a
+    warm tower's are copied in (the warm tower is only read), so no part
+    array exists outside the vector.
     """
     unimodal = config.mode in ("audio", "visual")
     slots = ((0,) if config.mode == "audio" else (1,)) if unimodal else (0, 1)
     warm = (None, None) if unimodal or warm_towers is None else warm_towers
-    tower_dims, shapes = [], []  # each tower's layer dims; each part's array shapes
+    tower_dims = []
     for slot in slots:
-        dims, expected = (config.dims_a, config.dims_v)[slot], (d1, d2)[slot]
+        field = ("dims_a", "dims_v")[slot]
+        dims, expected = getattr(config, field), (d1, d2)[slot]
         if warm[slot] is not None:
             if warm[slot].input_dim != expected:
                 raise ValueError(
@@ -224,50 +226,39 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
                 )
             dims = warm[slot].layer_dims
         elif not dims:
-            raise ValueError(f"mode {config.mode!r} needs tower dims for both modalities")
+            raise ValueError(f"mode {config.mode!r} needs the tower dims {field}")
         elif dims[0] != expected:
             raise ValueError(
                 f"architecture input dim {dims[0]} does not match dataset dim {expected}"
             )
-        shapes.append(layer_shapes(dims))  # refuses dims that make no tower
-        tower_dims.append(dims)
-    features = [dims[-1] for dims in tower_dims]
-
-    top_dims = None
-    if config.mode == "bilinear":
-        kind = "bilinear"
-        shapes.append(head_shapes(config.variant, *features, num_classes, config.fused_dim,
-                                  tree))
-    else:
-        kind = "unimodal" if unimodal else "fused"
-        out_in = sum(features)
-        if config.mode == "fused" and config.fusion_top:
-            top_dims = (out_in,) + config.fusion_top
-            out_in = top_dims[-1]
-        shapes.append(softmax_head_shapes(out_in, num_classes, top_dims))
-    params, views = part_views(kind, shapes)
+        tower_dims.append(tuple(dims))
+    bilinear = config.mode == "bilinear"
+    spec = ModelSpec(
+        kind="bilinear" if bilinear else "unimodal" if unimodal else "fused",
+        classes=int(num_classes), seed=config.seed, arch=config.arch, inputs=slots,
+        dims=tuple(tower_dims), variant=config.variant if bilinear else None,
+        fused_dim=config.fused_dim if bilinear and config.variant != FULL else None,
+        lam=config.lam if bilinear else None, tree=tree if bilinear else None,
+        top_dims=config.fusion_top if config.mode == "fused" else None,
+    )
+    params = FlatArrays.empty(spec.param_shapes())  # refuses dims that make no part
+    *towers, head = part_views(spec, params)
 
     scale = config.init_scale
-    towers = []
-    for slot, dims, view in zip(slots, tower_dims, views):
+    for slot, view in zip(slots, towers):
         if warm[slot] is None:
-            seed = _child_seed(config.seed, (_SEED_TOWER_A, _SEED_TOWER_V)[slot])
-            towers.append(init_tower(dims, seed, scale, out=view))
+            init_params(view, _child_seed(config.seed, (_SEED_TOWER_A, _SEED_TOWER_V)[slot]),
+                        scale)
             continue
         for name, a in warm[slot].param_arrays().items():
             np.copyto(view[name], a)
-        towers.append(MlpTower.from_arrays(view))
-    view = views[-1]
-    if kind == "bilinear":
-        head = init_head(config.variant, *features, num_classes, config.fused_dim, tree,
-                         _child_seed(config.seed, _SEED_HEAD), scale, config.lam, out=view)
+    if bilinear:
+        init_params(head, _child_seed(config.seed, _SEED_HEAD), scale)
     else:
-        if top_dims is not None:
-            init_tower(top_dims, _child_seed(config.seed, _SEED_TOP), scale,
-                       out={k: view[f"{TOP}.{k}"] for k in layer_shapes(top_dims)})
-        head = init_softmax_head(out_in, num_classes, _child_seed(config.seed, _SEED_OUT),
-                                 scale, out=view)
-    return Classifier(kind, towers, head, params, slots, seed=config.seed, arch=config.arch)
+        out = {name: head.pop(name) for name in (f"{OUT}.W", f"{OUT}.b")}
+        init_params(head, _child_seed(config.seed, _SEED_TOP), scale)  # the top stack, if any
+        init_params(out, _child_seed(config.seed, _SEED_OUT), scale)
+    return Classifier(spec, params)
 
 
 def train_model(model, config: TrainConfig, train_set: Dataset,

@@ -255,21 +255,6 @@ def test_init_head_draws_in_payload_order(variant):
     assert np.array_equal(got[-1], np.zeros(c))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_init_head_refuses_an_out_of_other_shapes(variant):
-    # the arrays of a head with dims (5, 4), asked for one with dims (3, 4):
-    # the first array whose shape differs is named, and nothing is drawn
-    tree = LabelTree.balanced(6, 3)
-    given, wanted = (bilinear.head_shapes(variant, k1, 4, 6, fused_dim=2, tree=tree)
-                     for k1 in (5, 3))
-    out = {name: np.zeros(shape) for name, shape in given.items()}
-    name = next(n for n in wanted if wanted[n] != given[n])
-    with pytest.raises(ShapeError, match="^" + re.escape(
-            f"out array {name!r} has shape {given[name]}, expected {wanted[name]}") + "$"):
-        init_head(variant, 3, 4, 6, fused_dim=2, tree=tree, seed=1, out=out)
-    assert not any(a.any() for a in out.values())
-
-
 class TestMaterialize:
     def test_identity_factorization(self):
         head = BilinearHead(FACTORED, 2, 2, 3, u1=np.eye(2), u2=np.eye(2),

@@ -125,7 +125,7 @@ class TestTrain:
         assert code == 0
         model = load_model(out)
         assert model.num_classes == 4
-        assert model.arch == ARCH_SMALL
+        assert model.spec.arch == ARCH_SMALL
 
     def test_train_eval_round(self, synth_files, tmp_path, capsys):
         train, test = synth_files

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import os
 import re
 import struct
 
@@ -20,8 +22,9 @@ from bimodalnet.data import (
     save_dataset,
     save_model,
 )
+from bimodalnet.fusion import KINDS, Classifier, ModelSpec
 from bimodalnet.training import TrainConfig, build_model
-from tests.conftest import no_unclosed_files
+from tests.conftest import ROOT, no_unclosed_files
 
 
 class TestSynthSpec:
@@ -396,7 +399,7 @@ class TestModelRoundTrip:
         path = tmp_path / "large.model"
         save_model(model, path)
         again = load_model(path)
-        assert again.arch == cfg.arch
+        assert again.spec.arch == cfg.arch
         assert again.head.tree == tree
         for name, arr in model.params().items():
             assert np.array_equal(arr, again.params()[name])
@@ -514,10 +517,115 @@ class TestModelFormat:
         path = tmp_path / "kept.model"
         save_model(model, path)
         before = path.read_bytes()
-        model.arch = arch
+        model = Classifier(dataclasses.replace(model.spec, arch=arch), model.params())
         with pytest.raises(ValueError, match="'arch' must be single-line ASCII"):
             save_model(model, path)
         assert path.read_bytes() == before
+
+
+def _header_fields(path) -> dict[str, str]:
+    """The ``key: value`` header lines of a saved model, other than ``array:``."""
+    head = path.read_bytes().partition(b"\nbinary\n")[0].decode("ascii")
+    return dict(line.split(": ", 1) for line in head.split("\n")[1:]
+                if not line.startswith("array: "))
+
+
+def _spec_models():
+    """(tag, model) of every _model_zoo model and of the other shapes a spec
+    takes: a modality-2 tower, heads without a label tree, and the paper's
+    factored-shared and fused-top shapes."""
+    models = _model_zoo(LabelTree.balanced(4, 2))
+    models.append(("visual", build_model(
+        TrainConfig(mode="visual", dims_v=(6, 3), epochs=0, seed=5), 5, 6, 4)))
+    for variant in (FULL, FACTORED):
+        models.append((f"{variant}-treeless", build_model(
+            TrainConfig(mode="bilinear", variant=variant, dims_a=(5, 4), dims_v=(6, 4),
+                        fused_dim=2, epochs=0, seed=6), 5, 6, 4)))
+    paper = dict(dims_a=(360, 500, 200), dims_v=(540, 500, 200), epochs=0, seed=7)
+    tree = LabelTree(np.arange(1328) * 42 // 1328, 42)
+    models.append(("paper-factored-shared", build_model(
+        TrainConfig(mode="bilinear", variant=FACTORED_SHARED, fused_dim=200, **paper),
+        360, 540, 1328, tree)))
+    models.append(("paper-fused-top", build_model(
+        TrainConfig(mode="fused", fusion_top=(500,), **paper), 360, 540, 1328, tree)))
+    return models
+
+
+class TestModelSpec:
+    """A model's spec is what its header fields say, and it gives the names
+    and shapes of its parameter arrays."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return _spec_models()
+
+    def test_parse_of_the_saved_fields_is_the_spec(self, models, tmp_path):
+        for tag, model in models:
+            path = tmp_path / f"{tag}.model"
+            save_model(model, path)
+            assert ModelSpec.parse(_header_fields(path)) == model.spec, tag
+            assert _header_fields(path) == model.spec.fields(), tag
+
+    def test_part_shapes_are_the_parameter_arrays(self, models):
+        for tag, model in models:
+            spec = model.spec
+            flat = [(prefix + name, shape) for prefix, part
+                    in zip(KINDS[spec.kind].prefixes, spec.part_shapes())
+                    for name, shape in part.items()]
+            assert flat == [(name, a.shape) for name, a in model.params().items()], tag
+            assert list(spec.param_shapes().items()) == flat, tag
+
+
+    @pytest.mark.parametrize("tag,line,edited,message", [
+        (FACTORED, "fused_dim: 2", "fused_dim: 3",
+         "array 'head.U1' at byte offset 236 reads 'array: head.U1 4,2'; expected "
+         "'array: head.U1 4,3', which header fields 'classes', 'variant', 'dims_a', "
+         "'dims_v', 'fused_dim' give"),
+        ("fused-deep", "top_dims: 8,7,5", "top_dims: 8,7,6",
+         "array 'top.W1' at byte offset 216 reads 'array: top.W1 7,5'; expected "
+         "'array: top.W1 7,6', which header fields 'classes', 'dims_a', 'dims_v', "
+         "'top_dims' give"),
+        ("fused-deep", "top_dims: 8,7,5", "top_dims: 9,7,5",
+         "invalid 'top_dims' header field '9,7,5'"),
+        ("unimodal", "dims: 5,4,3", "dims: 5,4,3,4",
+         "array 'out.W' at byte offset 163 reads 'array: out.W 3,4'; expected "
+         "'array: tower.W2 3,4', which header fields 'dims' give"),
+        ("unimodal", "arch: ", "arch: \nnote: x",
+         "header line at byte offset 61 reads 'note: x'; expected 'modality'"),
+        ("unimodal", "array: out.b 4", "binary",
+         "header line at byte offset 178 reads 'binary'; expected 'array: out.b 4', "
+         "which header fields 'classes', 'dims' give"),
+    ])
+    def test_a_line_other_than_the_spec_gives_is_named(self, tmp_path, tag, line, edited,
+                                                        message):
+        # the payload is not read: the header alone is refused
+        path = tmp_path / "edited.model"
+        save_model(dict(_model_zoo(LabelTree.balanced(4, 2)))[tag], path)
+        blob = path.read_bytes()
+        head, sep, payload = blob.partition(b"\nbinary\n")
+        head = (head + b"\n").replace(f"\n{line}\n".encode(), f"\n{edited}\n".encode())
+        path.write_bytes(head[:-1] + sep + payload)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
+
+V1_MODELS = os.path.join(ROOT, "tests", "v1_models")
+
+
+class TestPinnedV1Files:
+    """Files of the six _model_zoo models, written by an earlier save_model,
+    load and save again to the same bytes."""
+
+    def test_the_zoo_is_pinned(self):
+        tags = [tag for tag, _ in _model_zoo(LabelTree.balanced(4, 2))]
+        assert sorted(os.listdir(V1_MODELS)) == sorted(f"{tag}.model" for tag in tags)
+
+    @pytest.mark.parametrize("tag", list(V1_HEADERS))
+    def test_load_and_save_give_the_same_bytes(self, tmp_path, tag):
+        pinned = os.path.join(V1_MODELS, f"{tag}.model")
+        save_model(load_model(pinned), tmp_path / "again.model")
+        with open(pinned, "rb") as fh:
+            assert (tmp_path / "again.model").read_bytes() == fh.read()
 
 
 def _line_edits(manifest: bool):
@@ -831,17 +939,48 @@ class TestModelHeaderRead:
         assert reader.bytes_read == end
 
 
+def _editable_values(blob: bytes) -> list[range]:
+    """The byte range of each ``seed``, ``arch``, ``lambda``, ``groups`` and
+    ``group_of`` value in the header of model file ``blob``: the values an
+    edit may change with the header still that of a model."""
+    values, start = [], 0
+    for line in blob.partition(b"\nbinary\n")[0].split(b"\n"):
+        key, sep, _ = line.partition(b": ")
+        if sep and key in (b"seed", b"arch", b"lambda", b"groups", b"group_of"):
+            values.append(range(start + len(key) + 2, start + len(line)))
+        start += len(line) + 1
+    return values
+
+
 class TestModelHeaderFuzz:
+    @pytest.mark.parametrize("line,edited", [
+        (b"seed: 4", b"seed: 7"), (b"lambda: 2.0", b"lambda: 2.5"),
+        (b"group_of: 0,0,1,1", b"group_of: 0,1,1,1"),
+    ])
+    def test_an_edited_value_of_another_model_loads(self, tmp_path, line, edited):
+        # one byte of the value differs; the header is that of another model
+        pos = next(i for i, (a, b) in enumerate(zip(line, edited)) if a != b)
+        path, again = tmp_path / "edited.model", tmp_path / "again.model"
+        for tag, model in _model_zoo(LabelTree.balanced(4, 2))[3:]:  # the bilinear ones
+            save_model(model, path)
+            blob = path.read_bytes()
+            at = blob.index(b"\n" + line + b"\n") + 1 + pos
+            assert any(at in value for value in _editable_values(blob)), tag
+            path.write_bytes(blob.replace(b"\n" + line + b"\n", b"\n" + edited + b"\n"))
+            save_model(load_model(path), again)
+            assert again.read_bytes() == path.read_bytes(), tag
+
     def test_single_byte_substitutions(self, tmp_path):
         """Every header byte of every zoo model, replaced by a seeded other
         byte: the load raises FormatError, or its model saves to the edited
-        bytes (an edited value of ``seed``, ``arch``, ``lambda`` or the label
-        tree is a valid header of another model)."""
+        bytes, and the edited byte is one of a value of ``seed``, ``arch``,
+        ``lambda`` or the label tree (a valid header of another model)."""
         rng = np.random.default_rng(0)
         path, again = tmp_path / "fuzzed.model", tmp_path / "again.model"
         for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
             save_model(model, path)
             blob = path.read_bytes()
+            values = _editable_values(blob)
             for pos in range(blob.index(b"\nbinary\n") + len(b"\nbinary\n")):
                 edited = bytearray(blob)
                 edited[pos] = (blob[pos] + int(rng.integers(1, 256))) % 256
@@ -852,6 +991,7 @@ class TestModelHeaderFuzz:
                     continue
                 save_model(loaded, again)
                 assert again.read_bytes() == edited, (tag, pos)
+                assert any(pos in value for value in values), (tag, pos)
 
 
 class TestDatasetValidation:

@@ -7,21 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimodalnet.bilinear import BilinearHead, LabelTree
-from bimodalnet.data import SynthSpec, generate_synthetic, load_model, save_model
+from bimodalnet.data import FormatError, SynthSpec, generate_synthetic, load_model, save_model
 from bimodalnet.fusion import (
     KINDS,
     Classifier,
     Ensemble,
+    ModelSpec,
     SoftmaxHead,
     fuse_features,
-    init_softmax_head,
-    part_views,
-    softmax_head_shapes,
 )
 from bimodalnet.linalg import FlatArrays, ShapeError, leaf_pieces
 from bimodalnet.mlp import MlpTower, forward, init_tower
 from bimodalnet.training import TrainConfig, build_model, train_model
 from tests.test_data import _model_zoo
+
+
+def softmax_spec(kind, dims, inputs, top_dims=None):
+    """The spec of a ``kind`` model of towers with layer dims ``dims`` under
+    a 4-class softmax head."""
+    return ModelSpec(kind=kind, classes=4, seed=0, arch="", inputs=inputs, dims=dims,
+                     variant=None, fused_dim=None, lam=None, tree=None, top_dims=top_dims)
 
 
 def tower_features(tower_a, tower_v, x1, x2):
@@ -175,12 +180,13 @@ class TestFusedKind:
         assert "tower_a.W0" in model.params()
 
     def test_top_dim_validation(self):
-        tower_a = init_tower([4, 3], seed=0)
-        tower_v = init_tower([5, 3], seed=1)
-        head = SoftmaxHead(np.zeros((6, 4)), np.zeros(4), init_tower([7, 6], seed=3))
-        # the composition is checked before the parameter vector
-        with pytest.raises(ShapeError):
-            Classifier("fused", [tower_a, tower_v], head, params=FlatArrays.empty({}))
+        # a spec's top stack takes the towers' features, so a header whose
+        # top_dims do not start at their width describes no model
+        spec = softmax_spec("fused", ((4, 3), (5, 3)), (0, 1), top_dims=(6,))
+        assert spec.fields()["top_dims"] == "6,6"
+        assert ModelSpec.parse(spec.fields()) == spec
+        with pytest.raises(FormatError, match=r"^invalid 'top_dims' header field '7,6'$"):
+            ModelSpec.parse({**spec.fields(), "top_dims": "7,6"})
 
 
 class TestParameterVector:
@@ -297,15 +303,6 @@ class TestParameterVector:
         assert model.frozen == before
 
 
-def test_init_softmax_head_refuses_an_out_of_other_shapes():
-    # the arrays of a 4-class head, asked for a 3-class one
-    out = {"out.W": np.zeros((6, 4)), "out.b": np.zeros(4)}
-    with pytest.raises(ShapeError, match=r"^out array 'out.W' has shape \(6, 4\), "
-                                         r"expected \(6, 3\)$"):
-        init_softmax_head(6, 3, 1, out=out)
-    assert not out["out.W"].any()
-
-
 class TestParts:
     """A classifier's parameters are its parts' ``param_arrays``, each under
     its prefix: the towers in kind order, then the head, whose ``top`` stack
@@ -347,8 +344,7 @@ class TestParts:
             for tower, built, slot in zip(model.towers, towers, model.inputs):
                 x = (x1, x2)[slot]
                 assert forward(built, x).features.tobytes() == forward(tower, x).features.tobytes()
-            rebuilt = Classifier(model.kind, towers, again, params=model.params(),
-                                 inputs=model.inputs)
+            rebuilt = Classifier(model.spec, model.params())
             assert (rebuilt.posterior_batch(x1, x2).tobytes()
                     == model.posterior_batch(x1, x2).tobytes()), tag
 
@@ -356,12 +352,10 @@ class TestParts:
 class TestRefusedComposition:
     @pytest.mark.parametrize("inputs", [(2,), (-1,), (0, 1, 2)])
     def test_input_slot_outside_0_and_1(self, inputs):
-        towers = [init_tower((5, 4), 0)]
         # the composition is checked before the parameter vector
         with pytest.raises(ValueError, match=rf"^input slots must be 0 or 1, got "
                                              rf"{re.escape(str(inputs))}$"):
-            Classifier("unimodal", towers, init_softmax_head(4, 3, 1),
-                       params=FlatArrays.empty({}), inputs=inputs)
+            Classifier(softmax_spec("unimodal", ((5, 4),), inputs), FlatArrays.empty({}))
 
     @pytest.mark.parametrize("kind,towers,inputs", [
         ("unimodal", 2, None),
@@ -372,25 +366,23 @@ class TestRefusedComposition:
     def test_tower_count_and_input_slots_follow_the_kind(self, kind, towers, inputs):
         # a unimodal model of two towers would hold no head arrays, and a
         # fused one of one slot would fail in its first matmul
-        parts = [init_tower((5, 4), 0), init_tower((6, 4), 1)][:towers]
-        head = init_softmax_head(4 * towers, 3, 2)
+        dims = ((5, 4), (6, 4))[:towers]
         expected = len(KINDS[kind].towers)
         got = tuple(range(towers)) if inputs is None else inputs
         with pytest.raises(ValueError, match=rf"^a {kind} classifier takes {expected} "
                                              rf"tower\(s\), one per input slot; got "
                                              rf"{towers} and slots {re.escape(str(got))}$"):
-            Classifier(kind, parts, head, params=FlatArrays.empty({}), inputs=inputs)
+            Classifier(softmax_spec(kind, dims, got), FlatArrays.empty({}))
 
-    def test_a_tower_of_another_model_is_refused_and_stays_in_it(self, rng):
+    def test_the_vector_of_another_model_is_refused_and_stays_in_it(self, rng):
+        # a fused model of the bilinear model's tower dims, on that model's vector
         cfg = TrainConfig(mode="bilinear", variant="factored-shared",
                           dims_a=(4, 3), dims_v=(5, 3), fused_dim=2, epochs=0, seed=1)
         bil = build_model(cfg, 4, 5, 4, LabelTree.balanced(4, 2))
-        towers = [bil.tower1, bil.tower2]
-        shapes = [{k: a.shape for k, a in t.param_arrays().items()} for t in towers]
-        params, views = part_views("fused", shapes + [softmax_head_shapes(6, 4)])
-        head = init_softmax_head(6, 4, 3, out=views[-1])
-        with pytest.raises(ValueError, match=r"^array 'tower_a\.W0' is not view 0 of params"):
-            Classifier("fused", towers, head, params=params)
+        spec = softmax_spec("fused", bil.spec.dims, (0, 1))
+        with pytest.raises(ShapeError, match=r"^params are not the arrays of a fused model "
+                                             r"of this spec$"):
+            Classifier(spec, bil.params())
         # bil keeps its towers: they still compute with its parameter vector
         assert np.shares_memory(bil.tower1.weights[0], bil.params().flat)
         x1, x2 = rng.standard_normal((3, 4)), rng.standard_normal((3, 5))

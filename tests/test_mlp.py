@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimodalnet.fusion import SoftmaxHead, init_softmax_head
+from bimodalnet.fusion import SoftmaxHead
 from bimodalnet.linalg import ShapeError
 from bimodalnet.mlp import (
     MlpTower,
@@ -78,13 +78,6 @@ class TestInitTower:
     def test_invalid_dims(self, dims):
         with pytest.raises(ValueError):
             init_tower(dims, seed=0)
-
-    def test_out_of_other_shapes_is_refused(self):
-        out = {"W0": np.zeros((3, 2)), "b0": np.zeros(2)}
-        with pytest.raises(ShapeError, match=r"^out array 'W0' has shape \(3, 2\), "
-                                             r"expected \(5, 4\)$"):
-            init_tower((5, 4), 0, out=out)
-        assert not out["W0"].any()  # refused before any draw
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("array", ["W0", "b0", "W1", "b1"])
@@ -207,7 +200,7 @@ class TestBackward:
 
 class TestSoftmaxLayer:
     def test_probabilities_sum_to_one(self, rng):
-        layer = init_softmax_head(5, 7, seed=1, scale=0.8)
+        layer = SoftmaxHead(rng.uniform(-0.8, 0.8, (5, 7)), np.zeros(7))
         probs = layer.probabilities([rng.standard_normal((10, 5))])
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 

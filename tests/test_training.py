@@ -777,6 +777,20 @@ class TestBuildModel:
         for name, arr in model.params().items():
             assert arr.tobytes() == expected[name].tobytes(), name
 
+    @pytest.mark.parametrize("mode,dims,message", [
+        ("audio", dict(dims_a=()), "mode 'audio' needs the tower dims dims_a"),
+        ("visual", dict(dims_v=()), "mode 'visual' needs the tower dims dims_v"),
+        ("fused", dict(dims_v=()), "mode 'fused' needs the tower dims dims_v"),
+        ("bilinear", dict(dims_a=(31, 120, 60)),
+         "architecture input dim 31 does not match dataset dim 30"),
+    ])
+    def test_refused_dims_name_their_field(self, mode, dims, message):
+        # a uni-modal mode needs the dims of its own modality only
+        cfg = TrainConfig(**{**dict(dims_a=(30, 120, 60), dims_v=(50, 120, 60), fused_dim=40,
+                                    mode=mode), **dims})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_model(cfg, 30, 50, 64, _BUILD_TREE)
+
     @pytest.mark.parametrize("tag", _FRESH)
     def test_zero_scale_gives_positive_zeros(self, tag):
         _, model = _build(tag, init_scale=0.0)
