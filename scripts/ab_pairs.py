@@ -233,8 +233,10 @@ def main(argv=None) -> int:
                 pairs = run_pairs(args, save)
         else:
             pairs = run_pairs(args, None)
-    print(report(pairs, directions(), relative_bounds()))
-    return 0
+    better, bounds = directions(), relative_bounds()
+    print(report(pairs, better, bounds))
+    worse = any(m.bound == "worse" for m in summarize(pairs, better, bounds))
+    return 1 if worse or fails_more(pairs) else 0
 
 
 if __name__ == "__main__":

@@ -171,12 +171,6 @@ class BilinearHead:
             raise ShapeError(f"tree has {self.tree.num_leaves} leaves but head has {c} classes")
 
     @property
-    def fused_dim(self) -> int:
-        if self.variant == FULL:
-            raise VariantError("full variant has no fused dimension")
-        return self.u1.shape[1]
-
-    @property
     def shared_tree(self) -> Optional[LabelTree]:
         """The label tree the posteriors depend on: a factored-shared head's,
         else None (the unshared variants keep ``tree`` only for the model file)."""
@@ -275,45 +269,68 @@ def materialize_w(head: BilinearHead, leaf: int) -> np.ndarray:
     return (head.u1 * head.w[:, col]) @ head.u2.T
 
 
-def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray):
-    """Batched logits (B, C) from feature rows f1 (B, K1), f2 (B, K2), and
-    the products f1 @ U1, f2 @ U2 of the factored variants (else None).
-
-    The logits are built in the one (B, C) array returned, term by term in
-    a fixed order: first the bilinear term, then f1 @ V1, f2 @ V2 and b.
-    The last three are added in ``leaf_pieces``, so no (B, C) temporary
-    exists beside the logits; a batch that fits one piece is added whole,
-    with no slicing.
-    """
-    a1 = a2 = None
+def _group_scores(head: BilinearHead, f1: np.ndarray, f2: np.ndarray, products: bool = True):
+    """(a1, a2, scores) of feature rows f1 (B, K1), f2 (B, K2): the factored
+    variants' products a1 = f1 @ U1 and a2 = f2 @ U2, and the scores that
+    ``_piece_logits`` takes the leaf columns from: a1 * a2 (factored), the
+    (B, G) group scores (a1 * a2) @ w (factored-shared) or None (full),
+    formed for the whole batch, as a group-width product of fewer rows may
+    round differently. a1 and a2 are None for the full variant and without
+    ``products``, for reads: a1 * a2 is then formed in a1's array."""
     if head.variant == FULL:
-        logits = np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True)
+        return None, None, None
+    a1 = f1 @ head.u1
+    a2 = f2 @ head.u2
+    scores = a1 * a2 if products else np.multiply(a1, a2, out=a1)
+    if head.variant == FACTORED_SHARED:
+        scores = scores @ head.w
+    return (a1, a2, scores) if products else (None, None, scores)
+
+
+def _piece_logits(head: BilinearHead, scores, f1: np.ndarray, f2: np.ndarray, out=None):
+    """The logits (rows, C) of feature rows f1, f2, a piece of a batch or all
+    of it, whose ``_group_scores`` rows are ``scores``; formed in ``out``
+    when given, else in a new array, term by term in a fixed order: the
+    bilinear term, then f1 @ V1, f2 @ V2 and b."""
+    if head.variant == FULL:
+        logits = np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True, out=out)
+    elif head.variant == FACTORED_SHARED:
+        # G distinct bilinear columns: copy each group's score to its leaves.
+        # The tree's ids are in range; "clip" writes into out with no buffer
+        logits = np.take(scores, head.tree.group_of, axis=1, out=out, mode="clip")
     else:
-        a1 = f1 @ head.u1
-        a2 = f2 @ head.u2
-        logits = (a1 * a2) @ head.w
-        if head.variant == FACTORED_SHARED:
-            # G distinct bilinear columns: score groups, then copy to leaves
-            logits = np.take(logits, head.tree.group_of, axis=1)
-    if logits.nbytes <= LEAF_PIECE_BYTES:
-        _add_linear_terms(head, logits, f1, f2)
-        return logits, a1, a2
-    for start, stop in leaf_pieces(*logits.shape):
-        _add_linear_terms(head, logits[start:stop], f1[start:stop], f2[start:stop])
-    return logits, a1, a2
-
-
-def _add_linear_terms(head: BilinearHead, logits, f1, f2) -> None:
+        logits = np.matmul(scores, head.w, out=out)
     logits += f1 @ head.v1
     logits += f2 @ head.v2
     logits += head.b
+    return logits
+
+
+def _leaf_logits(head: BilinearHead, f1: np.ndarray, f2: np.ndarray, products: bool = True):
+    """Batched logits (B, C) from feature rows f1 (B, K1), f2 (B, K2), and
+    the products a1, a2 of ``_group_scores``, which a step's gradients use
+    (None without ``products``).
+
+    A batch that fits one ``leaf_pieces`` piece is one ``_piece_logits``
+    call, with no slicing; a larger one is built piece by piece in the one
+    (B, C) array returned, so no (B, C) temporary exists beside it.
+    """
+    a1, a2, scores = _group_scores(head, f1, f2, products)
+    rows, classes = len(f1), head.num_classes
+    if 8 * rows * classes <= LEAF_PIECE_BYTES:
+        return _piece_logits(head, scores, f1, f2), a1, a2
+    logits = np.empty((rows, classes))
+    for start, stop in leaf_pieces(rows, classes):
+        _piece_logits(head, None if scores is None else scores[start:stop], f1[start:stop],
+                      f2[start:stop], out=logits[start:stop])
+    return logits, a1, a2
 
 
 def posterior_batch(head: BilinearHead, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Class posteriors (B, C) of float64 feature rows f1 (B, K1), f2 (B, K2),
     as the towers return them; their widths are the head's, as a model's
     spec makes them."""
-    logits = _leaf_logits(head, f1, f2)[0]
+    logits = _leaf_logits(head, f1, f2, products=False)[0]
     return softmax(logits, out=logits)
 
 
@@ -321,27 +338,12 @@ def add_posterior(head: BilinearHead, f1: np.ndarray, f2: np.ndarray,
                   total: np.ndarray) -> None:
     """Add ``posterior_batch(head, f1, f2)`` into ``total`` (B, C), bit for
     bit, one ``leaf_pieces`` piece of rows at a time, so no (B, C) array is
-    formed beside ``total``.
-
-    The product a1 * a2 of f1 @ U1 and f2 @ U2 and the shared variant's
-    (B, G) group scores are formed once for the whole batch, as
-    ``_leaf_logits`` forms them: a group-width product of fewer rows may
-    round differently. The leaf-width bilinear term is formed per piece.
-    """
-    if head.variant != FULL:
-        scores = f1 @ head.u1
-        scores *= f2 @ head.u2  # a1 * a2, in one (B, F) array
-        if head.variant == FACTORED_SHARED:
-            scores = scores @ head.w  # the (B, G) group scores
+    formed beside ``total``: the whole batch's ``_group_scores``, as
+    ``posterior_batch`` forms them, then each piece's ``_piece_logits``."""
+    scores = _group_scores(head, f1, f2, products=False)[2]
     for start, stop in leaf_pieces(len(f1), head.num_classes):
-        p1, p2 = f1[start:stop], f2[start:stop]
-        if head.variant == FULL:
-            logits = np.einsum("bi,cij,bj->bc", p1, head.w_stack, p2, optimize=True)
-        elif head.variant == FACTORED_SHARED:
-            logits = np.take(scores[start:stop], head.tree.group_of, axis=1)
-        else:
-            logits = scores[start:stop] @ head.w
-        _add_linear_terms(head, logits, p1, p2)
+        logits = _piece_logits(head, None if scores is None else scores[start:stop],
+                               f1[start:stop], f2[start:stop])
         piece = total[start:stop]
         piece += softmax(logits, out=logits)
         del logits  # freed before the next piece forms its own

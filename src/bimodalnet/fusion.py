@@ -89,19 +89,17 @@ class SoftmaxHead:
         return cls(arrays[f"{OUT}.W"], arrays[f"{OUT}.b"],
                    MlpTower.from_arrays(top, _finite) if top else None)
 
-    def _output(self, feats) -> np.ndarray:
-        """softmax(feats W + b), formed in the one logits array."""
-        logits = feats @ self.weights
-        logits += self.bias
-        return softmax(logits, out=logits)
-
     def _forward(self, features):
-        """(top trace or None, features under W, probabilities)."""
+        """(top trace or None, features under W, probabilities): the features
+        fused, run through the top stack when there is one, and the output
+        layer's softmax(feats W + b), formed in the one logits array."""
         feats = fuse_features(features)
         trace = forward(self.top, feats) if self.top is not None else None
         if trace is not None:
             feats = trace.features
-        return trace, feats, self._output(feats)
+        logits = feats @ self.weights
+        logits += self.bias
+        return trace, feats, softmax(logits, out=logits)
 
     def probabilities(self, features) -> np.ndarray:
         return self._forward(features)[2]
@@ -109,14 +107,11 @@ class SoftmaxHead:
     def add_probabilities(self, features, total) -> None:
         """Add ``probabilities(features)`` into ``total`` (B, C), bit for bit,
         one ``leaf_pieces`` piece of rows at a time, so no (B, C) array is
-        formed beside ``total``. Each piece's features are fused, and run
-        through the top stack, on their own."""
+        formed beside ``total``: each piece's rows of the features go through
+        ``_forward`` on their own."""
         for start, stop in leaf_pieces(len(total), self.num_classes):
-            feats = fuse_features([f[start:stop] for f in features])
-            if self.top is not None:
-                feats = forward_features(self.top, feats)
             piece = total[start:stop]
-            piece += self._output(feats)
+            piece += self._forward([f[start:stop] for f in features])[2]
 
     def gradients(self, features, targets, scale: float, out=None, input_delta: bool = True):
         """(probs, gradients by parameter name, error signal for each tower),

@@ -220,6 +220,17 @@ class TestLeafLogitPieces:
         bilinear.add_posterior(head, f1, f2, total)
         assert np.array_equal(total, posterior_batch(head, f1, f2))
 
+    @pytest.mark.parametrize("rows", BATCHES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_added_posteriors_match_the_whole_batch(self, heads, variant, rows):
+        # against the whole-batch expression itself, not posterior_batch, which
+        # forms its logits by the same _piece_logits
+        head = heads[variant]
+        f1, f2, _ = self._batch(head, rows)
+        total = np.zeros((rows, 1328))
+        bilinear.add_posterior(head, f1, f2, total)
+        assert np.array_equal(total, softmax(_whole_batch_logits(head, f1, f2)[0]))
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_no_second_leaf_width_array(self, heads, variant):
         head = heads[variant]

@@ -940,13 +940,14 @@ class TestModelHeaderRead:
 
 
 def _editable_values(blob: bytes) -> list[range]:
-    """The byte range of each ``seed``, ``arch``, ``lambda``, ``groups`` and
-    ``group_of`` value in the header of model file ``blob``: the values an
-    edit may change with the header still that of a model."""
+    """The byte range of each ``seed``, ``arch``, ``modality``, ``lambda``,
+    ``groups`` and ``group_of`` value in the header of model file ``blob``:
+    the values an edit may change with the header still that of a model (a
+    unimodal model's tower reads either input slot)."""
     values, start = [], 0
     for line in blob.partition(b"\nbinary\n")[0].split(b"\n"):
         key, sep, _ = line.partition(b": ")
-        if sep and key in (b"seed", b"arch", b"lambda", b"groups", b"group_of"):
+        if sep and key in (b"seed", b"arch", b"modality", b"lambda", b"groups", b"group_of"):
             values.append(range(start + len(key) + 2, start + len(line)))
         start += len(line) + 1
     return values
@@ -955,26 +956,34 @@ def _editable_values(blob: bytes) -> list[range]:
 class TestModelHeaderFuzz:
     @pytest.mark.parametrize("line,edited", [
         (b"seed: 4", b"seed: 7"), (b"lambda: 2.0", b"lambda: 2.5"),
-        (b"group_of: 0,0,1,1", b"group_of: 0,1,1,1"),
+        (b"group_of: 0,0,1,1", b"group_of: 0,1,1,1"), (b"modality: 1", b"modality: 2"),
     ])
     def test_an_edited_value_of_another_model_loads(self, tmp_path, line, edited):
         # one byte of the value differs; the header is that of another model
         pos = next(i for i, (a, b) in enumerate(zip(line, edited)) if a != b)
         path, again = tmp_path / "edited.model", tmp_path / "again.model"
-        for tag, model in _model_zoo(LabelTree.balanced(4, 2))[3:]:  # the bilinear ones
+        holding = []
+        for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
             save_model(model, path)
             blob = path.read_bytes()
+            if b"\n" + line + b"\n" not in blob:
+                continue
+            holding.append(tag)
             at = blob.index(b"\n" + line + b"\n") + 1 + pos
             assert any(at in value for value in _editable_values(blob)), tag
             path.write_bytes(blob.replace(b"\n" + line + b"\n", b"\n" + edited + b"\n"))
             save_model(load_model(path), again)
             assert again.read_bytes() == path.read_bytes(), tag
+        # the unimodal model's header holds the modality line, the bilinear ones' the others
+        assert holding == (["unimodal"] if line.startswith(b"modality")
+                           else [FULL, FACTORED, FACTORED_SHARED])
 
     def test_single_byte_substitutions(self, tmp_path):
         """Every header byte of every zoo model, replaced by a seeded other
         byte: the load raises FormatError, or its model saves to the edited
         bytes, and the edited byte is one of a value of ``seed``, ``arch``,
-        ``lambda`` or the label tree (a valid header of another model)."""
+        ``modality``, ``lambda`` or the label tree (a valid header of another
+        model)."""
         rng = np.random.default_rng(0)
         path, again = tmp_path / "fuzzed.model", tmp_path / "again.model"
         for tag, model in _model_zoo(LabelTree.balanced(4, 2)):

@@ -15,10 +15,19 @@ from bimodalnet.fusion import (
     ModelSpec,
     SoftmaxHead,
     fuse_features,
+    softmax_head_shapes,
 )
 from bimodalnet.linalg import FlatArrays, ShapeError, leaf_pieces
-from bimodalnet.mlp import MlpTower, forward, init_tower
+from bimodalnet.mlp import (
+    MlpTower,
+    forward,
+    forward_features,
+    init_arrays,
+    init_tower,
+    softmax,
+)
 from bimodalnet.training import TrainConfig, build_model, train_model
+from tests import test_bilinear
 from tests.test_data import _model_zoo
 
 
@@ -438,6 +447,45 @@ class TestEnsemble:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Ensemble([])
+
+
+class TestSoftmaxHeadPieces:
+    """A softmax head's posteriors are softmax(f W + b) of its fused features
+    f, run through its top stack when it has one, bit for bit, whether it
+    reads a whole batch, adds them into a total one leaf piece of rows at a
+    time or takes a step, over the bilinear heads' batches (one to eleven
+    pieces at C=1328)."""
+
+    @pytest.fixture(scope="class")
+    def heads(self):
+        """Each head, with the widths of the tower features it reads."""
+        kinds = {"unimodal": ((200,), ()), "fused": ((200, 200), ()),
+                 "fused-top": ((200, 200), (200,))}
+        heads = {}
+        for seed, (tag, (widths, top_dims)) in enumerate(kinds.items()):
+            arrays = init_arrays(softmax_head_shapes(sum(widths), 1328, top_dims), seed, 0.5)
+            arrays["out.b"][:] = np.random.default_rng(3).uniform(-0.5, 0.5, 1328)
+            heads[tag] = SoftmaxHead.from_arrays(arrays), widths
+        return heads
+
+    @pytest.mark.parametrize("rows", test_bilinear.TestLeafLogitPieces.BATCHES)
+    @pytest.mark.parametrize("tag", ("unimodal", "fused", "fused-top"))
+    def test_each_path_gives_the_whole_batch_posteriors(self, heads, tag, rows):
+        head, widths = heads[tag]
+        rng = np.random.default_rng(rows)
+        features = [rng.uniform(0, 1, (rows, width)) for width in widths]
+        feats = np.concatenate(features, axis=1)
+        if head.top is not None:
+            feats = forward_features(head.top, feats)
+        expected = softmax(feats @ head.weights + head.bias)
+        total = np.zeros((rows, 1328))
+        head.add_probabilities(features, total)  # 0 + p is p
+        targets = rng.integers(0, 1328, rows)
+        got = {"read": head.probabilities(features), "added": total,
+               "step": head.gradients(features, targets, 1.0 / rows)[0]}
+        # every path, so that a failure names each one that differs
+        assert {path: np.array_equal(p, expected) for path, p in got.items()} == dict.fromkeys(
+            got, True)
 
 
 class TestPaperShapeEnsemble:

@@ -158,6 +158,32 @@ def test_ab_pairs_summary_of_canned_results():
                                       "change: 1 of 200 operations failed; 1 runs not correct"]
 
 
+def test_ab_pairs_exit_status_of_saved_runs(tmp_path, capsys):
+    ab = load_script("ab_pairs")
+
+    def main(change_train, parent_train=lambda i: 100.0 + i, failed=0):
+        """ab_pairs' exit status over 10 saved pairs, and the train row it prints."""
+        saved = tmp_path / "runs.jsonl"
+        with open(saved, "w", encoding="utf-8") as fh:
+            for i in range(10):
+                for side, train in (("parent", parent_train(i)), ("change", change_train(i))):
+                    result = _result({"train_samples_per_s": train, "peak_rss_mb": 50.0},
+                                     failed=failed if side == "change" else 0)
+                    fh.write(json.dumps({"pair": i, "side": side, "first": side == "parent",
+                                         "result": result}) + "\n")
+        status = ab.main(["--load", str(saved)])
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("train_samples_per_s |"))
+        return status, row.rsplit(" | ", 1)[1]
+
+    assert main(lambda i: 101.0 + i) == (0, "within")
+    assert main(lambda i: 60.0 + i) == (1, "worse")  # 40% below, past the 25% bound
+    # the parent's runs alternate 140 and 60: too wide to tell, which is not a failure
+    assert main(lambda i: 100.0, lambda i: 60.0 if i % 2 else 140.0) == (0, "unresolved")
+    # every row within, but the change fails 1 of its 200 operations against none
+    assert main(lambda i: 101.0 + i, failed=1) == (1, "within")
+
+
 def test_ab_pairs_loads_saved_runs_and_directions(tmp_path):
     ab = load_script("ab_pairs")
     saved = tmp_path / "runs.jsonl"
