@@ -2,8 +2,9 @@
 
 Usage:
     python scripts/ab_pairs.py --parent DIR --change DIR --workload train-small \
-        --seed 13 --pairs 10 [--seconds 25] [--trace 0] [--save runs.jsonl]
-    python scripts/ab_pairs.py --load runs.jsonl
+        --seed 13 --pairs 10 [--seconds 25] [--trace 0] [--save runs.jsonl] \
+        [--bench BENCH.json]
+    python scripts/ab_pairs.py --load runs.jsonl [--bench BENCH.json]
 
 Each pair runs ``perfbench/run.py`` once in each checkout with the same
 workload, seed, run length and trace setting; the parent runs first in even
@@ -19,7 +20,16 @@ the parent's by more than the bound, ``unresolved`` when the parent's
 quartile spread over its median exceeds the bound and not every change run
 beats every parent run, else ``within``. Which direction is better, and each
 bound, come from this checkout's ``BENCHMARK.json``. ``--save`` keeps every
-result line, and ``--load`` summarises a saved file without running.
+result line, with the workload, the seed and the side's commit, and
+``--load`` summarises a saved file without running.
+
+``--bench PATH`` also writes that summary as JSON, under the workload's name
+in PATH's ``workloads`` (an entry of an earlier run of the same workload is
+replaced, others are kept): the seed and the pairs, each side's commit
+(``git rev-parse HEAD`` of its checkout, and whether its files differ from
+that commit) and its failed and attempted operations, and per metric both
+sides' median and quartiles, the change's wins, the gain verdict and the
+bound verdict.
 """
 
 import argparse
@@ -168,6 +178,51 @@ def report(pairs, better: dict[str, str], bounds=None) -> str:
     return "\n".join(lines)
 
 
+def commit_of(checkout: str) -> dict:
+    """``git rev-parse HEAD`` of ``checkout``, and whether any of its files
+    differ from that commit (``git status``); None for both outside git."""
+    def git(*args):
+        try:
+            child = subprocess.run(["git", *args], cwd=checkout, stdout=subprocess.PIPE,
+                                   stderr=subprocess.DEVNULL, text=True)
+        except OSError:  # no git
+            return None
+        return child.stdout.strip() if child.returncode == 0 else None
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain") if head else None
+    return {"commit": head, "dirty": None if status is None else bool(status)}
+
+
+def bench_entry(pairs, better: dict[str, str], bounds, seed, commits) -> dict:
+    """The summary of ``pairs`` that ``report`` prints, as a JSON object."""
+    def sides(q):
+        return dict(zip(("median", "q1", "q3"), q))
+
+    metrics = {m.name: {"unit": m.unit, "better": m.better, "parent": sides(m.parent),
+                        "change": sides(m.change), "wins": m.wins, "pairs": m.pairs,
+                        "parent_spread": m.parent_spread, "gain": m.gain, "bound": m.bound}
+               for m in summarize(pairs, better, bounds)}
+    operations = {}
+    for side, results in zip(SIDES, zip(*pairs)):
+        failed, attempted, incorrect = failures(results)
+        operations[side] = {"failed": failed, "attempted": attempted,
+                            "runs_not_correct": incorrect}
+    return {"seed": seed, "pairs": len(pairs), "commits": commits,
+            "operations": operations, "fails_more": fails_more(pairs), "metrics": metrics}
+
+
+def write_bench(path: str, workload: str, entry: dict) -> None:
+    """Put ``entry`` under ``workload`` in the JSON file at ``path``."""
+    bench = {"workloads": {}}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            bench = json.load(fh)
+    bench["workloads"][workload] = entry
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(bench, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The result line of one perfbench run in ``checkout``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -179,17 +234,30 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
     return json.loads(child.stdout.strip().splitlines()[-1])
 
 
+def _saved(path: str) -> list[dict]:
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
 def load_pairs(path: str) -> list:
     """(parent result, change result) of every complete pair saved by ``--save``."""
     by_pair: dict[int, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            entry = json.loads(line)
-            by_pair.setdefault(entry["pair"], {})[entry["side"]] = entry["result"]
+    for entry in _saved(path):
+        by_pair.setdefault(entry["pair"], {})[entry["side"]] = entry["result"]
     return [(p["parent"], p["change"]) for _, p in sorted(by_pair.items()) if len(p) == 2]
 
 
-def run_pairs(args, save) -> list:
+def load_context(path: str) -> dict:
+    """The workload, seed and each side's commit saved by ``--save``; None
+    for what a file saved without them does not hold."""
+    entries = _saved(path)
+    first = entries[0] if entries else {}
+    return {"workload": first.get("workload"), "seed": first.get("seed"),
+            "commits": {side: next((e.get("commit") for e in entries if e["side"] == side),
+                                   None) for side in SIDES}}
+
+
+def run_pairs(args, save, commits) -> list:
     """Run ``args.pairs`` alternating pairs; writes each result line to ``save``."""
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = []
@@ -202,6 +270,8 @@ def run_pairs(args, save) -> list:
                                      args.seconds, args.trace)
             if save is not None:
                 save.write(json.dumps({"pair": i, "side": side, "first": side == order[0],
+                                       "workload": args.workload, "seed": args.seed,
+                                       "commit": commits[side],
                                        "result": results[side]}) + "\n")
                 save.flush()
         pairs.append((results["parent"], results["change"]))
@@ -219,22 +289,31 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--save", help="write every result line here (JSON lines)")
     parser.add_argument("--load", help="summarise the result lines saved in this file")
+    parser.add_argument("--bench", help="also write the summary into this JSON file")
     args = parser.parse_args(argv)
 
     if args.load:
         pairs = load_pairs(args.load)
+        context = load_context(args.load)
+        if args.bench and context["workload"] is None:
+            parser.error(f"{args.load} names no workload, so --bench cannot file it")
     else:
         missing = [f"--{n}" for n in ("parent", "change", "workload", "seed")
                    if getattr(args, n) is None]
         if missing:
             parser.error(f"running pairs needs {', '.join(missing)}")
+        context = {"workload": args.workload, "seed": args.seed,
+                   "commits": {side: commit_of(getattr(args, side)) for side in SIDES}}
         if args.save:
             with open(args.save, "w", encoding="utf-8") as save:
-                pairs = run_pairs(args, save)
+                pairs = run_pairs(args, save, context["commits"])
         else:
-            pairs = run_pairs(args, None)
+            pairs = run_pairs(args, None, context["commits"])
     better, bounds = directions(), relative_bounds()
     print(report(pairs, better, bounds))
+    if args.bench:
+        write_bench(args.bench, context["workload"],
+                    bench_entry(pairs, better, bounds, context["seed"], context["commits"]))
     worse = any(m.bound == "worse" for m in summarize(pairs, better, bounds))
     return 1 if worse or fails_more(pairs) else 0
 

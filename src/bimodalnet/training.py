@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -268,7 +269,12 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
     Samples are reshuffled each epoch by the config's seeded PRNG; batch
     gradients are fixed-order means, so identical (config, dataset) runs are
     bit-identical. Divergence (non-finite E) aborts with the parameters
-    rolled back to the last finished epoch. The model's gradient vector
+    rolled back to the last finished epoch. That epoch's parameters are
+    written, before each epoch's first step, to an unlinked temporary file
+    that is read back only on divergence: the process holds one parameter
+    vector, and the copy's bytes sit in the page cache (or in tmpfs memory,
+    when the temp directory is a tmpfs). A temp directory that cannot be
+    written raises OSError before the first step. The model's gradient vector
     exists only while an epoch's steps run: it is released before each
     epoch's evaluation and when training stops. Both splits must match the
     model's classes and label tree (``evaluate`` checks them at epoch 0,
@@ -288,39 +294,49 @@ def train_model(model, config: TrainConfig, train_set: Dataset,
         return np.isfinite(m.nll), recs
 
     records.extend(epoch_records(0)[1])
-    # the parameters of the last finished epoch, restored on divergence
-    snapshot = params.flat.copy() if config.epochs else None
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(train_set.n)
-        diverged = False
-        for start in range(0, train_set.n, config.minibatch_size):
-            idx = order[start:start + config.minibatch_size]
-            loglik, grads = model.loglik_and_grads(
-                train_set.x1[idx], train_set.x2[idx], train_set.y[idx]
-            )
-            if not math.isfinite(loglik):
-                diverged = True
+    if not config.epochs:
+        return records
+    # The parameters of the last finished epoch, restored on divergence. The
+    # file is unlinked and never mapped, so its bytes stay out of this
+    # process's resident set; opening it here makes a temp directory that
+    # cannot be written an OSError before the first step.
+    with tempfile.TemporaryFile() as snapshot:
+        for epoch in range(1, config.epochs + 1):
+            snapshot.seek(0)
+            snapshot.write(params.flat)
+            order = rng.permutation(train_set.n)
+            diverged = False
+            for start in range(0, train_set.n, config.minibatch_size):
+                idx = order[start:start + config.minibatch_size]
+                loglik, grads = model.loglik_and_grads(
+                    train_set.x1[idx], train_set.x2[idx], train_set.y[idx]
+                )
+                if not math.isfinite(loglik):
+                    diverged = True
+                    break
+                try:
+                    sgd_step(params, grads, config.learning_rate, config.lam, project)
+                except DivergenceError:
+                    diverged = True
+                    break
+            # the gradients are unused until the next epoch's first step, so the
+            # evaluation below takes their pages instead of adding its own
+            grads = None
+            model.release_gradients()
+            finite = False
+            if not diverged:
+                finite, recs = epoch_records(epoch)
+            if diverged or not finite:
+                snapshot.seek(0)
+                read = snapshot.readinto(params.flat)
+                if read != params.flat.nbytes:
+                    raise OSError(f"rollback snapshot: read {read} of "
+                                  f"{params.flat.nbytes} bytes")
+                records.append({"epoch": epoch, "event": "diverged"})
+                logger.warning("divergence at epoch %d; restored epoch %d parameters",
+                               epoch, epoch - 1)
                 break
-            try:
-                sgd_step(params, grads, config.learning_rate, config.lam, project)
-            except DivergenceError:
-                diverged = True
-                break
-        # the gradients are unused until the next epoch's first step, so the
-        # evaluation below takes their pages instead of adding its own
-        grads = None
-        model.release_gradients()
-        finite = False
-        if not diverged:
-            finite, recs = epoch_records(epoch)
-        if diverged or not finite:
-            np.copyto(params.flat, snapshot)
-            records.append({"epoch": epoch, "event": "diverged"})
-            logger.warning("divergence at epoch %d; restored epoch %d parameters",
-                           epoch, epoch - 1)
-            break
-        records.extend(recs)
-        np.copyto(snapshot, params.flat)
+            records.extend(recs)
     return records
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,23 @@ class TestTrain:
                   "--out", str(out), "--log", str(log)])
             blobs.append((out.read_bytes(), log.read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_unwritable_temp_directory_writes_no_model(self, synth_files, tmp_path, capsys,
+                                                       monkeypatch):
+        # the rollback snapshot's file cannot be made, so no step runs
+        train, _ = synth_files
+        out = tmp_path / "model.bin"
+        missing = tmp_path / "missing"
+        monkeypatch.setattr(tempfile, "tempdir", str(missing))
+        capsys.readouterr()
+        code = main(["train", "--data", str(train), "--mode", "bilinear",
+                     "--arch", ARCH_SMALL, "--epochs", "1", "--seed", "3",
+                     "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(rf"^error: .*{re.escape(str(missing))}", captured.err, re.M)
+        assert not out.exists()
 
     def test_arch_class_count_must_match_dataset(self, synth_files, tmp_path):
         train, _ = synth_files

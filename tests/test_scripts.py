@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from bimodalnet.bilinear import LabelTree
 from bimodalnet.data import save_model
 from tests.conftest import ROOT, SCRIPTS, load_script
@@ -194,3 +196,62 @@ def test_ab_pairs_loads_saved_runs_and_directions(tmp_path):
     assert ab.load_pairs(str(saved)) == [(_result({"x": 1.0}), _result({"x": 2.0}))]
     better = ab.directions()
     assert better["eval_samples_per_s"] == "higher" and better["cli.self_ms"] == "lower"
+
+
+def test_ab_pairs_bench_file_of_saved_runs(tmp_path, capsys):
+    ab = load_script("ab_pairs")
+    commits = {"parent": {"commit": "a" * 40, "dirty": False},
+               "change": {"commit": "a" * 40, "dirty": True}}
+
+    def save(path, workload, rss):
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(10):
+                order = ("change", "parent") if i % 2 else ("parent", "change")
+                for side in order:
+                    values = {"peak_rss_mb": rss(i) if side == "change" else 86.0 + i / 10,
+                              "train_samples_per_s": 100.0 + i}
+                    fh.write(json.dumps({
+                        "pair": i, "side": side, "first": side == order[0],
+                        "workload": workload, "seed": 41, "commit": commits[side],
+                        "result": _result(values, failed=int(side == "change" and i == 0),
+                                          attempted=30)}) + "\n")
+
+    bench = tmp_path / "BENCH.json"
+    save(tmp_path / "paper.jsonl", "train-paper", lambda i: 82.5 + i / 10 if i else 87.0)
+    assert ab.main(["--load", str(tmp_path / "paper.jsonl"), "--bench", str(bench)]) == 1
+    save(tmp_path / "small.jsonl", "train-small", lambda i: 86.0 + i / 10)
+    assert ab.main(["--load", str(tmp_path / "small.jsonl"), "--bench", str(bench)]) == 1
+    printed = capsys.readouterr().out
+    written = json.loads(bench.read_text())["workloads"]
+    assert sorted(written) == ["train-paper", "train-small"]  # the first run is kept
+    paper = written["train-paper"]
+    assert (paper["seed"], paper["pairs"], paper["commits"]) == (41, 10, commits)
+    assert paper["operations"] == {
+        "parent": {"failed": 0, "attempted": 300, "runs_not_correct": 0},
+        "change": {"failed": 1, "attempted": 300, "runs_not_correct": 1}}
+    assert paper["fails_more"]
+    rss = paper["metrics"]["peak_rss_mb"]
+    assert rss["parent"] == {"median": 86.45, "q1": pytest.approx(86.225),
+                             "q3": pytest.approx(86.675)}
+    assert rss["change"]["median"] == pytest.approx(83.05)
+    assert (rss["better"], rss["wins"], rss["pairs"], rss["bound"]) == ("lower", 9, 10,
+                                                                       "within")
+    assert not rss["gain"]  # 9/10 wins, but the change fails a larger share
+    assert "peak_rss_mb | u | 86.45 [86.225, 86.675] | 83.05 [" in printed
+    small = written["train-small"]["metrics"]
+    assert small["peak_rss_mb"]["wins"] == 0 and small["peak_rss_mb"]["bound"] == "within"
+    train = small["train_samples_per_s"]
+    assert (train["wins"], train["gain"], train["bound"]) == (0, False, "within")
+    assert ab.commit_of(str(tmp_path)) == {"commit": None, "dirty": None}
+
+
+def test_ab_pairs_bench_needs_a_workload(tmp_path, capsys):
+    ab = load_script("ab_pairs")
+    saved = tmp_path / "runs.jsonl"
+    saved.write_text("".join(
+        json.dumps({"pair": 0, "side": side, "first": side == "parent",
+                    "result": _result({"x": 1.0})}) + "\n" for side in ("parent", "change")))
+    with pytest.raises(SystemExit):
+        ab.main(["--load", str(saved), "--bench", str(tmp_path / "BENCH.json")])
+    assert "names no workload" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()

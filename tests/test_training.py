@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tempfile
 import tracemalloc
 import weakref
 
@@ -36,6 +37,7 @@ from bimodalnet.training import (
     train_joint,
     train_model,
 )
+from tests.conftest import no_unclosed_files
 
 
 def flat_arrays(arrays) -> FlatArrays:
@@ -432,30 +434,55 @@ class TestTrainJoint:
         for name, arr in model.params().items():
             assert np.array_equal(arr, reference.params()[name]), name
 
-    def test_rollback_restores_epoch_snapshot_bit_for_bit(self):
+    @pytest.mark.parametrize("epoch", [1, 2])
+    @pytest.mark.parametrize("path", ["step", "loglik", "evaluation"])
+    def test_rollback_restores_epoch_snapshot_bit_for_bit(self, monkeypatch, epoch, path):
+        # the diverging epoch's third step fails (sgd_step's DivergenceError,
+        # or a non-finite E), or its evaluation gives a non-finite NLL; a
+        # divergence in epoch 1 restores the vector as built
         train, _ = sanity_task()
         cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED,
                           dims_a=(6, 4), dims_v=(6, 4), fused_dim=2,
                           epochs=3, learning_rate=0.5, seed=3)
         model = build_model(cfg, 6, 6, 2, train.tree)
+        built = model.params().flat.copy()
         steps_per_epoch = -(-train.n // cfg.minibatch_size)
+        first = (epoch - 1) * steps_per_epoch  # the diverging epoch's first step
         exact = model.loglik_and_grads
-        seen = []
+        seen = []  # the parameters each step starts from
+        evaluated = []  # the parameters each evaluation reads
 
         def poisoned(x1, x2, targets):
-            # called before the step it feeds: the first call of epoch 2
-            # sees the parameters of the epoch 1 snapshot
             seen.append(model.params().flat.copy())
             loglik, grads = exact(x1, x2, targets)
-            if len(seen) == steps_per_epoch + 3:
-                grads["tower1.W0"] = np.full_like(grads["tower1.W0"], np.inf)
+            if len(seen) == first + 3:
+                if path == "step":
+                    grads["tower1.W0"] = np.full_like(grads["tower1.W0"], np.inf)
+                elif path == "loglik":
+                    loglik = math.nan
             return loglik, grads
 
+        def poisoned_evaluate(m, dataset):
+            evaluated.append(model.params().flat.copy())
+            metrics = evaluate(m, dataset)
+            if path == "evaluation" and len(evaluated) == epoch + 1:
+                metrics = dataclasses.replace(metrics, nll=math.nan)
+            return metrics
+
         model.loglik_and_grads = poisoned
+        monkeypatch.setattr(training, "evaluate", poisoned_evaluate)
         records = train_model(model, cfg, train)
-        assert records[-1] == {"epoch": 2, "event": "diverged"}
-        snapshot = seen[steps_per_epoch]
-        assert not np.array_equal(seen[-1], snapshot)  # two steps of epoch 2 applied
+        assert records[-1] == {"epoch": epoch, "event": "diverged"}
+        snapshot = seen[first]
+        if path == "evaluation":
+            assert len(seen) == epoch * steps_per_epoch
+            moved = evaluated[-1]  # every step of the epoch applied
+        else:
+            assert len(seen) == first + 3
+            moved = seen[-1]  # two steps of the epoch applied
+        assert not np.array_equal(moved, snapshot)
+        if epoch == 1:
+            assert snapshot.tobytes() == built.tobytes()
         assert model.params().flat.tobytes() == snapshot.tobytes()
 
     def test_mode_equivalence_with_zeroed_bilinear_block(self):
@@ -639,14 +666,14 @@ class TestGradientLifetime:
         cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(4, 64),
                           dims_v=(5, 64), fused_dim=2, epochs=1, init_scale=0.5, seed=3)
         model = build_model(cfg, 4, 5, 1328, tree)
-        vector_bytes = model.params().flat.nbytes  # of the gradients and of the snapshot
+        vector_bytes = model.params().flat.nbytes  # of the gradients
         assert vector_bytes >= 1 << 20
         evaluate(model, train)  # fills caches such as the tree's group indicator
         eval_peak = _traced_peak(lambda: evaluate(model, train))
         train_peak = _traced_peak(lambda: train_model(model, cfg, train))
-        # the peak is the epoch's evaluation beside the snapshot; a gradient
-        # vector kept through the evaluation would add vector_bytes to it
-        assert train_peak - eval_peak - vector_bytes < vector_bytes / 2, (
+        # the peak is the epoch's evaluation (the rollback snapshot is on
+        # file); a gradient vector kept through it would add vector_bytes
+        assert train_peak - eval_peak < vector_bytes / 2, (
             train_peak, eval_peak, vector_bytes)
 
     @pytest.mark.parametrize("diverge", [False, True])
@@ -683,7 +710,60 @@ class TestGradientLifetime:
 
 
 class TestEpochSnapshot:
-    """The parameters are copied for a rollback only when an epoch runs."""
+    """The parameters are copied for a rollback only when an epoch runs, and
+    the copy is kept in a temporary file, not beside the parameters."""
+
+    def test_no_vector_copy_beside_the_evaluation(self):
+        # as in TestGradientLifetime: a 1.4 MB vector beside evaluation blocks
+        # whose leaf-width arrays are 4.2 MB; two epochs and a test split, so
+        # the snapshot is written again after epoch 1
+        tree = _paper_tree()
+        train = _random_split(788, 4, 5, tree, seed=3)
+        test = _random_split(394, 4, 5, tree, seed=4)
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(4, 64),
+                          dims_v=(5, 64), fused_dim=2, epochs=2, init_scale=0.5, seed=3)
+        model = build_model(cfg, 4, 5, 1328, tree)
+        vector_bytes = model.params().flat.nbytes
+        assert vector_bytes >= 1 << 20
+        evaluate(model, train)  # fills caches such as the tree's group indicator
+        eval_peak = _traced_peak(lambda: evaluate(model, train))
+        train_peak = _traced_peak(lambda: train_model(model, cfg, train, test))
+        # a copy of the vector held through the run would add vector_bytes
+        assert train_peak - eval_peak < vector_bytes / 2, (
+            train_peak, eval_peak, vector_bytes)
+
+    def test_unwritable_temp_directory_fails_before_the_first_step(self, monkeypatch,
+                                                                  tmp_path):
+        train, _ = sanity_task()
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(6, 4),
+                          dims_v=(6, 4), fused_dim=2, epochs=1, seed=3)
+        model = build_model(cfg, 6, 6, 2, train.tree)
+        exact = model.loglik_and_grads
+        steps = []
+
+        def counted(x1, x2, targets):
+            steps.append(1)
+            return exact(x1, x2, targets)
+
+        model.loglik_and_grads = counted
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        with pytest.raises(OSError):
+            train_model(model, cfg, train)
+        assert steps == []
+
+    def test_a_failing_step_leaves_no_file_open(self):
+        train, _ = sanity_task()
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(6, 4),
+                          dims_v=(6, 4), fused_dim=2, epochs=2, seed=3)
+        model = build_model(cfg, 6, 6, 2, train.tree)
+
+        def failing(x1, x2, targets):
+            raise RuntimeError("step failed")
+
+        model.loglik_and_grads = failing
+        with no_unclosed_files():
+            with pytest.raises(RuntimeError, match="step failed"):
+                train_model(model, cfg, train)
 
     def test_no_snapshot_without_an_epoch(self):
         # a 1.4 MB parameter vector beside an 8-row split, whose evaluation
