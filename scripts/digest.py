@@ -2,6 +2,7 @@
 that a change keeps every result bit for bit.
 
 Usage: python scripts/digest.py [--quick] [--workdir DIR] [--resave DIR]
+                                [--save FILE] [--check FILE]
 
 Prints "<item> <sha256>" lines:
 
@@ -28,6 +29,15 @@ outputs; BLAS runs on one thread whatever the environment says.
 ``--workdir`` keeps the written files; ``--resave DIR`` instead loads every
 ``*.bin`` model file in DIR (say, a workdir of another checkout), saves it
 again and prints whether the bytes are the same.
+
+``--save FILE`` also writes the digests to FILE, after a first line naming
+the platform: numpy's version, its BLAS and the CPU model, which the last
+bits of a product may depend on. ``--check FILE`` compares the digests with
+the ones saved in FILE instead of printing them: it prints each item whose
+digest moved (or that only one side has) and exits 1 when any did, else 0;
+when FILE was saved on another platform it exits 2 without computing any.
+``scripts/digest_baseline.txt`` holds the full-mode digests saved at the
+commit before modality lanes, on a 2-core Xeon VM.
 """
 
 import argparse
@@ -35,6 +45,7 @@ import glob
 import hashlib
 import io
 import os
+import platform
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -195,6 +206,20 @@ def cli_digests(workdir: str, quick: bool):
         yield f"paper/train/{name}/stdout", sha(printed)
 
 
+def platform_line() -> str:
+    """The first line of a saved digest file: numpy's version, its BLAS and
+    the CPU model."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as info:
+            cpu = next((line.split(":", 1)[1].strip() for line in info
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return f"platform numpy {np.__version__}; {blas.get('name')} {blas.get('version')}; {cpu}"
+
+
 def resave(directory: str) -> bool:
     same = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -213,17 +238,43 @@ def main(argv=None) -> int:
     parser.add_argument("--workdir", default=None, help="keep the written files here")
     parser.add_argument("--resave", default=None, metavar="DIR",
                         help="re-save the model files in DIR and compare bytes")
+    parser.add_argument("--save", default=None, metavar="FILE",
+                        help="also write the platform and the digests to FILE")
+    parser.add_argument("--check", default=None, metavar="FILE",
+                        help="print the items whose digests differ from FILE's; exit 1 if any, "
+                             "2 if FILE was saved on another platform")
     args = parser.parse_args(argv)
     if args.resave:
         return 0 if resave(args.resave) else 1
+    if args.check:
+        with open(args.check) as fh:
+            saved_platform, *lines = fh.read().splitlines()
+        saved = dict(line.split(" ", 1) for line in lines)
+        if saved_platform != platform_line():
+            print(f"{args.check} was saved on another platform:\n  {saved_platform}\n"
+                  f"this one is\n  {platform_line()}", file=sys.stderr)
+            return 2
+    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = args.workdir or tmp
         os.makedirs(workdir, exist_ok=True)
-        for item, digest in zoo_digests(workdir):
-            print(item, digest)
-        for item, digest in cli_digests(workdir, args.quick):
-            print(item, digest)
-    return 0
+        for item, digest in (*zoo_digests(workdir), *cli_digests(workdir, args.quick)):
+            digests[item] = digest
+            if not args.check:
+                print(item, digest)
+    if args.save:
+        with open(args.save, "w") as fh:
+            fh.write("".join([platform_line() + "\n"]
+                             + [f"{item} {digest}\n" for item, digest in digests.items()]))
+    if not args.check:
+        return 0
+    moved = [item for item in {**saved, **digests} if saved.get(item) != digests.get(item)]
+    for item in moved:
+        where = (" (only in the saved file)" if item not in digests
+                 else " (not in the saved file)" if item not in saved else "")
+        print(f"moved {item}{where}")
+    print(f"{len(moved)} of {len(digests)} digests moved")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

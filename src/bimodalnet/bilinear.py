@@ -36,7 +36,16 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import LEAF_PIECE_BYTES, ShapeError, as_ints, as_vector, leaf_pieces
+from . import linalg
+from .linalg import (
+    LEAF_PIECE_BYTES,
+    ShapeError,
+    as_ints,
+    as_vector,
+    lanes_open,
+    leaf_pieces,
+    row_blocks,
+)
 from .mlp import backward, forward  # noqa: F401  bound here only for perfbench's span-wiring test
 from .mlp import init_arrays, softmax, target_delta
 
@@ -44,6 +53,11 @@ FULL = "full"
 FACTORED = "factored"
 FACTORED_SHARED = "factored-shared"
 VARIANTS = (FULL, FACTORED, FACTORED_SHARED)
+
+# Most bytes of the temporary in which a factored-shared head on two lanes
+# gathers its bilinear term for some rows of a piece of logits: an eighth of
+# a piece.
+GATHER_BYTES = LEAF_PIECE_BYTES // 8
 
 
 class VariantError(ValueError):
@@ -169,6 +183,10 @@ class BilinearHead:
             raise ValueError("factored-shared head requires a label tree")
         if self.tree is not None and self.tree.num_leaves != c:
             raise ShapeError(f"tree has {self.tree.num_leaves} leaves but head has {c} classes")
+        # multiply-adds per feature row of the smaller of the two leaf-width
+        # products f1 @ V1 and f2 @ V2, which a lane's work is measured in; 0 for
+        # the full variant, which runs on one lane
+        self._lane_row_work = 0 if self.variant == FULL else min(k1, k2) * c
 
     @property
     def shared_tree(self) -> Optional[LabelTree]:
@@ -291,7 +309,10 @@ def _piece_logits(head: BilinearHead, scores, f1: np.ndarray, f2: np.ndarray, ou
     """The logits (rows, C) of feature rows f1, f2, a piece of a batch or all
     of it, whose ``_group_scores`` rows are ``scores``; formed in ``out``
     when given, else in a new array, term by term in a fixed order: the
-    bilinear term, then f1 @ V1, f2 @ V2 and b."""
+    bilinear term, then f1 @ V1, f2 @ V2 and b. A factored head forms them
+    on two lanes when lanes are open (``_lane_logits``)."""
+    if lanes_open(len(f1) * head._lane_row_work):
+        return _lane_logits(head, scores, f1, f2, out)
     if head.variant == FULL:
         logits = np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True, out=out)
     elif head.variant == FACTORED_SHARED:
@@ -302,6 +323,36 @@ def _piece_logits(head: BilinearHead, scores, f1: np.ndarray, f2: np.ndarray, ou
         logits = np.matmul(scores, head.w, out=out)
     logits += f1 @ head.v1
     logits += f2 @ head.v2
+    logits += head.b
+    return logits
+
+
+def _lane_logits(head: BilinearHead, scores, f1: np.ndarray, f2: np.ndarray, out=None):
+    """``_piece_logits`` of a factored head, bit for bit, on two lanes, with
+    one leaf-width array beside the logits, as on one lane.
+
+    IEEE addition is commutative, so the bilinear term plus f1 @ V1 is the
+    same sum in either order: f1 @ V1 is formed in the logits array itself,
+    while the lane worker forms the other leaf-width product in the one more
+    array. A factored-shared head's worker forms f2 @ V2, and the bilinear
+    term, a copy of each group's score to its leaves, is added a few rows at
+    a time (``GATHER_BYTES``). A factored head's worker forms the bilinear
+    term (scores @ w),
+    and f2 @ V2 is formed after it in the same array.
+    """
+    logits = np.empty((len(f1), head.num_classes)) if out is None else out
+    other = np.empty(logits.shape)
+    if head.variant == FACTORED_SHARED:
+        linalg.both(np.matmul, (f1, head.v1, logits), np.matmul, (f2, head.v2, other))
+        gather_rows = max(1, GATHER_BYTES // (8 * head.num_classes))
+        for start, stop in row_blocks(len(logits), gather_rows):
+            rows = logits[start:stop]
+            rows += np.take(scores[start:stop], head.tree.group_of, axis=1, mode="clip")
+        logits += other
+    else:
+        linalg.both(np.matmul, (f1, head.v1, logits), np.matmul, (scores, head.w, other))
+        logits += other
+        logits += np.matmul(f2, head.v2, out=other)
     logits += head.b
     return logits
 
@@ -365,14 +416,18 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
     ``scale`` (pass 1/B for the batch mean), written into the arrays of
     ``out`` (keyed as in ``param_arrays``) when given, else into new ones.
     The towers' error signals delta1, delta2 are None without ``input_delta``.
+    A factored head forms each tower's side (``_side_grads``) on its own
+    lane when lanes are open.
     """
     logits, a1, a2 = _leaf_logits(head, f1, f2)
     probs = softmax(logits, out=logits)
     delta_l = target_delta(probs, targets, scale)  # (B, C)
     grads = out if out is not None else {
         name: np.empty(arr.shape) for name, arr in head.param_arrays().items()}
-    np.matmul(f1.T, delta_l, out=grads["V1"])
-    np.matmul(f2.T, delta_l, out=grads["V2"])
+    lanes = lanes_open(len(f1) * head._lane_row_work)  # never for the full variant
+    if not lanes:
+        np.matmul(f1.T, delta_l, out=grads["V1"])
+        np.matmul(f2.T, delta_l, out=grads["V2"])
     np.add.reduce(delta_l, axis=0, out=grads["b"])
     if head.variant == FULL:
         np.einsum("bc,bi,bj->cij", delta_l, f1, f2, optimize=True, out=grads["W"])
@@ -389,6 +444,14 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
         wd_a2 = wd * a2
         wd_a1 = wd * a1
         np.matmul((a1 * a2).T, delta_eff, out=grads["w"])
+        if lanes:
+            out2 = (np.empty((len(f2), head.dim2)), np.empty((len(f2), head.dim2)))
+            delta1, delta2 = linalg.both(
+                _side_grads, (f1, delta_l, wd_a2, head.u1, head.v1, grads["U1"], grads["V1"],
+                              input_delta),
+                _side_grads, (f2, delta_l, wd_a1, head.u2, head.v2, grads["U2"], grads["V2"],
+                              input_delta, out2))
+            return probs, grads, delta1, delta2
         np.matmul(f1.T, wd_a2, out=grads["U1"])
         np.matmul(f2.T, wd_a1, out=grads["U2"])
         if not input_delta:
@@ -398,6 +461,23 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
     delta1 += delta_l @ head.v1.T
     delta2 += delta_l @ head.v2.T
     return probs, grads, delta1, delta2
+
+
+def _side_grads(f, delta_l, wd_a, u, v, grad_u, grad_v, input_delta: bool, out=None):
+    """One tower's side of a factored head's step, as ``_grads_batch`` forms
+    it on one lane, from its feature rows f: the gradients f^T delta_L of V
+    and f^T (W delta_G * a) of U, written into ``grad_v`` and ``grad_u``,
+    and, with ``input_delta``, the tower's error signal
+    (W delta_G * a) U^T + delta_L V^T, else None; the signal is formed in
+    ``out[0]`` and its second product in ``out[1]`` when ``out`` is given,
+    else in new arrays. ``wd_a`` is W delta_G * a of the other tower's a."""
+    np.matmul(f.T, delta_l, out=grad_v)
+    np.matmul(f.T, wd_a, out=grad_u)
+    if not input_delta:
+        return None
+    delta = wd_a @ u.T if out is None else np.matmul(wd_a, u.T, out=out[0])
+    delta += delta_l @ v.T if out is None else np.matmul(delta_l, v.T, out=out[1])
+    return delta
 
 
 def param_count(head: BilinearHead) -> dict[str, int]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bilinear import LabelTree
 from .fusion import KINDS, Classifier, FormatError, ModelSpec
-from .linalg import FlatArrays, as_ints
+from .linalg import FlatArrays, as_ints, first_nonfinite
 
 DATASET_MAGIC = b"BMDATSET"
 DATASET_VERSION = 1
@@ -38,13 +38,10 @@ class VersionError(FormatError):
 
 
 def _nonfinite_row(block: np.ndarray) -> int:
-    """Index of the first row of ``block`` holding a non-finite value, else -1."""
-    # a finite sum has only finite terms; a sum that overflows is checked entry by entry
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(np.add.reduce(block, axis=None)):
-            return -1
-    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-    return int(bad[0]) if bad.size else -1
+    """Index of the first row of the 2-D ``block`` holding a non-finite value,
+    else -1 (``linalg.first_nonfinite`` over its entries)."""
+    k = first_nonfinite(block)
+    return k // block.shape[1] if k >= 0 else -1
 
 
 @dataclass

@@ -13,6 +13,7 @@ inverse of ``param_arrays``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,9 +28,11 @@ from .bilinear import (
     check_lam,
     head_shapes,
 )
-from .linalg import FlatArrays, ShapeError, leaf_pieces
+from . import linalg
+from .linalg import FlatArrays, ShapeError, lanes_open, leaf_pieces
 from .mlp import (
     MlpTower,
+    activation_arrays,
     backward,
     forward,
     forward_features,
@@ -171,6 +174,12 @@ class Classifier:
 
     ``tree`` is the label tree the posteriors use (a factored-shared head's),
     else None.
+
+    The two towers of a bimodal model meet only in the head, so their
+    forward and backward passes run on two lanes (``linalg.both``) when
+    ``linalg.lanes_open`` says a batch is worth it: the first tower's on the
+    calling thread, the second's on the lane worker, into arrays allocated
+    here. Each pass is the one it would be on one lane, bit for bit.
     """
 
     def __init__(self, spec: ModelSpec, params: FlatArrays):
@@ -195,6 +204,10 @@ class Classifier:
         self._names = [{k: prefix + k for k in view} for prefix, view in zip(kind.prefixes, views)]
         self._params = params
         self._project = tuple(n for n in kind.project if n in self._names[-1].values())
+        # multiply-adds per input row of the smaller tower's forward pass, which
+        # a lane's work is measured in; 0 without a second tower
+        self._lane_row_work = (min(sum(k * n for k, n in zip(t.layer_dims, t.layer_dims[1:]))
+                                   for t in self.towers) if len(self.towers) == 2 else 0)
         self._grads: Optional[FlatArrays] = None  # made by the first loglik_and_grads
         self.frozen = ([n for names in self._names[:-1] for n in names.values()]
                        if kind.frozen else ())
@@ -235,14 +248,34 @@ class Classifier:
     def num_classes(self) -> int:
         return self.head.num_classes
 
-    def _traces(self, x1, x2):
+    def _tower_passes(self, run, x1, x2) -> list:
+        """``run(tower, x)`` (``forward`` or ``forward_features``) of each tower
+        on its input rows, in tower order.
+
+        On two lanes, when they are open, the lane worker runs the second
+        tower, forming its layers in ``activation_arrays`` allocated here, so
+        that it allocates none of them. For ``forward_features`` it runs all
+        but the last layer, which this thread runs after the first tower is
+        done and has dropped its own hidden layers: a read then never holds
+        both towers' hidden layers beside both their features.
+        """
         xs = (x1, x2)
-        return [forward(tower, xs[slot]) for tower, slot in zip(self.towers, self.inputs)]
+        if not lanes_open(len(x1) * self._lane_row_work):
+            return [run(tower, xs[slot]) for tower, slot in zip(self.towers, self.inputs)]
+        (tower_a, tower_b), (x_a, x_b) = self.towers, (xs[slot] for slot in self.inputs)
+        split = tower_b.num_layers - 1 if run is forward_features else 0
+        lane = tower_b.layers(0, split) if split else tower_b
+        first, second = linalg.both(run, (tower_a, x_a),
+                                    run, (lane, x_b, activation_arrays(lane, len(x_b))))
+        if split:
+            second = run(tower_b.layers(split, split + 1), second)
+        return [first, second]
 
     def posterior_batch(self, x1, x2) -> np.ndarray:
         """Class posteriors (B, C) of the input rows, in a fresh array that the
         caller owns and may write into."""
-        return self.head.probabilities([tr.features for tr in self._traces(x1, x2)])
+        traces = self._tower_passes(forward, x1, x2)
+        return self.head.probabilities([trace.features for trace in traces])
 
     def add_posterior(self, x1, x2, total: np.ndarray) -> None:
         """Add the posteriors of the input rows, bit for bit those of
@@ -250,9 +283,7 @@ class Classifier:
         at a time. The towers keep only their features (``forward_features``)
         and the head forms one piece of posteriors at a time, so no (B, C)
         array exists beside ``total``."""
-        xs = (x1, x2)
-        self.head.add_probabilities([forward_features(tower, xs[slot]) for tower, slot
-                                     in zip(self.towers, self.inputs)], total)
+        self.head.add_probabilities(self._tower_passes(forward_features, x1, x2), total)
 
     def params(self) -> FlatArrays:
         """Every parameter array, as views of the model's parameter vector."""
@@ -276,14 +307,19 @@ class Classifier:
             self._grad_views = self._gradient_views()
         head_grads, tower_grads, grads = self._grad_views
         targets = np.asarray(targets)
-        traces = self._traces(x1, x2)
+        traces = self._tower_passes(forward, x1, x2)
         probs, _, errors = self.head.gradients(
             [tr.features for tr in traces], targets, 1.0 / targets.shape[0], head_grads,
             input_delta=any(out is not None for out in tower_grads),
         )
-        for tower, trace, delta, out in zip(self.towers, traces, errors, tower_grads):
-            if out is not None:
-                backward(tower, trace, delta, out, input_delta=False)
+        if None not in tower_grads and lanes_open(targets.shape[0] * self._lane_row_work):
+            jobs = [(tower, trace, delta, out, False) for tower, trace, delta, out
+                    in zip(self.towers, traces, errors, tower_grads)]
+            linalg.both(backward, jobs[0], backward, jobs[1])
+        else:
+            for tower, trace, delta, out in zip(self.towers, traces, errors, tower_grads):
+                if out is not None:
+                    backward(tower, trace, delta, out, input_delta=False)
         return float(np.add.reduce(log_likelihoods(probs, targets)) / targets.shape[0]), grads
 
 
@@ -330,8 +366,25 @@ def _canonical(read, write):
     return canonical
 
 
-_int = _canonical(int, str)
-_ints = _canonical(lambda text: tuple(map(int, text.split(","))), _csv)
+# The canonical text of an integer, the one ``str`` writes for it: no sign
+# but a minus, no leading zero, no "-0", no space or "_".
+_INT = "(?:0|-?[1-9][0-9]*)"
+_INT_TEXT = re.compile(_INT)
+_INTS_TEXT = re.compile(f"{_INT}(?:,{_INT})*")
+
+
+def _int(text: str) -> int:
+    if _INT_TEXT.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not a canonical integer")
+    return int(text)
+
+
+def _ints(text: str) -> np.ndarray:
+    """The int64 array of a comma-separated list of canonical integers, the
+    text ``_csv`` writes for it; a value past int64 is an OverflowError."""
+    if _INTS_TEXT.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not a list of canonical integers")
+    return np.array(text.split(","), dtype=np.int64)
 
 
 def _count(text: str) -> int:
@@ -342,7 +395,7 @@ def _count(text: str) -> int:
 
 
 def _dims(text: str) -> tuple[int, ...]:
-    dims = _ints(text)
+    dims = tuple(_ints(text).tolist())
     layer_shapes(dims)  # refuses dims that make no stack
     return dims
 

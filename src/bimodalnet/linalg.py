@@ -7,8 +7,14 @@ feasible in single precision.
 
 from __future__ import annotations
 
+import contextvars
 import copy
+import ctypes
+import functools
 import math
+import os
+import queue
+import threading
 from collections.abc import Mapping
 
 import numpy as np
@@ -19,8 +25,12 @@ __all__ = [
     "as_ints",
     "as_matrix",
     "as_vector",
+    "blas_threads",
+    "both",
+    "first_nonfinite",
     "frobenius_norm",
     "frobenius_project",
+    "lanes_open",
     "leaf_pieces",
     "row_blocks",
 ]
@@ -30,6 +40,19 @@ __all__ = [
 # is used while it is still in cache, and a read holds no second leaf-width
 # array.
 LEAF_PIECE_BYTES = 1 << 20
+
+# Least work, in multiply-adds, that each of two independent jobs must hold
+# for ``lanes_open`` to run them on two lanes. On a 2-core VM, handing a job
+# to the lane worker and taking its result back takes about 16 us (9 us when
+# hand-offs follow each other, up to 45 us after the worker has idled for a
+# millisecond), and a one-thread dgemm forms about 2e10 multiply-adds a
+# second, so 2**19 of them take about 26 us. The largest job at the
+# benchmark's small shapes, a 1,024-row evaluation block through a 20-16-8
+# tower (459k), stays below it; the smallest at paper shapes, f @ V of a
+# 32-row step (8.5M), is 16 times above it. An entry of an elementwise pass,
+# counted as one multiply-add, takes longer than that, so such a pass errs
+# toward one lane.
+LANE_MIN_WORK = 1 << 19
 
 
 class ShapeError(ValueError):
@@ -63,6 +86,24 @@ def as_ints(a, name: str) -> np.ndarray:
         i = changed[0]
         raise ValueError(f"{name} must be integers, got {a.flat[i]} at index {i}")
     return ints
+
+
+def first_nonfinite(a: np.ndarray) -> int:
+    """Index of the first entry of float64 ``a``, in C order, that is NaN or
+    +-inf, else -1.
+
+    A finite sum has only finite terms, so a finite sum of squares (one BLAS
+    dot over the entries, in memory order) clears the whole array; a sum that
+    is not finite, because an entry is or because squares overflow, is
+    checked entry by entry. Only the sum's finiteness is read, which no BLAS
+    thread count changes.
+    """
+    v = a.ravel("K")  # a view when the entries are contiguous
+    with np.errstate(over="ignore", invalid="ignore"):  # np.dot warns on overflow
+        if np.isfinite(v @ v):
+            return -1
+    bad = np.flatnonzero(~np.isfinite(a))
+    return int(bad[0]) if bad.size else -1
 
 
 def frobenius_norm(m) -> float:
@@ -102,6 +143,124 @@ def leaf_pieces(rows: int, num_classes: int) -> list[tuple[int, int]]:
     """The ``row_blocks`` of ``rows`` rows whose (piece, num_classes) float64
     arrays hold at most LEAF_PIECE_BYTES, or one row when a row holds more."""
     return row_blocks(rows, max(1, LEAF_PIECE_BYTES // (8 * num_classes)))
+
+
+@functools.cache
+def _openblas(name: str, restype=ctypes.c_int, argtypes=()):
+    """The function ``name`` (say ``openblas_get_num_threads``) of the OpenBLAS
+    library this process has loaded, under the symbol prefix and suffix of
+    its build, declared with ``restype`` and ``argtypes``; None when no such
+    library or function is found."""
+    try:
+        with open("/proc/self/maps") as maps:  # a mapped file's path is its line's sixth field
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (f"scipy_{name}64_", f"{name}64_", name):
+            if hasattr(lib, symbol):
+                function = getattr(lib, symbol)
+                function.restype, function.argtypes = restype, list(argtypes)
+                return function
+    return None
+
+
+def blas_threads() -> int | None:
+    """The number of threads OpenBLAS runs a product on now, or None when
+    numpy's BLAS is not an OpenBLAS whose count can be read."""
+    get = _openblas("openblas_get_num_threads")
+    return None if get is None else get()
+
+
+def lanes_open(work: int) -> bool:
+    """Whether two independent jobs of at least ``work`` multiply-adds each
+    should run on two lanes (``both``): the work reaches LANE_MIN_WORK, this
+    process may run on two CPUs or more, and BLAS runs one thread, so every
+    product is the one-thread product on either lane and a BLAS that already
+    uses both cores is left alone."""
+    return work >= LANE_MIN_WORK and _lanes_available()
+
+
+def _lanes_available() -> bool:
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return len(cpus) >= 2 and blas_threads() == 1
+
+
+class _Lane:
+    """The lane worker: one daemon thread that runs each job it is handed in
+    the context the job came with, and hands back its result or exception."""
+
+    def __init__(self):
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.results: queue.SimpleQueue = queue.SimpleQueue()
+        self.busy = threading.Lock()  # held by the one caller the worker serves
+        threading.Thread(target=self._serve, name="bimodalnet-lane", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            context, job, args = self.jobs.get()
+            try:
+                self.results.put((True, context.run(job, *args)))
+            except BaseException as exc:  # raised again by the caller, in its thread
+                self.results.put((False, exc))
+            del context, job, args  # no argument outlives its job
+
+
+_lane: _Lane | None = None
+_lane_start = threading.Lock()  # one worker, however many threads call first
+
+
+def _forget_lane() -> None:
+    global _lane, _lane_start
+    _lane, _lane_start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_forget_lane)
+
+
+def both(first, first_args, second, second_args):
+    """``(first(*first_args), second(*second_args))``, with the second job run
+    by the lane worker, started on first use, while the calling thread runs
+    the first; the two must not touch each other's outputs.
+
+    The worker runs its job in a copy of the caller's ``contextvars`` context,
+    which holds numpy's error state, and hands back its result, or its
+    exception, which is raised here once the first job is done. The call
+    returns only when both jobs have finished. When the worker is serving
+    another caller (or this is the worker itself), the calling thread runs
+    both jobs, the first first. Combine the results in a fixed order: which
+    thread formed a result never changes its bits.
+    """
+    global _lane
+    lane = _lane
+    if lane is None:
+        with _lane_start:
+            if _lane is None:
+                _lane = _Lane()
+            lane = _lane
+    if not lane.busy.acquire(blocking=False):
+        return first(*first_args), second(*second_args)
+    try:
+        lane.jobs.put((contextvars.copy_context(), second, second_args))
+        try:
+            a = first(*first_args)
+        finally:
+            try:
+                ok, b = lane.results.get()
+            except BaseException:  # interrupted: a late result must reach no later caller
+                _lane = None
+                raise
+    finally:
+        lane.busy.release()
+    if not ok:
+        raise b
+    return a, b
 
 
 class FlatArrays(Mapping):

@@ -16,12 +16,15 @@ sigmoid per layer. A read that needs only the features takes them from
 ``forward`` and ``forward_features`` accept a single input (1-D) or a
 batch of row vectors (2-D); ``backward`` takes batch rows only. A tower
 holds the very arrays it is built from (``MlpTower.from_arrays``), with no
-copy. No function writes to its arguments, with four exceptions:
+copy. No function writes to its arguments, with six exceptions:
 ``init_params`` fills the arrays it is given (a model build passes views
-of its parameter vector), and the other three write through an ``out``
-argument. ``backward`` writes its gradients into ``out`` when it is given
-one, the stack's gradient arrays in ``layer_names`` order (a
-classifier passes views of its gradient vector); ``softmax`` writes its
+of its parameter vector), and the other five write through an ``out``
+argument. ``forward`` and ``forward_features`` form each layer's
+post-activations in its array of ``out`` when given one (a classifier's
+lane worker fills arrays its caller allocated); ``backward`` writes its
+gradients into ``out`` when it is given one, the stack's gradient arrays
+in ``layer_names`` order (a classifier passes views of its gradient
+vector); ``softmax`` writes its
 result into ``out``, which may be the logits array itself (a head
 normalises the logits it owns in place); and ``sigmoid`` writes into
 ``out``, which may be its input (a forward pass activates the
@@ -32,6 +35,7 @@ operation acts on a buffer the function allocated itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import InitVar, dataclass
 from typing import Optional
@@ -44,6 +48,8 @@ DEFAULT_INIT_SCALE = 0.05
 
 # floor on a target's probability before its log is taken
 PROB_FLOOR = 1e-300
+
+_NO_OUT = itertools.repeat(None)  # the layer arrays of a pass without ``out``
 
 
 @functools.cache
@@ -136,6 +142,12 @@ class MlpTower:
         stack = [a for pair in zip(self.weights, self.biases) for a in pair]
         return dict(zip(layer_names(self.num_layers), stack))
 
+    def layers(self, start: int, stop: int) -> "MlpTower":
+        """The tower of layers ``start`` to ``stop - 1`` of this one, holding
+        the same arrays."""
+        return MlpTower(self.layer_dims[start:stop + 1], self.weights[start:stop],
+                        self.biases[start:stop], _finite=True)
+
     @classmethod
     def from_arrays(cls, arrays, _finite: bool = False) -> "MlpTower":
         """The tower holding ``arrays`` themselves, keyed as in
@@ -215,31 +227,40 @@ def init_tower(layer_dims, seed, scale: float = DEFAULT_INIT_SCALE) -> MlpTower:
     return MlpTower.from_arrays(init_arrays(layer_shapes(layer_dims), seed, scale), _finite=True)
 
 
-def _activations(tower: MlpTower, x):
-    """The tower's post-activations of ``x``, one layer at a time."""
+def _activations(tower: MlpTower, x, out=None):
+    """The tower's post-activations of ``x``, one layer at a time, each formed
+    in its array of ``out`` when given."""
     if x.shape[-1] != tower.input_dim:
         raise ShapeError(
             f"input dim {x.shape[-1]} does not match tower input {tower.input_dim}"
         )
     h = x
-    for w, b in zip(tower.weights, tower.biases):
-        u = h @ w
+    for w, b, o in zip(tower.weights, tower.biases, _NO_OUT if out is None else out):
+        u = h @ w if o is None else np.matmul(h, w, out=o)
         u += b
         h = sigmoid(u, out=u)
         yield h
 
 
-def forward(tower: MlpTower, x) -> ForwardTrace:
-    """Run the tower, keeping every post-activation for the backward pass."""
+def activation_arrays(tower: MlpTower, rows: int) -> list[np.ndarray]:
+    """New arrays for the post-activations of ``rows`` input rows, one per
+    layer, for the ``out`` of ``forward`` and ``forward_features``."""
+    return [np.empty((rows, k)) for k in tower.layer_dims[1:]]
+
+
+def forward(tower: MlpTower, x, out: Optional[list[np.ndarray]] = None) -> ForwardTrace:
+    """Run the tower, keeping every post-activation for the backward pass;
+    with ``out`` (``activation_arrays`` of the batch rows) they are formed in
+    its arrays, bit for bit."""
     x = np.asarray(x, dtype=np.float64)
-    return ForwardTrace(x, list(_activations(tower, x)))
+    return ForwardTrace(x, list(_activations(tower, x, out)))
 
 
-def forward_features(tower: MlpTower, x) -> np.ndarray:
+def forward_features(tower: MlpTower, x, out: Optional[list[np.ndarray]] = None) -> np.ndarray:
     """The tower's last post-activation of ``x``, bit for bit
     ``forward(tower, x).features``; each layer's is dropped once the next
-    is formed."""
-    for h in _activations(tower, np.asarray(x, dtype=np.float64)):
+    is formed, unless it is formed in its array of ``out``."""
+    for h in _activations(tower, np.asarray(x, dtype=np.float64), out):
         pass
     return h
 

@@ -23,7 +23,8 @@ import numpy as np
 from .bilinear import FACTORED_SHARED, FULL, VARIANTS, LabelTree, check_lam
 from .data import Dataset, DatasetFile
 from .fusion import OUT, Classifier, ModelSpec, part_views
-from .linalg import FlatArrays, frobenius_project, row_blocks
+from . import linalg
+from .linalg import FlatArrays, first_nonfinite, frobenius_project, lanes_open, row_blocks
 from .mlp import init_params, log_likelihoods
 
 logger = logging.getLogger("bimodalnet.training")
@@ -124,32 +125,57 @@ def sgd_step(params: FlatArrays, grads, learning_rate: float, lam: float,
     ``Classifier.trainable_params()``; ``grads`` maps each of their names to
     its gradient. The update is one scaled add per run of parameters that
     lie back to back in the vector, read straight from the gradient vector
-    when ``grads`` has the same layout.
+    when ``grads`` has the same layout; when lanes are open for half the
+    vector, the two halves of those entries are updated on two lanes.
 
     Raises DivergenceError, naming the parameter, on a non-finite gradient;
-    every gradient is checked before any parameter moves.
+    every gradient is checked (``linalg.first_nonfinite``) before any
+    parameter moves.
     """
     if not isinstance(params, FlatArrays):
         raise TypeError(f"params must be FlatArrays, got {type(params).__name__}")
     p, g = params.flat, params.aligned(grads)
-    # a finite sum has only finite terms; a sum that overflows is checked entry by entry
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = all(np.isfinite(np.add.reduce(g[start:stop])) for start, stop in params.runs)
-    if not finite:
-        for name in params:
-            start, stop = params.layout[name]
-            if not np.isfinite(g[start:stop]).all():
-                raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-    scratch = np.empty(min(STEP_CHUNK, p.size))
     for start, stop in params.runs:
-        for lo in range(start, stop, STEP_CHUNK):
-            hi = min(lo + STEP_CHUNK, stop)
-            piece = p[lo:hi]
-            piece += np.multiply(g[lo:hi], learning_rate, out=scratch[:hi - lo])
+        k = first_nonfinite(g[start:stop])
+        if k >= 0:
+            name = next(n for n in params if params.layout[n][1] > start + k)
+            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+    scratch = np.empty(min(STEP_CHUNK, p.size))
+    if lanes_open(p.size // 2):
+        first, second = _halves(params.runs)
+        linalg.both(_scaled_add, (p, g, learning_rate, first, scratch),
+                    _scaled_add, (p, g, learning_rate, second, np.empty_like(scratch)))
+    else:
+        _scaled_add(p, g, learning_rate, params.runs, scratch)
     for name in project:
         if name in params:
             frobenius_project(params[name], lam)
     return params
+
+
+def _scaled_add(p, g, learning_rate: float, runs, scratch) -> None:
+    """p += learning_rate * g over the ``[start, stop)`` runs of entries,
+    ``STEP_CHUNK`` entries at a time through ``scratch``."""
+    for start, stop in runs:
+        for lo in range(start, stop, STEP_CHUNK):
+            hi = min(lo + STEP_CHUNK, stop)
+            piece = p[lo:hi]
+            piece += np.multiply(g[lo:hi], learning_rate, out=scratch[:hi - lo])
+
+
+def _halves(runs) -> tuple[list, list]:
+    """The ``[start, stop)`` runs split into two lists that cover the same
+    entries in order, the first holding half of them, rounded down."""
+    left = sum(stop - start for start, stop in runs) // 2
+    first, second = [], []
+    for start, stop in runs:
+        cut = start + min(left, stop - start)
+        left -= cut - start
+        if cut > start:
+            first.append((start, cut))
+        if stop > cut:
+            second.append((cut, stop))
+    return first, second
 
 
 def eval_rows(num_classes: int) -> int:

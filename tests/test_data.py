@@ -709,6 +709,17 @@ class TestModelHeaderFields:
         pytest.param(FACTORED_SHARED, "seed", " 4", id="factored-shared-seed-space"),
         pytest.param("fused-deep", "top_dims", "8,7,6", id="fused-deep-top_dims"),
         pytest.param("unimodal", "dims", "5,4,3,4", id="unimodal-dims"),
+        # integers other than the canonical text: a leading zero, "+", "-0",
+        # a space, "_", an empty item, a value past int64
+        *(pytest.param(FACTORED_SHARED, field, value, id=f"{field}-{value}")
+          for field, values in (
+              ("group_of", ("0,0,1,01", "0,0,+1,1", "-0,0,1,1", "0,0, 1,1", "0,0,1,1_0",
+                            "0,,1,1", "0,0,1,", "0,0,1,9223372036854775808",
+                            "0,0,1,-9223372036854775809")),
+              ("dims_a", ("05,4", "+5,4", "5,-0", "5 ,4", "5_0,4", "5,,4",
+                          "5,9223372036854775808")),
+              ("seed", ("+4", "-0", "4_0", "04")))
+          for value in values),
     ])
     def test_unparsable_field_is_format_error(self, tmp_path, tag, field, value):
         model = dict(_model_zoo(LabelTree.balanced(4, 2)))[tag]

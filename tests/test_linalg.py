@@ -5,7 +5,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimodalnet.linalg import FlatArrays, ShapeError, frobenius_norm, frobenius_project
+from bimodalnet.linalg import (
+    FlatArrays,
+    ShapeError,
+    first_nonfinite,
+    frobenius_norm,
+    frobenius_project,
+)
+
+
+class TestFirstNonfinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 5, 11])
+    def test_first_bad_entry_in_c_order(self, value, index):
+        a = np.arange(12.0)
+        a[index] = value
+        a[index + 1:] = value  # later entries do not change the answer
+        assert first_nonfinite(a) == index
+        assert first_nonfinite(a.reshape(3, 4)) == index
+        # a transposed (Fortran-ordered) array is indexed in C order too
+        assert first_nonfinite(a.reshape(4, 3).T) == np.flatnonzero(
+            ~np.isfinite(a.reshape(4, 3).T))[0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e160, 1e308, -1.7e308])
+    def test_squares_or_sum_that_overflow_are_finite(self, value):
+        assert first_nonfinite(np.full((3, 2), value)) == -1
+
+    def test_finite_and_empty(self):
+        assert first_nonfinite(np.random.default_rng(0).standard_normal((50, 7))) == -1
+        assert first_nonfinite(np.empty((0, 3))) == -1
 
 
 class TestFrobeniusProject:

@@ -57,6 +57,48 @@ def test_digest_quick_mode(tmp_path):
     assert all(line.endswith(" same") for line in again.stdout.splitlines())
 
 
+def test_digest_check_against_a_saved_file(tmp_path):
+    pythonpath = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    script = os.path.join(SCRIPTS, "digest.py")
+
+    def run(*args):
+        return subprocess.run([sys.executable, script, "--quick", *args], env=env,
+                              stdout=subprocess.PIPE, text=True, timeout=300)
+
+    saved = tmp_path / "quick.txt"
+    printed = run("--save", str(saved))
+    assert printed.returncode == 0
+    platform, *lines = saved.read_text().splitlines()
+    assert platform.startswith("platform numpy ")
+    assert lines == printed.stdout.splitlines()
+    same = run("--check", str(saved))
+    assert same.returncode == 0
+    assert same.stdout.splitlines() == [f"0 of {len(lines)} digests moved"]
+    item = lines[5].split(" ")[0]
+    tampered = tmp_path / "tampered.txt"
+    tampered.write_text("\n".join([platform, *lines[:5], f"{item} {'0' * 64}", *lines[6:]]))
+    moved = run("--check", str(tampered))
+    assert moved.returncode == 1
+    assert moved.stdout.splitlines() == [f"moved {item}", f"1 of {len(lines)} digests moved"]
+    foreign = tmp_path / "foreign.txt"
+    foreign.write_text("\n".join(["platform numpy 1.0; other-blas 1; another CPU", *lines]))
+    elsewhere = run("--check", str(foreign))
+    assert elsewhere.returncode == 2
+    assert elsewhere.stdout == ""
+
+
+def test_committed_digest_baseline_lists_the_full_mode_items():
+    # read here: importing digest.py would pin this process's BLAS variables
+    with open(os.path.join(SCRIPTS, "digest_baseline.txt")) as fh:
+        platform, *lines = fh.read().splitlines()
+    assert platform.startswith("platform numpy ")
+    saved = dict(line.split(" ") for line in lines)
+    assert len(saved) == len(lines) == 111
+    assert all(re.fullmatch("[0-9a-f]{64}", value) for value in saved.values())
+    assert {"paper/posterior/paper", "cli/ensemble/paper", "zoo/full/saved"} <= set(saved)
+
+
 def test_digest_pins_one_blas_thread_before_numpy_loads():
     # records each BLAS thread variable at the moment numpy is first imported
     probe = f"""

@@ -122,6 +122,23 @@ class TestSgdStep:
         sgd_step(params, {"a": np.array([1e308, 1e308])}, 0.5, 2.0)
         assert np.array_equal(params["a"], [5e307, 5e307])
 
+    @pytest.mark.filterwarnings("error")
+    def test_gradient_whose_squares_overflow_steps(self):
+        # (1e160)^2 overflows, so the finite check falls to its entry pass,
+        # which finds every entry finite: the step is taken
+        params = flat_arrays({"a": np.zeros(3), "b": np.ones(2)})
+        sgd_step(params, {"a": np.full(3, 1e160), "b": np.array([-1e160, 2.0])}, 0.5, 2.0)
+        assert params["a"].tolist() == [5e159] * 3
+        assert params["b"].tolist() == [1 - 5e159, 2.0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_later_nonfinite_entry_moves_no_parameter(self, value):
+        params = flat_arrays({"a": np.ones(4), "b": np.ones(3), "c": np.ones(2)})
+        grads = {"a": np.full(4, 1e160), "b": np.array([0.5, 0.5, value]), "c": np.ones(2)}
+        with pytest.raises(DivergenceError, match="'b'"):
+            sgd_step(params, grads, 0.5, 2.0)
+        assert params.flat.tolist() == [1.0] * 9
+
     def test_params_must_be_flat_arrays(self):
         with pytest.raises(TypeError, match="FlatArrays"):
             sgd_step({"a": np.zeros(2)}, {"a": np.ones(2)}, 0.1, 2.0)
