@@ -40,6 +40,7 @@ from . import linalg
 from .linalg import (
     LEAF_PIECE_BYTES,
     ShapeError,
+    _check_shapes,
     as_ints,
     as_vector,
     lanes_open,
@@ -152,37 +153,19 @@ class BilinearHead:
     tree: Optional[LabelTree] = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise VariantError(f"unknown variant {self.variant!r}")
-        self.lam = check_lam(self.lam)
         k1, k2, c = self.dim1, self.dim2, self.num_classes
-        if self.v1 is None:
-            self.v1 = np.zeros((k1, c))
-        if self.v2 is None:
-            self.v2 = np.zeros((k2, c))
-        if self.b is None:
-            self.b = np.zeros(c)
-        if self.v1.shape != (k1, c) or self.v2.shape != (k2, c) or self.b.shape != (c,):
-            raise ShapeError("linear-term shapes do not match head dims")
-        if self.variant == FULL:
-            if self.w_stack is None or self.w_stack.shape != (c, k1, k2):
-                raise ShapeError(f"full variant needs w_stack of shape {(c, k1, k2)}")
-        else:
-            if self.u1 is None or self.u2 is None or self.w is None:
-                raise ShapeError("factored variants need u1, u2 and w")
-            f = self.u1.shape[1]
-            if self.u1.shape != (k1, f) or self.u2.shape != (k2, f):
-                raise ShapeError(
-                    f"u1 {self.u1.shape} / u2 {self.u2.shape} inconsistent with dims "
-                    f"({k1}, {k2}) and fused dim {f}"
-                )
-            cols = self.num_groups if self.variant == FACTORED_SHARED else c
-            if self.w.shape != (f, cols):
-                raise ShapeError(f"w must have shape {(f, cols)}, got {self.w.shape}")
+        # the fused dim is U1's width; a U1 of another shape is named below
+        fused = self.u1.shape[-1] if np.ndim(self.u1) == 2 else 1
+        shapes = head_shapes(self.variant, k1, k2, c, fused, self.tree)
+        self.lam = check_lam(self.lam)
         if self.variant == FACTORED_SHARED and self.tree is None:
             raise ValueError("factored-shared head requires a label tree")
         if self.tree is not None and self.tree.num_leaves != c:
             raise ShapeError(f"tree has {self.tree.num_leaves} leaves but head has {c} classes")
+        for name in ("V1", "V2", "b"):  # the linear terms default to zeros
+            if getattr(self, _ATTRS[name]) is None:
+                setattr(self, _ATTRS[name], np.zeros(shapes[name]))
+        _check_shapes(self.param_arrays(), shapes)
         # multiply-adds per feature row of the smaller of the two leaf-width
         # products f1 @ V1 and f2 @ V2, which a lane's work is measured in; 0 for
         # the full variant, which runs on one lane
@@ -308,41 +291,29 @@ def _group_scores(head: BilinearHead, f1: np.ndarray, f2: np.ndarray, products: 
 def _piece_logits(head: BilinearHead, scores, f1: np.ndarray, f2: np.ndarray, out=None):
     """The logits (rows, C) of feature rows f1, f2, a piece of a batch or all
     of it, whose ``_group_scores`` rows are ``scores``; formed in ``out``
-    when given, else in a new array, term by term in a fixed order: the
-    bilinear term, then f1 @ V1, f2 @ V2 and b. A factored head forms them
-    on two lanes when lanes are open (``_lane_logits``)."""
-    if lanes_open(len(f1) * head._lane_row_work):
-        return _lane_logits(head, scores, f1, f2, out)
-    if head.variant == FULL:
-        logits = np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True, out=out)
-    elif head.variant == FACTORED_SHARED:
-        # G distinct bilinear columns: copy each group's score to its leaves.
-        # The tree's ids are in range; "clip" writes into out with no buffer
-        logits = np.take(scores, head.tree.group_of, axis=1, out=out, mode="clip")
-    else:
-        logits = np.matmul(scores, head.w, out=out)
-    logits += f1 @ head.v1
-    logits += f2 @ head.v2
-    logits += head.b
-    return logits
+    when given, else in a new array, with one leaf-width array beside them.
 
-
-def _lane_logits(head: BilinearHead, scores, f1: np.ndarray, f2: np.ndarray, out=None):
-    """``_piece_logits`` of a factored head, bit for bit, on two lanes, with
-    one leaf-width array beside the logits, as on one lane.
-
-    IEEE addition is commutative, so the bilinear term plus f1 @ V1 is the
-    same sum in either order: f1 @ V1 is formed in the logits array itself,
-    while the lane worker forms the other leaf-width product in the one more
-    array. A factored-shared head's worker forms f2 @ V2, and the bilinear
-    term, a copy of each group's score to its leaves, is added a few rows at
-    a time (``GATHER_BYTES``). A factored head's worker forms the bilinear
-    term (scores @ w),
-    and f2 @ V2 is formed after it in the same array.
+    Each variant's terms are written once, and open lanes decide only where
+    one product runs: the lane worker forms the product that goes into the
+    one more array while this thread forms f1 @ V1 in the logits array.
+    IEEE addition is commutative, so each sum has the same bits in either
+    order. An unshared head adds its bilinear term (the full W^y products or
+    scores @ w), then f2 @ V2, each formed in the one more array. A
+    factored-shared head copies each group's score to its leaves: on one
+    lane into the logits array, before f1 @ V1 and f2 @ V2 are added; on two
+    lanes, where the worker forms f2 @ V2, onto f1 @ V1 a few rows at a time
+    (``GATHER_BYTES``), as on one lane such a block would raise a read's
+    peak. b is added last.
     """
+    lanes = lanes_open(len(f1) * head._lane_row_work)  # never for the full variant
     logits = np.empty((len(f1), head.num_classes)) if out is None else out
-    other = np.empty(logits.shape)
-    if head.variant == FACTORED_SHARED:
+    if head.variant == FACTORED_SHARED and not lanes:
+        # the tree's ids are in range; "clip" writes into logits with no buffer
+        np.take(scores, head.tree.group_of, axis=1, out=logits, mode="clip")
+        logits += f1 @ head.v1
+        logits += f2 @ head.v2
+    elif head.variant == FACTORED_SHARED:
+        other = np.empty(logits.shape)
         linalg.both(np.matmul, (f1, head.v1, logits), np.matmul, (f2, head.v2, other))
         gather_rows = max(1, GATHER_BYTES // (8 * head.num_classes))
         for start, stop in row_blocks(len(logits), gather_rows):
@@ -350,7 +321,15 @@ def _lane_logits(head: BilinearHead, scores, f1: np.ndarray, f2: np.ndarray, out
             rows += np.take(scores[start:stop], head.tree.group_of, axis=1, mode="clip")
         logits += other
     else:
-        linalg.both(np.matmul, (f1, head.v1, logits), np.matmul, (scores, head.w, other))
+        other = np.empty(logits.shape)
+        if head.variant == FULL:
+            np.matmul(f1, head.v1, out=logits)
+            np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True, out=other)
+        elif lanes:
+            linalg.both(np.matmul, (f1, head.v1, logits), np.matmul, (scores, head.w, other))
+        else:
+            np.matmul(f1, head.v1, out=logits)
+            np.matmul(scores, head.w, out=other)
         logits += other
         logits += np.matmul(f2, head.v2, out=other)
     logits += head.b
@@ -416,61 +395,54 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
     ``scale`` (pass 1/B for the batch mean), written into the arrays of
     ``out`` (keyed as in ``param_arrays``) when given, else into new ones.
     The towers' error signals delta1, delta2 are None without ``input_delta``.
-    A factored head forms each tower's side (``_side_grads``) on its own
-    lane when lanes are open.
+    A factored head forms each tower's U and V gradients and error signal
+    only in ``_side_grads``, tower 1 then tower 2; open lanes decide only
+    that the lane worker runs tower 2's side while the calling thread runs
+    tower 1's.
     """
     logits, a1, a2 = _leaf_logits(head, f1, f2)
     probs = softmax(logits, out=logits)
     delta_l = target_delta(probs, targets, scale)  # (B, C)
     grads = out if out is not None else {
         name: np.empty(arr.shape) for name, arr in head.param_arrays().items()}
-    lanes = lanes_open(len(f1) * head._lane_row_work)  # never for the full variant
-    if not lanes:
-        np.matmul(f1.T, delta_l, out=grads["V1"])
-        np.matmul(f2.T, delta_l, out=grads["V2"])
     np.add.reduce(delta_l, axis=0, out=grads["b"])
     if head.variant == FULL:
+        np.matmul(f1.T, delta_l, out=grads["V1"])
+        np.matmul(f2.T, delta_l, out=grads["V2"])
         np.einsum("bc,bi,bj->cij", delta_l, f1, f2, optimize=True, out=grads["W"])
         if not input_delta:
             return probs, grads, None, None
         delta1 = np.einsum("bc,cij,bj->bi", delta_l, head.w_stack, f2, optimize=True)
         delta2 = np.einsum("bc,cij,bi->bj", delta_l, head.w_stack, f1, optimize=True)
+        delta1 += delta_l @ head.v1.T
+        delta2 += delta_l @ head.v2.T
+        return probs, grads, delta1, delta2
+    if head.variant == FACTORED_SHARED:
+        delta_eff = head.tree.group_sums(delta_l)  # (B, G)
     else:
-        if head.variant == FACTORED_SHARED:
-            delta_eff = head.tree.group_sums(delta_l)  # (B, G)
-        else:
-            delta_eff = delta_l  # unshared: delta_G is replaced by delta_L
-        wd = delta_eff @ head.w.T  # rows W delta_G, (B, F)
-        wd_a2 = wd * a2
-        wd_a1 = wd * a1
-        np.matmul((a1 * a2).T, delta_eff, out=grads["w"])
-        if lanes:
-            out2 = (np.empty((len(f2), head.dim2)), np.empty((len(f2), head.dim2)))
-            delta1, delta2 = linalg.both(
-                _side_grads, (f1, delta_l, wd_a2, head.u1, head.v1, grads["U1"], grads["V1"],
-                              input_delta),
-                _side_grads, (f2, delta_l, wd_a1, head.u2, head.v2, grads["U2"], grads["V2"],
-                              input_delta, out2))
-            return probs, grads, delta1, delta2
-        np.matmul(f1.T, wd_a2, out=grads["U1"])
-        np.matmul(f2.T, wd_a1, out=grads["U2"])
-        if not input_delta:
-            return probs, grads, None, None
-        delta1 = wd_a2 @ head.u1.T
-        delta2 = wd_a1 @ head.u2.T
-    delta1 += delta_l @ head.v1.T
-    delta2 += delta_l @ head.v2.T
+        delta_eff = delta_l  # unshared: delta_G is replaced by delta_L
+    wd = delta_eff @ head.w.T  # rows W delta_G, (B, F)
+    np.matmul((a1 * a2).T, delta_eff, out=grads["w"])
+    side1 = (f1, delta_l, wd * a2, head.u1, head.v1, grads["U1"], grads["V1"], input_delta)
+    side2 = (f2, delta_l, wd * a1, head.u2, head.v2, grads["U2"], grads["V2"], input_delta)
+    if not lanes_open(len(f1) * head._lane_row_work):
+        return probs, grads, _side_grads(*side1), _side_grads(*side2)
+    # tower 2's signal is formed in arrays of this thread's heap, not of the
+    # worker's glibc arena
+    out2 = (np.empty((len(f2), head.dim2)), np.empty((len(f2), head.dim2)))
+    delta1, delta2 = linalg.both(_side_grads, side1, _side_grads, (*side2, out2))
     return probs, grads, delta1, delta2
 
 
 def _side_grads(f, delta_l, wd_a, u, v, grad_u, grad_v, input_delta: bool, out=None):
-    """One tower's side of a factored head's step, as ``_grads_batch`` forms
-    it on one lane, from its feature rows f: the gradients f^T delta_L of V
-    and f^T (W delta_G * a) of U, written into ``grad_v`` and ``grad_u``,
-    and, with ``input_delta``, the tower's error signal
-    (W delta_G * a) U^T + delta_L V^T, else None; the signal is formed in
-    ``out[0]`` and its second product in ``out[1]`` when ``out`` is given,
-    else in new arrays. ``wd_a`` is W delta_G * a of the other tower's a."""
+    """One tower's side of a factored head's step, the one statement of its
+    formulas, from its feature rows f: the gradients f^T delta_L of V and
+    f^T (W delta_G * a) of U, written into ``grad_v`` and ``grad_u``, and,
+    with ``input_delta``, the tower's error signal
+    (W delta_G * a) U^T + delta_L V^T, else None. ``wd_a`` is W delta_G * a
+    of the other tower's a. The signal is formed in ``out[0]`` and its
+    second product in ``out[1]`` when ``out`` is given (the lane worker's
+    side), else in new arrays; the bits are the same."""
     np.matmul(f.T, delta_l, out=grad_v)
     np.matmul(f.T, wd_a, out=grad_u)
     if not input_delta:

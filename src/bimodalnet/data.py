@@ -547,7 +547,7 @@ def _read_arrays(fh, offset: int, shapes) -> FlatArrays:
     arrays = FlatArrays(np.empty((cur.off - offset) // 8, dtype="<f8"), shapes)
     if fh.readinto(arrays.flat) != arrays.flat.nbytes:
         raise FormatError(f"truncated file: payload ended before byte offset {cur.off}")
-    k = _nonfinite_row(arrays.flat[:, None])  # one entry a row
+    k = first_nonfinite(arrays.flat)
     if k >= 0:
         name = next(n for n, (start, stop) in arrays.layout.items() if start <= k < stop)
         raise FormatError(f"non-finite value in array {name!r} "

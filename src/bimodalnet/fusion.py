@@ -29,7 +29,7 @@ from .bilinear import (
     head_shapes,
 )
 from . import linalg
-from .linalg import FlatArrays, ShapeError, lanes_open, leaf_pieces
+from .linalg import FlatArrays, ShapeError, _check_shapes, lanes_open, leaf_pieces
 from .mlp import (
     MlpTower,
     activation_arrays,
@@ -63,15 +63,10 @@ class SoftmaxHead:
     top: Optional[MlpTower] = None
 
     def __post_init__(self):
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
-            raise ShapeError(
-                f"softmax head shapes disagree: W {self.weights.shape} b {self.bias.shape}"
-            )
-        if self.top is not None and self.top.feature_dim != self.weights.shape[0]:
-            raise ShapeError(
-                f"output layer input {self.weights.shape[0]} does not match top "
-                f"feature dim {self.top.feature_dim}"
-            )
+        top_dims = () if self.top is None else self.top.layer_dims[1:]
+        fused = len(self.weights) if self.top is None else self.top.input_dim
+        _check_shapes(self.param_arrays(),
+                      softmax_head_shapes(fused, self.weights.shape[-1], top_dims))
 
     @property
     def num_classes(self) -> int:

@@ -59,6 +59,17 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible."""
 
 
+def _check_shapes(arrays, shapes) -> None:
+    """A ShapeError naming the first array of ``arrays`` whose shape is not
+    the one ``shapes`` gives under its name, in the order of ``shapes``, then
+    of the arrays ``shapes`` does not name; a missing array has shape None."""
+    for name in [*shapes, *(n for n in arrays if n not in shapes)]:
+        got, want = arrays.get(name), shapes.get(name)
+        got = None if got is None else np.shape(got)
+        if got != want:
+            raise ShapeError(f"array {name} has shape {got}, expected {want}")
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
@@ -100,7 +111,7 @@ def first_nonfinite(a: np.ndarray) -> int:
     """
     v = a.ravel("K")  # a view when the entries are contiguous
     with np.errstate(over="ignore", invalid="ignore"):  # np.dot warns on overflow
-        if np.isfinite(v @ v):
+        if math.isfinite(v @ v):
             return -1
     bad = np.flatnonzero(~np.isfinite(a))
     return int(bad[0]) if bad.size else -1

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import ShapeError
+from .linalg import ShapeError, _check_shapes, first_nonfinite
 
 DEFAULT_INIT_SCALE = 0.05
 
@@ -100,8 +100,9 @@ def softmax(logits, out: Optional[np.ndarray] = None) -> np.ndarray:
 class MlpTower:
     """Sigmoid stack with layer dims ``K_0 .. K_L`` (``K_0`` = input dim).
 
-    The parameters are checked for finite values unless ``_finite`` says an
-    init function drew them or ``load_model``'s reader checked them.
+    The arrays are checked against ``layer_shapes(layer_dims)``, and for
+    finite values unless ``_finite`` says an init function drew them or
+    ``load_model``'s reader checked them.
     """
 
     layer_dims: tuple[int, ...]
@@ -111,18 +112,11 @@ class MlpTower:
 
     def __post_init__(self, _finite: bool):
         self.layer_dims = tuple(int(d) for d in self.layer_dims)
-        dims = self.layer_dims
-        if len(dims) < 2:
-            raise ValueError("a tower needs an input dim and at least one layer")
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ShapeError("weights/biases count does not match layer_dims")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[l], dims[l + 1]) or b.shape != (dims[l + 1],):
-                raise ShapeError(
-                    f"layer {l}: expected W {(dims[l], dims[l + 1])} b {(dims[l + 1],)}, "
-                    f"got W {w.shape} b {b.shape}"
-                )
-            if not _finite and not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        named = {**{f"W{l}": w for l, w in enumerate(self.weights)},
+                 **{f"b{l}": b for l, b in enumerate(self.biases)}}
+        _check_shapes(named, layer_shapes(self.layer_dims))
+        for l, layer in enumerate(zip(self.weights, self.biases)):
+            if not _finite and any(first_nonfinite(a) >= 0 for a in layer):
                 raise ValueError(f"layer {l}: non-finite parameters")
 
     @property

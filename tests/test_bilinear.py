@@ -110,6 +110,21 @@ class TestPosterior:
         p = posterior(head, np.ones(3), np.ones(3))
         assert np.allclose(p, 0.25, atol=1e-15)
 
+    @pytest.mark.parametrize("arrays,message", [
+        # U2 and w both differ: the first in payload order is named
+        (dict(u1=(3, 2), u2=(5, 2), w=(2, 2)), "array U2 has shape (5, 2), expected (4, 2)"),
+        (dict(u1=(3, 2), u2=(4, 2), w=(2, 6)), "array w has shape (2, 6), expected (2, 3)"),
+        (dict(u1=(3, 2), u2=(4, 2), w=(2, 3), v2=(4, 5)),
+         "array V2 has shape (4, 5), expected (4, 6)"),
+        (dict(u2=(4, 2), w=(2, 3)), "array U1 has shape None, expected "),
+    ])
+    def test_first_misshaped_array_is_named(self, arrays, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}"):
+            BilinearHead(FACTORED_SHARED, 3, 4, 6, tree=LabelTree.balanced(6, 3),
+                         **{attr: np.zeros(shape) for attr, shape in arrays.items()})
+        with pytest.raises(ShapeError, match=re.escape("array W has shape (6, 4, 3)")):
+            BilinearHead(FULL, 3, 4, 6, w_stack=np.zeros((6, 4, 3)))
+
     def test_bias_only(self):
         head = BilinearHead(FULL, 2, 2, 3, w_stack=np.zeros((3, 2, 2)),
                             b=np.array([math.log(2.0), 0.0, 0.0]))

@@ -2,6 +2,11 @@
 of a step's update run on two threads, and every result is the one-lane
 result, bit for bit.
 
+Each formula is written once; lanes decide only where it runs. The one-lane
+reference these tests compare with is therefore the same code run on the
+calling thread, and ``tests/test_scripts.py`` compares the full-mode digests
+with the ones saved before lanes existed.
+
 Lanes open only when BLAS runs one thread, so each test that opens them
 sets OpenBLAS to one thread for its duration and restores the count after.
 """
@@ -9,13 +14,14 @@ sets OpenBLAS to one thread for its duration and restores the count after.
 import ctypes
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bimodalnet import linalg
-from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, LabelTree
-from bimodalnet.data import SynthSpec, generate_synthetic
+from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, GATHER_BYTES, LabelTree, init_head
+from bimodalnet.data import Dataset, SynthSpec, generate_synthetic
 from bimodalnet.fusion import Ensemble
 from bimodalnet.linalg import LANE_MIN_WORK, blas_threads, both, lanes_open
 from bimodalnet.training import (
@@ -49,7 +55,8 @@ def one_blas_thread():
 def lanes(monkeypatch, one_blas_thread):
     """Lanes open whatever the CPU count, with ``set(mode)`` choosing among
     the real worker ("real"), a sequential stand-in that counts dispatches
-    ("stand-in") and closed lanes, today's one-lane path ("closed")."""
+    ("stand-in") and closed lanes ("closed"), where the same formulas run
+    on the calling thread with no ``linalg.both`` call."""
     real = linalg.both
     dispatches = []
 
@@ -105,6 +112,73 @@ def test_paper_shapes_are_the_one_lane_bits(lanes, variant):
     # every split dispatched: both towers' passes, the head's products, the update
     assert {"forward", "forward_features", "backward", "_side_grads", "_scaled_add",
             "matmul"} == {name for name, _ in lanes.dispatches}
+
+
+@pytest.mark.parametrize("mode", ["closed", "real"])
+@pytest.mark.parametrize("variant", [FACTORED_SHARED, FACTORED])
+def test_paper_shape_head_step_is_the_bilinear_formulas(lanes, mode, variant):
+    # the formulas stated here once more, apart from the head's code: the
+    # shared variant's bilinear gradients take delta_G, the rest delta_L
+    lanes.set(mode)
+    rng = np.random.default_rng(4)
+    f1, f2 = rng.random((32, 200)), rng.random((32, 200))
+    y = rng.integers(0, 1328, 32)
+    head = init_head(variant, 200, 200, 1328, 200, PAPER_TREE, seed=6, scale=0.2)
+    probs, grads, (delta1, delta2) = head.gradients((f1, f2), y, 1 / 32)
+    a1, a2 = f1 @ head.u1, f2 @ head.u2
+    scores = (a1 * a2) @ head.w
+    if variant == FACTORED_SHARED:
+        scores = scores[:, PAPER_TREE.group_of]
+    logits = scores + f1 @ head.v1 + f2 @ head.v2 + head.b
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    delta_l = (np.eye(1328)[y] - p) / 32
+    delta_g = PAPER_TREE.group_sums(delta_l) if variant == FACTORED_SHARED else delta_l
+    wd = delta_g @ head.w.T
+    expected = {"U1": f1.T @ (wd * a2), "U2": f2.T @ (wd * a1), "w": (a1 * a2).T @ delta_g,
+                "V1": f1.T @ delta_l, "V2": f2.T @ delta_l, "b": delta_l.sum(axis=0)}
+    assert np.allclose(probs, p, rtol=1e-10, atol=1e-18)
+    for name, value in expected.items():
+        assert np.allclose(grads[name], value, rtol=1e-9, atol=1e-15), name
+    assert np.allclose(delta1, (wd * a2) @ head.u1.T + delta_l @ head.v1.T, rtol=1e-9, atol=1e-15)
+    assert np.allclose(delta2, (wd * a1) @ head.u2.T + delta_l @ head.v2.T, rtol=1e-9, atol=1e-15)
+
+
+def read_models():
+    """A factored-shared model and a 4-member ensemble led by it, at the
+    paper's class count and feature widths, over 4- and 5-wide inputs."""
+    common = dict(dims_a=(4, 200), dims_v=(5, 200), epochs=0, init_scale=0.5)
+
+    def model(seed, **fields):
+        return build_model(TrainConfig(seed=seed, **common, **fields), 4, 5, 1328, PAPER_TREE)
+
+    shared = model(1, mode="bilinear", variant=FACTORED_SHARED, fused_dim=2)
+    members = [shared, model(2, mode="bilinear", variant=FACTORED, fused_dim=2),
+               model(3, mode="fused", fusion_top=(2,)), model(4, mode="audio")]
+    return {"factored-shared": shared, "ensemble": Ensemble(members)}
+
+
+@pytest.mark.parametrize("kind", ["factored-shared", "ensemble"])
+def test_lanes_add_no_leaf_width_array_to_a_read(lanes, kind):
+    # a read on two lanes holds the leaf-width arrays of one lane, and at
+    # most a gather block more
+    rng = np.random.default_rng(9)
+    split = Dataset(rng.standard_normal((2048, 4)), rng.standard_normal((2048, 5)),
+                    rng.integers(0, 1328, 2048), PAPER_TREE, "test")
+    model = read_models()[kind]
+    peaks = {}
+    for mode in ("closed", "stand-in", "real"):
+        lanes.set(mode)
+        evaluate(model, split)  # fills caches such as the tree's group indicator
+        tracemalloc.start()
+        try:
+            evaluate(model, split)
+            peaks[mode] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert lanes.dispatches  # the stand-in run took the lane code
+    assert peaks["real"] - peaks["closed"] <= GATHER_BYTES, peaks
+    assert peaks["stand-in"] - peaks["closed"] <= GATHER_BYTES, peaks
 
 
 def small_task():

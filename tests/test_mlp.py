@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -88,6 +89,16 @@ class TestInitTower:
         arrays[array][-1] = value
         with pytest.raises(ValueError, match=f"layer {array[1]}: non-finite parameters"):
             MlpTower(tower.layer_dims, tower.weights, tower.biases)
+
+    @pytest.mark.parametrize("weights,biases,message", [
+        # b0 and W1 both differ: the first in W0, b0, W1, b1 order is named
+        ([(3, 4), (5, 2)], [(5,), (2,)], "array b0 has shape (5,), expected (4,)"),
+        ([(3, 4), (4, 2)], [(4,)], "array b1 has shape None, expected (2,)"),
+        ([(3, 4), (4, 2), (2, 2)], [(4,), (2,), (2,)], "array W2 has shape (2, 2), expected None"),
+    ])
+    def test_first_misshaped_array_is_named(self, weights, biases, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            MlpTower((3, 4, 2), [np.zeros(s) for s in weights], [np.zeros(s) for s in biases])
 
 
 class TestForward:
@@ -207,6 +218,14 @@ class TestSoftmaxLayer:
     def test_uniform_at_zero(self):
         layer = SoftmaxHead(np.zeros((3, 4)), np.zeros(4))
         assert np.allclose(layer.probabilities([np.ones((1, 3))]), 0.25)
+
+    def test_first_misshaped_array_is_named(self):
+        wrong_b = re.escape("array out.b has shape (5,), expected (4,)")
+        with pytest.raises(ShapeError, match=wrong_b):
+            SoftmaxHead(np.zeros((3, 4)), np.zeros(5))
+        wrong_w = re.escape("array out.W has shape (3, 4), expected (2, 4)")
+        with pytest.raises(ShapeError, match=wrong_w):
+            SoftmaxHead(np.zeros((3, 4)), np.zeros(4), init_tower([3, 2], seed=0))
 
     def test_softmax_max_subtraction_stable(self):
         probs = softmax(np.array([1e4, 0.0]))

@@ -99,6 +99,20 @@ def test_committed_digest_baseline_lists_the_full_mode_items():
     assert {"paper/posterior/paper", "cli/ensemble/paper", "zoo/full/saved"} <= set(saved)
 
 
+def test_full_mode_digests_are_the_ones_saved_before_lanes():
+    # the saved file's digests predate modality lanes, so this compares the
+    # code's bits with the one-lane code lanes replaced; exit 2: another platform
+    pythonpath = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    child = subprocess.run([sys.executable, os.path.join(SCRIPTS, "digest.py"), "--check",
+                            os.path.join(SCRIPTS, "digest_baseline.txt")],
+                           env=env, stdout=subprocess.PIPE, text=True, timeout=600)
+    if child.returncode == 2:
+        pytest.skip("the digests were saved on another platform")
+    assert child.returncode == 0, child.stdout
+    assert child.stdout.splitlines()[-1] == "0 of 111 digests moved"
+
+
 def test_digest_pins_one_blas_thread_before_numpy_loads():
     # records each BLAS thread variable at the moment numpy is first imported
     probe = f"""
