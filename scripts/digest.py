@@ -25,7 +25,9 @@ Prints "<item> <sha256>" lines:
   sigmoid top and with a (500,) one: their log, model and printed record.
 
 Run it on two checkouts (``PYTHONPATH=<checkout>/src``) and diff the
-outputs; BLAS runs on one thread whatever the environment says.
+outputs. Every digest is computed inside ``linalg.one_blas_thread``, as the
+library's training and evaluation are, so BLAS runs on one thread whatever
+``OPENBLAS_NUM_THREADS`` says, and the digests do not depend on it.
 ``--workdir`` keeps the written files; ``--resave DIR`` instead loads every
 ``*.bin`` model file in DIR (say, a workdir of another checkout), saves it
 again and prints whether the bytes are the same.
@@ -50,24 +52,19 @@ import sys
 import tempfile
 from contextlib import redirect_stdout
 
-# Fixed before numpy loads, as in perfbench/run.py: OpenBLAS sums some output
-# columns in another order at another thread count, so the digests would
-# otherwise depend on the machine and its environment, not only on the code.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from bimodalnet import cli  # noqa: E402
-from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree  # noqa: E402
-from bimodalnet.data import (  # noqa: E402
+from bimodalnet import cli
+from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, FULL, LabelTree
+from bimodalnet.data import (
     Dataset,
     load_dataset,
     load_model,
     save_dataset,
     save_model,
 )
-from bimodalnet.training import TrainConfig, build_model  # noqa: E402
+from bimodalnet.linalg import one_blas_thread
+from bimodalnet.training import TrainConfig, build_model
 
 PAPER_ARCH = "[360,500,200,1328 | 540,500,200,1328 | F=200]"
 
@@ -255,7 +252,7 @@ def main(argv=None) -> int:
                   f"this one is\n  {platform_line()}", file=sys.stderr)
             return 2
     digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, one_blas_thread():
         workdir = args.workdir or tmp
         os.makedirs(workdir, exist_ok=True)
         for item, digest in (*zoo_digests(workdir), *cli_digests(workdir, args.quick)):

@@ -42,7 +42,6 @@ from .linalg import (
     ShapeError,
     _check_shapes,
     as_ints,
-    as_vector,
     lanes_open,
     leaf_pieces,
     row_blocks,
@@ -180,13 +179,6 @@ class BilinearHead:
     @property
     def num_groups(self) -> int:
         return self.tree.num_groups if self.tree is not None else self.num_classes
-
-    def check_features(self, dims) -> None:
-        if tuple(dims) != (self.dim1, self.dim2):
-            raise ShapeError(
-                f"tower feature dims {tuple(dims)} do not match head dims "
-                f"({self.dim1}, {self.dim2})"
-            )
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, attr) for name, attr in array_attrs(self.variant).items()}
@@ -377,13 +369,6 @@ def add_posterior(head: BilinearHead, f1: np.ndarray, f2: np.ndarray,
         piece = total[start:stop]
         piece += softmax(logits, out=logits)
         del logits  # freed before the next piece forms its own
-
-
-def posterior(head: BilinearHead, v1, v2) -> np.ndarray:
-    """Class posterior for a single pair of feature vectors."""
-    v1, v2 = as_vector(v1, "v1"), as_vector(v2, "v2")
-    head.check_features((v1.size, v2.size))
-    return posterior_batch(head, v1[None], v2[None])[0]
 
 
 def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, out=None,

@@ -577,6 +577,3 @@ class Ensemble:
         total /= len(self.members)
         total /= total.sum(axis=-1, keepdims=True)
         return total
-
-    def posterior(self, x1, x2) -> np.ndarray:
-        return self.posterior_batch(np.atleast_2d(x1), np.atleast_2d(x2))[0]

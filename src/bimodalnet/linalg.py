@@ -7,6 +7,7 @@ feasible in single precision.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import copy
 import ctypes
@@ -24,14 +25,13 @@ __all__ = [
     "ShapeError",
     "as_ints",
     "as_matrix",
-    "as_vector",
-    "blas_threads",
     "both",
     "first_nonfinite",
     "frobenius_norm",
     "frobenius_project",
     "lanes_open",
     "leaf_pieces",
+    "one_blas_thread",
     "row_blocks",
 ]
 
@@ -75,13 +75,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
     return m
-
-
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {v.shape}")
-    return v
 
 
 def as_ints(a, name: str) -> np.ndarray:
@@ -181,25 +174,50 @@ def _openblas(name: str, restype=ctypes.c_int, argtypes=()):
     return None
 
 
-def blas_threads() -> int | None:
-    """The number of threads OpenBLAS runs a product on now, or None when
-    numpy's BLAS is not an OpenBLAS whose count can be read."""
-    get = _openblas("openblas_get_num_threads")
-    return None if get is None else get()
+_scope_lock = threading.Lock()
+_scopes = 0
+_restore_threads = None
+_lanes = False
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """A scope (or decorator) in which OpenBLAS runs on one thread, so no
+    result depends on the thread count the environment set, and in which
+    lanes may open on a process that can run on two CPUs or more.
+
+    Scopes nest and are process-wide, whichever thread opens them: the first
+    to open saves the OpenBLAS thread count, sets it to 1 and reads the CPU
+    affinity; the last to close, on any exit, restores the count and closes
+    the lanes. Without an OpenBLAS handle nothing is set, and lanes stay shut.
+    """
+    global _scopes, _restore_threads, _lanes
+    with _scope_lock:
+        if _scopes == 0:
+            get = _openblas("openblas_get_num_threads")
+            set_ = _openblas("openblas_set_num_threads", None, (ctypes.c_int,))
+            if get is not None and set_ is not None:  # found in /proc: sched_getaffinity exists
+                _restore_threads = functools.partial(set_, get())
+                set_(1)
+                _lanes = len(os.sched_getaffinity(0)) >= 2
+        _scopes += 1
+    try:
+        yield
+    finally:
+        with _scope_lock:
+            _scopes -= 1
+            if _scopes == 0:
+                if _restore_threads is not None:
+                    _restore_threads()
+                _restore_threads, _lanes = None, False
 
 
 def lanes_open(work: int) -> bool:
     """Whether two independent jobs of at least ``work`` multiply-adds each
-    should run on two lanes (``both``): the work reaches LANE_MIN_WORK, this
-    process may run on two CPUs or more, and BLAS runs one thread, so every
-    product is the one-thread product on either lane and a BLAS that already
-    uses both cores is left alone."""
-    return work >= LANE_MIN_WORK and _lanes_available()
-
-
-def _lanes_available() -> bool:
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    return len(cpus) >= 2 and blas_threads() == 1
+    should run on two lanes (``both``): the work reaches LANE_MIN_WORK and a
+    ``one_blas_thread`` scope is open on two CPUs or more, so every product is
+    the one-thread product on either lane."""
+    return work >= LANE_MIN_WORK and _lanes
 
 
 class _Lane:

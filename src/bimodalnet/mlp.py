@@ -124,10 +124,6 @@ class MlpTower:
         return self.layer_dims[0]
 
     @property
-    def feature_dim(self) -> int:
-        return self.layer_dims[-1]
-
-    @property
     def num_layers(self) -> int:
         return len(self.layer_dims) - 1
 

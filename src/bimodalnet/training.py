@@ -126,7 +126,7 @@ def sgd_step(params: FlatArrays, grads, learning_rate: float, lam: float,
     its gradient. The update is one scaled add per run of parameters that
     lie back to back in the vector, read straight from the gradient vector
     when ``grads`` has the same layout; when lanes are open for half the
-    vector, the two halves of those entries are updated on two lanes.
+    entries of those runs, their two halves are updated on two lanes.
 
     Raises DivergenceError, naming the parameter, on a non-finite gradient;
     every gradient is checked (``linalg.first_nonfinite``) before any
@@ -141,7 +141,7 @@ def sgd_step(params: FlatArrays, grads, learning_rate: float, lam: float,
             name = next(n for n in params if params.layout[n][1] > start + k)
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
     scratch = np.empty(min(STEP_CHUNK, p.size))
-    if lanes_open(p.size // 2):
+    if lanes_open(sum(stop - start for start, stop in params.runs) // 2):
         first, second = _halves(params.runs)
         linalg.both(_scaled_add, (p, g, learning_rate, first, scratch),
                     _scaled_add, (p, g, learning_rate, second, np.empty_like(scratch)))
@@ -183,6 +183,7 @@ def eval_rows(num_classes: int) -> int:
     return max(1, min(EVAL_CHUNK, EVAL_BLOCK_BYTES // (8 * num_classes)))
 
 
+@linalg.one_blas_thread()
 def evaluate(model, dataset: Dataset | DatasetFile) -> Metrics:
     """Leaf/group argmax error rates (ties to the lowest index) and NLL.
 
@@ -288,6 +289,7 @@ def build_model(config: TrainConfig, d1: int, d2: int, num_classes: int,
     return Classifier(spec, params)
 
 
+@linalg.one_blas_thread()
 def train_model(model, config: TrainConfig, train_set: Dataset,
                 eval_set: Optional[Dataset | DatasetFile] = None) -> list[dict]:
     """Minibatch SGD on a prebuilt model; returns the per-epoch metric records.
@@ -387,6 +389,7 @@ class GradCheckReport:
         return self.max_rel_error < threshold
 
 
+@linalg.one_blas_thread()
 def grad_check(model, sample, h: float = 1e-5) -> GradCheckReport:
     """Central finite differences of E = log p(y | x1, x2) for one sample,
     against the model's analytic gradients, over every trainable parameter.

@@ -19,7 +19,7 @@ from bimodalnet.bilinear import (
     init_head,
     materialize_w,
     param_count,
-    posterior,
+    posterior_batch,
 )
 from bimodalnet.cli import main
 from bimodalnet.data import (
@@ -98,9 +98,9 @@ def test_criterion_2_algebraic_identities():
         k1, k2, f = (int(rng.integers(1, 5)) for _ in range(3))
         head = init_head(FACTORED_SHARED, k1, k2, c, fused_dim=f, tree=tree,
                          seed=int(rng.integers(2**31)), scale=0.8)
-        v1 = rng.standard_normal(k1)
-        v2 = rng.standard_normal(k2)
-        probs = posterior(head, v1, v2)
+        v1 = rng.standard_normal((1, k1))  # one row
+        v2 = rng.standard_normal((1, k2))
+        probs = posterior_batch(head, v1, v2)[0]
         worst_simplex = max(worst_simplex, abs(probs.sum() - 1.0))
 
         target = int(rng.integers(c))
@@ -117,14 +117,14 @@ def test_criterion_2_algebraic_identities():
         full = BilinearHead(FULL, k1, k2, c, w_stack=stacked,
                             v1=factored.v1, v2=factored.v2, b=factored.b)
         worst_fullfac = max(worst_fullfac, float(np.max(np.abs(
-            posterior(full, v1, v2) - posterior(factored, v1, v2)))))
+            posterior_batch(full, v1, v2)[0] - posterior_batch(factored, v1, v2)[0]))))
 
         singleton = BilinearHead(FACTORED_SHARED, k1, k2, c,
                                  u1=factored.u1, u2=factored.u2, w=factored.w,
                                  v1=factored.v1, v2=factored.v2, b=factored.b,
                                  tree=LabelTree.singleton(c))
         worst_collapse = max(worst_collapse, float(np.max(np.abs(
-            posterior(singleton, v1, v2) - posterior(factored, v1, v2)))))
+            posterior_batch(singleton, v1, v2)[0] - posterior_batch(factored, v1, v2)[0]))))
     elapsed = time.monotonic() - start
     print(f"criterion 2: simplex {worst_simplex:.1e}, delta sums {worst_dsum:.1e}, "
           f"group identity {worst_group:.1e}, full/factored {worst_fullfac:.1e}, "

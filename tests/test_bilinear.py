@@ -19,7 +19,6 @@ from bimodalnet.bilinear import (
     init_head,
     materialize_w,
     param_count,
-    posterior,
     posterior_batch,
 )
 from bimodalnet.linalg import LEAF_PIECE_BYTES, ShapeError
@@ -42,6 +41,11 @@ def leaf_and_group_deltas(probs, target, tree):
     error signal and its group sums."""
     dl = target_delta(np.array([probs], dtype=np.float64), np.array([target]))
     return dl[0], tree.group_sums(dl)[0]
+
+
+def head_posterior(head, v1, v2):
+    """The head's posterior for one sample: ``posterior_batch`` on one row."""
+    return posterior_batch(head, v1[None], v2[None])[0]
 
 
 def head_gradients(head, v1, v2, target):
@@ -107,7 +111,7 @@ class TestPosterior:
         head = BilinearHead(FACTORED_SHARED, 3, 3, 4,
                             u1=np.zeros((3, 2)), u2=np.zeros((3, 2)),
                             w=np.zeros((2, 2)), tree=tree)
-        p = posterior(head, np.ones(3), np.ones(3))
+        p = head_posterior(head, np.ones(3), np.ones(3))
         assert np.allclose(p, 0.25, atol=1e-15)
 
     @pytest.mark.parametrize("arrays,message", [
@@ -128,14 +132,14 @@ class TestPosterior:
     def test_bias_only(self):
         head = BilinearHead(FULL, 2, 2, 3, w_stack=np.zeros((3, 2, 2)),
                             b=np.array([math.log(2.0), 0.0, 0.0]))
-        p = posterior(head, np.zeros(2), np.zeros(2))
+        p = head_posterior(head, np.zeros(2), np.zeros(2))
         assert np.allclose(p, [0.5, 0.25, 0.25], atol=1e-12)
 
     def test_scalar_bilinear_case(self):
         # K1 = K2 = 1, W^1 = [[2]], W^2 = [[0]], v1 = v2 = [1]
         head = BilinearHead(FULL, 1, 1, 2,
                             w_stack=np.array([[[2.0]], [[0.0]]]))
-        p = posterior(head, np.array([1.0]), np.array([1.0]))
+        p = head_posterior(head, np.array([1.0]), np.array([1.0]))
         expected = math.exp(2.0) / (math.exp(2.0) + 1.0)
         assert p[0] == pytest.approx(expected, abs=1e-12)
         assert p[0] == pytest.approx(0.88080, abs=5e-6)
@@ -143,8 +147,8 @@ class TestPosterior:
 
     def test_shape_error(self, rng):
         head = random_head(FACTORED, rng)
-        with pytest.raises(ShapeError):
-            posterior(head, np.zeros(99), np.zeros(4))
+        with pytest.raises(ValueError):  # numpy's matmul refuses the widths
+            posterior_batch(head, np.zeros((1, 99)), np.zeros((1, 4)))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -152,7 +156,7 @@ class TestPosterior:
         rng = np.random.default_rng(seed)
         variant = (FULL, FACTORED, FACTORED_SHARED)[seed % 3]
         head = random_head(variant, rng)
-        p = posterior(head, rng.standard_normal(3), rng.standard_normal(4))
+        p = head_posterior(head, rng.standard_normal(3), rng.standard_normal(4))
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(p >= 0)
 
@@ -356,7 +360,7 @@ class TestDeltas:
 
 def head_objective(head, v1, v2, target):
     def objective():
-        return float(np.log(posterior(head, v1, v2)[target]))
+        return float(np.log(head_posterior(head, v1, v2)[target]))
     return objective
 
 
@@ -366,7 +370,7 @@ class TestHeadGradients:
         head.b[:] = 0.0
         head.b[2] = 1000.0  # drives the softmax to an exact one-hot in float64
         v1, v2 = np.zeros(3), np.zeros(4)
-        assert posterior(head, v1, v2)[2] == 1.0
+        assert head_posterior(head, v1, v2)[2] == 1.0
         grads, delta1, delta2 = head_gradients(head, v1, v2, 2)
         for arr in [*grads.values(), delta1, delta2]:
             assert np.all(arr == 0.0)
@@ -463,7 +467,7 @@ class TestEquivalences:
                             v1=factored.v1, v2=factored.v2, b=factored.b)
         v1 = rng.standard_normal(3)
         v2 = rng.standard_normal(4)
-        assert np.allclose(posterior(full, v1, v2), posterior(factored, v1, v2),
+        assert np.allclose(head_posterior(full, v1, v2), head_posterior(factored, v1, v2),
                            atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -477,7 +481,7 @@ class TestEquivalences:
                               tree=LabelTree.singleton(5))
         v1 = rng.standard_normal(3)
         v2 = rng.standard_normal(4)
-        assert np.allclose(posterior(shared, v1, v2), posterior(factored, v1, v2),
+        assert np.allclose(head_posterior(shared, v1, v2), head_posterior(factored, v1, v2),
                            atol=1e-12)
         target = int(rng.integers(5))
         grads_s, *deltas_s = head_gradients(shared, v1, v2, target)
@@ -496,7 +500,7 @@ class TestEquivalences:
                                 b=head.b[perm])
         v1 = rng.standard_normal(3)
         v2 = rng.standard_normal(4)
-        assert np.allclose(posterior(permuted, v1, v2), posterior(head, v1, v2)[perm],
+        assert np.allclose(head_posterior(permuted, v1, v2), head_posterior(head, v1, v2)[perm],
                            atol=1e-13)
 
     @pytest.mark.parametrize("layout", ["contiguous", "interleaved", "permuted"])
@@ -523,4 +527,4 @@ class TestEquivalences:
         f2 = rng.standard_normal((7, 4))
         batch = posterior_batch(head, f1, f2)
         for i in range(7):
-            assert np.allclose(batch[i], posterior(head, f1[i], f2[i]), atol=1e-15)
+            assert np.allclose(batch[i], head_posterior(head, f1[i], f2[i]), atol=1e-15)

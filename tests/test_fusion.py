@@ -122,7 +122,8 @@ class TestAveragePosteriors:
 
     def test_symmetry(self):
         ens = Ensemble([ConstantMember([1.0, 0.0]), ConstantMember([0.0, 1.0])])
-        assert np.allclose(ens.posterior(np.zeros(1), np.zeros(1)), [0.5, 0.5], atol=1e-15)
+        x = np.zeros((1, 1))
+        assert np.allclose(ens.posterior_batch(x, x)[0], [0.5, 0.5], atol=1e-15)
 
     def test_column_means(self):
         out = ensemble_average([np.array([0.6, 0.4]), np.array([0.2, 0.8]),
@@ -279,7 +280,7 @@ class TestParameterVector:
         targets = np.array([0, 1, 2, 3, 0])
         for tag, model in _model_zoo(LabelTree.balanced(4, 2)):
             head = model.head
-            dims = [t.feature_dim for t in model.towers]
+            dims = [t.layer_dims[-1] for t in model.towers]
             feats = [f[:, :d] for f, d in zip(features, dims)]
             probs, grads, errors = head.gradients(feats, targets, 0.2)
             probs_0, grads_0, errors_0 = head.gradients(feats, targets, 0.2, input_delta=False)
@@ -429,8 +430,8 @@ class TestEnsemble:
         x1, x2 = train.x1[:5], train.x2[:5]
         direct = np.mean([m.posterior_batch(x1, x2) for m in models], axis=0)
         assert np.allclose(ens.posterior_batch(x1, x2), direct, atol=1e-12)
-        single = ens.posterior(train.x1[0], train.x2[0])
-        assert np.allclose(single, ens.posterior_batch(x1[:1], x2[:1])[0], atol=1e-12)
+        single = ens.posterior_batch(x1[:1], x2[:1])[0]
+        assert np.allclose(single, direct[0], atol=1e-12)
 
     def test_model_listed_twice(self):
         train, _ = tiny_dataset()

@@ -7,8 +7,10 @@ reference these tests compare with is therefore the same code run on the
 calling thread, and ``tests/test_scripts.py`` compares the full-mode digests
 with the ones saved before lanes existed.
 
-Lanes open only when BLAS runs one thread, so each test that opens them
-sets OpenBLAS to one thread for its duration and restores the count after.
+Lanes open only inside a ``linalg.one_blas_thread`` scope, which
+``train_model``, ``evaluate`` and ``grad_check`` open; each test that opens
+them on a direct call opens that scope itself. The scope sets OpenBLAS to one
+thread and restores the caller's count when the last scope closes.
 """
 
 import ctypes
@@ -23,7 +25,7 @@ from bimodalnet import linalg
 from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, GATHER_BYTES, LabelTree, init_head
 from bimodalnet.data import Dataset, SynthSpec, generate_synthetic
 from bimodalnet.fusion import Ensemble
-from bimodalnet.linalg import LANE_MIN_WORK, blas_threads, both, lanes_open
+from bimodalnet.linalg import LANE_MIN_WORK, both, lanes_open, one_blas_thread
 from bimodalnet.training import (
     EVAL_CHUNK,
     TrainConfig,
@@ -39,24 +41,25 @@ PAPER_TREE = LabelTree(np.arange(1328) * 42 // 1328, 42)
 
 
 @pytest.fixture
-def one_blas_thread():
-    """OpenBLAS on one thread for the test, and the count before it restored."""
+def blas_count():
+    """OpenBLAS's (get, set) of its thread count, with the count before the
+    test restored after it."""
     get = linalg._openblas("openblas_get_num_threads")
     set_ = linalg._openblas("openblas_set_num_threads", None, (ctypes.c_int,))
     if get is None or set_ is None:
         pytest.skip("the BLAS thread count cannot be set in this process")
     before = get()
-    set_(1)
-    yield
+    yield get, set_
     set_(before)
 
 
 @pytest.fixture
-def lanes(monkeypatch, one_blas_thread):
-    """Lanes open whatever the CPU count, with ``set(mode)`` choosing among
-    the real worker ("real"), a sequential stand-in that counts dispatches
-    ("stand-in") and closed lanes ("closed"), where the same formulas run
-    on the calling thread with no ``linalg.both`` call."""
+def lanes(monkeypatch, blas_count):
+    """A ``one_blas_thread`` scope for the test, in which lanes open whatever
+    the CPU count, with ``set(mode)`` choosing among the real worker
+    ("real"), a sequential stand-in that counts dispatches ("stand-in") and
+    closed lanes ("closed"), where the same formulas run on the calling
+    thread with no ``linalg.both`` call."""
     real = linalg.both
     dispatches = []
 
@@ -68,11 +71,12 @@ def lanes(monkeypatch, one_blas_thread):
         def set(self, mode):
             monkeypatch.setattr(linalg, "both", {"real": real, "stand-in": stand_in,
                                                  "closed": real}[mode])
-            monkeypatch.setattr(linalg, "_lanes_available", lambda: mode != "closed")
+            linalg._lanes = mode != "closed"  # the scope's last exit closes them
 
     lanes = Lanes()
     lanes.dispatches = dispatches
-    return lanes
+    with one_blas_thread():
+        yield lanes
 
 
 def paper_model(variant, seed=3, mode="bilinear", top=()):
@@ -204,17 +208,91 @@ def test_small_shapes_never_reach_the_worker(lanes):
     assert lanes.dispatches == []
 
 
-def test_lanes_need_the_work_and_one_blas_thread(monkeypatch, one_blas_thread):
+def test_lanes_need_the_work_and_one_blas_thread(monkeypatch, blas_count):
     monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0, 1})
-    assert blas_threads() == 1
-    assert lanes_open(LANE_MIN_WORK)
-    assert not lanes_open(LANE_MIN_WORK - 1)
+    assert not lanes_open(LANE_MIN_WORK)  # outside any scope
+    with one_blas_thread():
+        assert lanes_open(LANE_MIN_WORK)
+        assert not lanes_open(LANE_MIN_WORK - 1)
+    assert not lanes_open(LANE_MIN_WORK)
     monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0})
-    assert not lanes_open(LANE_MIN_WORK)
+    with one_blas_thread():
+        assert not lanes_open(LANE_MIN_WORK)
+
+
+def test_direct_calls_outside_a_scope_run_on_one_lane(monkeypatch, blas_count):
+    dispatches = []
+
+    def stand_in(first, first_args, second, second_args):
+        dispatches.append(second.__name__)
+        return first(*first_args), second(*second_args)
+
+    monkeypatch.setattr(linalg, "both", stand_in)
     monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0, 1})
-    linalg._openblas("openblas_set_num_threads", None, (ctypes.c_int,))(2)
-    assert blas_threads() == 2
+    rng = np.random.default_rng(2)
+    x1, x2 = rng.standard_normal((32, 360)), rng.standard_normal((32, 540))
+    y = rng.integers(0, 1328, 32)
+    model = paper_model(FACTORED_SHARED)
+    model.loglik_and_grads(x1, x2, y)
+    model.posterior_batch(x1, x2)
+    assert dispatches == []
+    with one_blas_thread():
+        model.loglik_and_grads(x1, x2, y)
+    assert dispatches
+
+
+def test_scope_restores_the_callers_count_on_return_and_on_exception(blas_count):
+    get, set_ = blas_count
+    set_(2)
+    with one_blas_thread():
+        assert get() == 1
+        with one_blas_thread():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+    with pytest.raises(KeyError):
+        with one_blas_thread():
+            raise KeyError("inside")
+    assert get() == 2
+    config, train, _ = small_task()
+    model = build_model(config, 20, 20, 8, train.tree)
+    other = Dataset(train.x1, train.x2, train.y % 4, LabelTree.balanced(4, 2), "test")
+    with pytest.raises(ValueError, match="classes"):  # raised inside evaluate's scope
+        evaluate(model, other)
+    assert get() == 2
+
+
+def test_overlapping_scopes_on_two_threads_restore_at_the_last_exit(blas_count):
+    get, set_ = blas_count
+    set_(2)
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with one_blas_thread():
+            entered.set()
+            release.wait(timeout=60)
+
+    thread = threading.Thread(target=hold)
+    with one_blas_thread():
+        thread.start()
+        assert entered.wait(timeout=60)
+    assert get() == 1  # the other thread's scope is still open
+    release.set()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert get() == 2
     assert not lanes_open(LANE_MIN_WORK)
+
+
+def test_without_an_openblas_handle_lanes_stay_closed(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas", lambda *args: None)
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0, 1})
+    with one_blas_thread():
+        assert not lanes_open(LANE_MIN_WORK)
+    config, train, test = small_task()
+    model = build_model(config, 20, 20, 8, train.tree)
+    records = train_model(model, config, train, test)
+    assert [r["epoch"] for r in records] == [0, 0, 1, 1]
 
 
 def test_second_job_runs_on_the_worker_and_results_keep_their_order():
@@ -282,6 +360,20 @@ def test_halves_cover_the_runs_in_order(runs):
     assert halves[0] + halves[1] == entries
     assert len(halves[0]) == len(entries) // 2
     assert all(start < stop for start, stop in first + second)
+
+
+def test_update_lanes_weigh_only_the_entries_they_update(lanes):
+    # a paper-shape fused model without a top updates its 532,528 head
+    # entries, two halves below LANE_MIN_WORK, though half of the whole
+    # vector, its frozen towers' entries too, is above it
+    lanes.set("stand-in")
+    model = paper_model(FACTORED, mode="fused")
+    params = model.trainable_params()
+    assert sum(stop - start for start, stop in params.runs) // 2 < LANE_MIN_WORK
+    assert params.flat.size // 2 >= LANE_MIN_WORK
+    grads = {name: np.ones(a.shape) for name, a in params.items()}
+    sgd_step(params, grads, 0.1, 8.0, model.project_names())
+    assert lanes.dispatches == []
 
 
 def test_update_halves_are_the_one_lane_step(lanes):

@@ -1,5 +1,5 @@
 """The numeric core never writes to caller memory, and the BLAS thread count
-changes its results by rounding only."""
+the environment sets changes none of its results."""
 
 import json
 import os
@@ -11,7 +11,6 @@ import pytest
 
 from bimodalnet import bilinear
 from bimodalnet.bilinear import LabelTree
-from bimodalnet.data import load_model
 from bimodalnet.mlp import backward, forward, init_tower, softmax
 from tests.test_data import _model_zoo
 
@@ -105,27 +104,22 @@ print(json.dumps(records))
 """
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a 2-thread BLAS needs 2 CPUs")
-def test_paper_shapes_blas_thread_count_changes_only_rounding(tmp_path):
-    # Not bit-identity: OpenBLAS 0.3.31 dgemm gives different last bits for
-    # the columns its thread partition moves between edge kernels (e.g. the
-    # last 4 of 500 output columns), so the saved bytes differ between 1 and
-    # 2 threads on the parent code too.
+def test_paper_shapes_blas_thread_count_changes_no_bit(tmp_path):
+    # OpenBLAS 0.3.31 dgemm gives other last bits at 2 threads than at 1, so
+    # these bytes agree only because training and evaluation run BLAS on one
+    # thread whatever OPENBLAS_NUM_THREADS says (None: the variable unset)
     pythonpath = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
-    records, models = [], []
-    for threads in ("1", "2"):
+    outputs = []
+    for threads in ("1", "2", None):
         path = tmp_path / f"model{threads}.bin"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
         child = subprocess.run([sys.executable, "-c", _PAPER_RUN, str(path)],
                                env=env, stdout=subprocess.PIPE, text=True,
                                timeout=300, check=True)
-        records.append(json.loads(child.stdout))
-        models.append(load_model(path).params())
-    one, two = records
-    assert [r.get("epoch") for r in one] == [0, 1, 1]
-    for a, b in zip(one, two):
-        assert (a["leaf_error"], a["group_error"]) == (b["leaf_error"], b["group_error"])
-        assert a["nll"] == pytest.approx(b["nll"], rel=1e-12, abs=0)
-    for name, arr in models[0].items():
-        assert np.allclose(arr, models[1][name], rtol=1e-12, atol=1e-15), name
+        outputs.append((child.stdout, path.read_bytes()))
+    assert [r.get("epoch") for r in json.loads(outputs[0][0])] == [0, 1, 1]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
