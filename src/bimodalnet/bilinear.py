@@ -31,6 +31,7 @@ delta_v1 = M^{2->1} delta_G + V1 delta_L, and symmetrically for v2.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,6 +59,10 @@ VARIANTS = (FULL, FACTORED, FACTORED_SHARED)
 # gathers its bilinear term for some rows of a piece of logits: an eighth of
 # a piece.
 GATHER_BYTES = LEAF_PIECE_BYTES // 8
+
+# held while a tree builds its group indicator, so that threads which ask a
+# tree for it at once share one
+_INDICATOR_BUILD = threading.Lock()
 
 
 class VariantError(ValueError):
@@ -104,13 +109,21 @@ class LabelTree:
     def members(self, group: int) -> np.ndarray:
         return np.nonzero(self.group_of == group)[0]
 
+    @property
+    def indicator(self) -> np.ndarray:
+        """The (C, G) 0/1 matrix whose column g marks the leaves of group g,
+        built once, on first use, whichever thread asks first."""
+        if self._indicator is None:
+            with _INDICATOR_BUILD:
+                if self._indicator is None:
+                    ind = np.zeros((self.num_leaves, self.num_groups))
+                    ind[np.arange(self.num_leaves), self.group_of] = 1.0
+                    self._indicator = ind
+        return self._indicator
+
     def group_sums(self, x: np.ndarray) -> np.ndarray:
         """Sums of the leaf columns of ``x`` (B, C) within each group, (B, G)."""
-        if self._indicator is None:
-            ind = np.zeros((self.num_leaves, self.num_groups))
-            ind[np.arange(self.num_leaves), self.group_of] = 1.0
-            self._indicator = ind
-        return x @ self._indicator
+        return x @ self.indicator
 
     def __eq__(self, other):
         return (

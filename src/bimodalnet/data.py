@@ -98,8 +98,9 @@ class Dataset:
     def num_classes(self) -> int:
         return self.tree.num_leaves
 
-    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of feature rows ``[start, stop)`` of both modalities."""
+    def rows(self, start: int, stop: int, pair: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Views of feature rows ``[start, stop)`` of both modalities. ``pair``
+        names ``DatasetFile.rows``'s buffer pair; views need no buffers."""
         return self.x1[start:stop], self.x2[start:stop]
 
     def __eq__(self, other):
@@ -307,11 +308,14 @@ class DatasetFile:
 
     Opening reads and checks the header, the leaf-to-group table and the
     labels, and checks that the file holds both feature regions, so a read
-    holds the labels (``y``) and one block of features, never the split.
-    ``rows(start, stop)`` reads feature rows into two buffers sized to the
-    largest block asked for and reused on every call: the next call
-    overwrites what the last one returned. Use it as a context manager, or
-    call ``close``.
+    holds the labels (``y``) and a block of features, or two, never the
+    split. ``rows(start, stop, pair)`` reads feature rows into buffer pair
+    ``pair`` (0 or 1): two buffers, one per modality, allocated on the
+    pair's first use, sized to the largest block asked of it and reused on
+    every call, so the next call with the same pair overwrites what the last
+    one returned. ``training.evaluate`` reads a block pair on two lanes
+    through pairs 0 and 1, and any other read through pair 0 alone. Use it
+    as a context manager, or call ``close``.
     """
 
     def __init__(self, path):
@@ -321,7 +325,7 @@ class DatasetFile:
         except BaseException:
             self._fh.close()
             raise
-        self._x1, self._x2 = np.empty((0, self.d1)), np.empty((0, self.d2))
+        self._buffers = [(np.empty((0, self.d1)), np.empty((0, self.d2)))] * 2
 
     def _read_head(self):
         cur = _Cursor(self._fh)
@@ -383,16 +387,17 @@ class DatasetFile:
                 raise FormatError(f"non-finite {what} feature in row {start + row} "
                                   f"at byte offset {offset + row_bytes * row}")
 
-    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, start: int, stop: int, pair: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Feature rows ``[start, stop)`` of both modalities, in the reused
-        buffers: valid until the next call."""
+        buffers of ``pair`` (0 or 1): valid until the next call with that
+        pair."""
         if not 0 <= start <= stop <= self.n:
             raise IndexError(f"rows [{start}, {stop}) outside [0, {self.n})")
-        if stop - start > len(self._x1):
-            self._x1 = self._x2 = None  # freed before the larger buffers are allocated
-            self._x1 = np.empty((stop - start, self.d1), dtype="<f8")
-            self._x2 = np.empty((stop - start, self.d2), dtype="<f8")
-        x1, x2 = self._x1[:stop - start], self._x2[:stop - start]
+        if stop - start > len(self._buffers[pair][0]):
+            self._buffers[pair] = None  # freed before the larger buffers are allocated
+            self._buffers[pair] = (np.empty((stop - start, self.d1), dtype="<f8"),
+                                   np.empty((stop - start, self.d2), dtype="<f8"))
+        x1, x2 = (x[:stop - start] for x in self._buffers[pair])
         self._read(start, x1, x2)
         return x1, x2
 

@@ -46,10 +46,12 @@ LEAF_PIECE_BYTES = 1 << 20
 # to the lane worker and taking its result back takes about 16 us (9 us when
 # hand-offs follow each other, up to 45 us after the worker has idled for a
 # millisecond), and a one-thread dgemm forms about 2e10 multiply-adds a
-# second, so 2**19 of them take about 26 us. The largest job at the
-# benchmark's small shapes, a 1,024-row evaluation block through a 20-16-8
-# tower (459k), stays below it; the smallest at paper shapes, f @ V of a
-# 32-row step (8.5M), is 16 times above it. An entry of an elementwise pass,
+# second, so 2**19 of them take about 26 us. At the benchmark's small shapes
+# every job stays below it: the largest, a 1,024-row evaluation block through
+# a 20-16-8 tower (459k), and a pair of such blocks, which
+# ``training.evaluate`` weighs as 1,024 rows times a head's 16 x 8 leaf-width
+# matrix (131k). The smallest at paper shapes, f @ V of a 32-row step (8.5M),
+# is 16 times above it. An entry of an elementwise pass,
 # counted as one multiply-add, takes longer than that, so such a pass errs
 # toward one lane.
 LANE_MIN_WORK = 1 << 19

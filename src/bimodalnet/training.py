@@ -31,16 +31,20 @@ logger = logging.getLogger("bimodalnet.training")
 
 EVAL_CHUNK = 1024
 
-# Largest (rows, C) float64 array of one evaluation block. The cap trades two
-# costs: every block's GEMMs re-pack the weight matrices (about 10 MB per
-# paper-shape bilinear model), so small blocks pay more packing, while large
-# blocks hold more leaf-width arrays and fault them in. Reading a paper-shape
-# model and a 4-member ensemble (C=1328, 1 BLAS thread, 2-core VM) at n = 512,
-# 2048 and 4096, equal 4 MiB blocks were within 5% of the fastest cap tried
-# (2, 4 or 8 MiB, equal or fixed-size blocks) at every n; 8 MiB blocks were
-# 10-17% slower at n >= 2048, and fixed 394-row blocks (394 + 118) 15% slower
-# at n = 512.
-EVAL_BLOCK_BYTES = 4 << 20
+# Largest (rows, C) float64 array of one evaluation block: 74 rows at the
+# paper's C=1328. The cap trades two costs: every block's GEMMs re-pack the
+# weight matrices (about 10 MB per paper-shape bilinear model), so small
+# blocks pay more packing, while large blocks hold more leaf-width arrays,
+# and a read on two lanes holds two blocks at once (``evaluate``). Reading a
+# paper-shape bilinear model and a 4-member ensemble over 4,096 in-memory
+# rows (C=1328, 2-core VM, medians of 8 reads, which moved by up to 15%
+# between sweeps), caps of 0.75, 1, 2 and 4 MiB took 140, 142, 149 and 182 ms
+# (model) and 514, 454, 413 and 471 ms (ensemble) on two lanes, and 234, 231,
+# 220 and 258 ms and 793, 767, 781 and 791 ms on one; 0.5 MiB was 2-11%
+# slower than 0.75 MiB in every read. Two 4 MiB blocks in flight raised
+# eval-paper's peak RSS from 88.3 to 100.0 MiB; two 0.75 MiB blocks lower it
+# to 82.0 MiB, below one 4 MiB block's.
+EVAL_BLOCK_BYTES = 3 << 18
 
 # entries per piece of the SGD update: its 256 KB of scratch stays in L2
 STEP_CHUNK = 1 << 15
@@ -190,10 +194,20 @@ def evaluate(model, dataset: Dataset | DatasetFile) -> Metrics:
     The dataset must have the model's class count and, when the model's
     posteriors use a label tree (``model.tree``), that tree; the group error
     is taken under the dataset's tree. The rows are read through
-    ``dataset.rows`` in ``row_blocks`` of at most ``eval_rows(C)``, so a read
-    of an open dataset file holds one block of features, and the per-row
-    log-likelihoods are summed once, so the metrics do not depend on the
-    split wherever the posteriors do not.
+    ``dataset.rows`` in ``row_blocks`` of at most ``eval_rows(C)``, and the
+    per-row log-likelihoods are summed once, so the metrics do not depend on
+    the split wherever the posteriors do not.
+
+    When lanes open for a block's rows times the model's ``leaf_row_work``
+    (the multiply-adds per row of its head's leaf-width product, the least
+    of an ensemble's members), the blocks run in pairs: block 2j on the
+    calling thread and block 2j+1 on the lane worker (``linalg.both``),
+    each read beforehand on this thread, in block order, block 2j+1 into
+    the dataset's second buffer pair; a last block without a partner runs
+    alone. Each block runs the same code on either thread and writes its
+    own rows of the per-row log-likelihoods, so the metrics are those of
+    one lane, bit for bit. A read of an open dataset file holds one block
+    of features, or a pair.
     """
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -208,20 +222,32 @@ def evaluate(model, dataset: Dataset | DatasetFile) -> Metrics:
             f"the model's ({tree.num_groups} groups)"
         )
     group_targets = dataset.tree.group_of[dataset.y]
-    leaf_wrong = 0
-    group_wrong = 0
     log_liks = np.empty(dataset.n)
-    for start, stop in row_blocks(dataset.n, eval_rows(model.num_classes)):
-        probs = model.posterior_batch(*dataset.rows(start, stop))
+
+    def block(start, stop, x1, x2) -> tuple[int, int]:
+        """(leaf errors, group errors) of rows ``[start, stop)``, whose
+        features are x1, x2; their log-likelihoods go into ``log_liks``."""
+        probs = model.posterior_batch(x1, x2)
         y = dataset.y[start:stop]
-        leaf_wrong += int((np.argmax(probs, axis=1) != y).sum())
+        leaf_wrong = int((np.argmax(probs, axis=1) != y).sum())
         group_probs = dataset.tree.group_sums(probs)
-        group_wrong += int((np.argmax(group_probs, axis=1) != group_targets[start:stop]).sum())
+        group_wrong = int((np.argmax(group_probs, axis=1) != group_targets[start:stop]).sum())
         log_liks[start:stop] = log_likelihoods(probs, y)
-        del probs  # freed before the next block allocates its own
+        return leaf_wrong, group_wrong
+
+    blocks = row_blocks(dataset.n, eval_rows(model.num_classes))
+    # the smallest block's rows, n // k, times the head's leaf-width entries
+    pairs = len(blocks) // 2 if lanes_open(dataset.n // len(blocks) * model.leaf_row_work) else 0
+    counts = []
+    for j in range(pairs):
+        (a, b), (c, d) = blocks[2 * j], blocks[2 * j + 1]
+        counts += linalg.both(block, (a, b, *dataset.rows(a, b)),
+                              block, (c, d, *dataset.rows(c, d, 1)))
+    for start, stop in blocks[2 * pairs:]:
+        counts.append(block(start, stop, *dataset.rows(start, stop)))
     return Metrics(
-        leaf_error=leaf_wrong / dataset.n,
-        group_error=group_wrong / dataset.n,
+        leaf_error=sum(leaf for leaf, _ in counts) / dataset.n,
+        group_error=sum(group for _, group in counts) / dataset.n,
         nll=-np.add.reduce(log_liks) / dataset.n,
     )
 

@@ -17,6 +17,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def one_lane(monkeypatch):
+    """Lanes stay closed in the test, as on one CPU: a read runs its blocks
+    one at a time, so its traced peak does not depend on when two threads
+    reach theirs."""
+    from bimodalnet import linalg
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0})
+
+
 def finite_difference(objective, arrays, h=1e-5):
     """Central finite differences of a scalar objective over named arrays.
 

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -81,6 +83,44 @@ class TestLabelTree:
         tree = LabelTree.balanced(4, 2)
         probs = np.array([0.4, 0.3, 0.2, 0.1])
         assert np.allclose(tree.group_sums(probs[None]), [[0.7, 0.3]])
+
+    def test_threads_asking_a_new_tree_at_once_share_one_indicator(self):
+        # more threads than cores ask fresh trees for group sums at the same
+        # moment; a tree built twice would hand some threads another indicator
+        probs = np.random.default_rng(3).dirichlet(np.ones(1328), size=4)
+        group_of = np.arange(1328) * 42 // 1328
+        expected = probs @ np.eye(42)[group_of]
+        threads_per_tree, trees = 8, 40
+        seen = [[] for _ in range(trees)]
+        failures = []
+
+        def ask(tree, start, out):
+            try:
+                start.wait(timeout=60)
+                sums = tree.group_sums(probs)
+                out.append((tree.indicator, sums))
+            except Exception as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for out in seen:
+                tree, start = LabelTree(group_of, 42), threading.Barrier(threads_per_tree)
+                threads = [threading.Thread(target=ask, args=(tree, start, out))
+                           for _ in range(threads_per_tree)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        for out in seen:
+            assert len(out) == threads_per_tree
+            assert all(indicator is out[0][0] for indicator, _ in out)
+            assert all(np.array_equal(sums, expected) for _, sums in out)
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError):

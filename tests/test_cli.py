@@ -738,14 +738,15 @@ class TestStreamedReads:
 
 
 class TestStreamedReadMemory:
-    def test_eval_peak_grows_only_by_the_per_row_vectors(self, tmp_path, capsys):
+    def test_eval_peak_grows_only_by_the_per_row_vectors(self, tmp_path, capsys, one_lane):
         """The features are read a block at a time: from n_small to n_large
         rows, the peak of an ``eval`` grows by the labels, group targets and
         log-likelihoods (24 bytes a row), not by the 8 (d1 + d2) bytes a row
-        of the features. Both n are whole numbers of 394-row blocks, so the
-        blocks' leaf-width arrays are the same size at both (2,048 and 8,192
-        rows would read in blocks of 342 and 391 rows, 0.5 MB apart per
-        array)."""
+        of the features. Both n are whole numbers of 74-row blocks, so the
+        blocks' leaf-width arrays are the same size at both. The read runs
+        on one lane: on two, a pair's two blocks reach
+        their peaks at times the scheduler sets, so two reads' peaks differ
+        by up to a block's arrays."""
         c, d = 1328, 64
         tree = LabelTree(np.arange(c) * 42 // c, 42)
         model = tmp_path / "paper-leaves.model"

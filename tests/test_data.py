@@ -232,6 +232,21 @@ class TestOpenDataset:
         for a, b, c in zip(first, second, third):
             assert np.shares_memory(a, b) and np.shares_memory(a, c)
 
+    def test_the_second_buffer_pair_is_its_own(self, tmp_path):
+        train, path = _small_file(tmp_path)
+        with open_dataset(path) as reader:
+            first = reader.rows(0, 4)
+            assert reader._buffers[1][0].size == 0  # allocated on its first use
+            second = reader.rows(4, 8, 1)
+            third = reader.rows(8, 10, 1)
+            for got, x in zip(first, (train.x1, train.x2)):  # not overwritten by pair 1
+                assert np.array_equal(got, x[0:4])
+            for got, x in zip(third, (train.x1, train.x2)):
+                assert np.array_equal(got, x[8:10])
+        for a, b, c in zip(first, second, third):
+            assert not np.shares_memory(a, b) and np.shares_memory(b, c)
+        assert all(np.shares_memory(a, b) for a, b in zip(train.rows(0, 4), train.rows(0, 4, 1)))
+
     def test_rows_outside_the_split_are_refused(self, tmp_path):
         _, path = _small_file(tmp_path)
         with open_dataset(path) as reader:

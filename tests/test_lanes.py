@@ -1,6 +1,6 @@
-"""Modality lanes: the two towers, the head's two products and the two halves
-of a step's update run on two threads, and every result is the one-lane
-result, bit for bit.
+"""Modality lanes: the two towers, the head's two products, the two halves
+of a step's update and a read's row blocks, two at a time, run on two
+threads, and every result is the one-lane result, bit for bit.
 
 Each formula is written once; lanes decide only where it runs. The one-lane
 reference these tests compare with is therefore the same code run on the
@@ -23,14 +23,15 @@ import pytest
 
 from bimodalnet import linalg
 from bimodalnet.bilinear import FACTORED, FACTORED_SHARED, GATHER_BYTES, LabelTree, init_head
-from bimodalnet.data import Dataset, SynthSpec, generate_synthetic
-from bimodalnet.fusion import Ensemble
-from bimodalnet.linalg import LANE_MIN_WORK, both, lanes_open, one_blas_thread
+from bimodalnet.data import Dataset, SynthSpec, generate_synthetic, open_dataset, save_dataset
+from bimodalnet.fusion import Ensemble, FormatError
+from bimodalnet.linalg import LANE_MIN_WORK, both, lanes_open, one_blas_thread, row_blocks
 from bimodalnet.training import (
     EVAL_CHUNK,
     TrainConfig,
     _halves,
     build_model,
+    eval_rows,
     evaluate,
     sgd_step,
     train_model,
@@ -164,8 +165,12 @@ def read_models():
 
 @pytest.mark.parametrize("kind", ["factored-shared", "ensemble"])
 def test_lanes_add_no_leaf_width_array_to_a_read(lanes, kind):
-    # a read on two lanes holds the leaf-width arrays of one lane, and at
-    # most a gather block more
+    # a block on two lanes holds the leaf-width arrays of one lane, and at
+    # most a gather block more. The factored-shared model's 74-row blocks run
+    # in pairs (the ensemble's fused member, a 2-wide top, keeps its blocks on
+    # one lane), and a pair holds two blocks' arrays at most, whenever each
+    # thread reaches its peak: twice the stand-in's, which runs a pair's
+    # blocks one after the other
     rng = np.random.default_rng(9)
     split = Dataset(rng.standard_normal((2048, 4)), rng.standard_normal((2048, 5)),
                     rng.integers(0, 1328, 2048), PAPER_TREE, "test")
@@ -181,8 +186,72 @@ def test_lanes_add_no_leaf_width_array_to_a_read(lanes, kind):
         finally:
             tracemalloc.stop()
     assert lanes.dispatches  # the stand-in run took the lane code
-    assert peaks["real"] - peaks["closed"] <= GATHER_BYTES, peaks
+    assert ("block" in {name for _, name in lanes.dispatches}) == (kind == "factored-shared")
     assert peaks["stand-in"] - peaks["closed"] <= GATHER_BYTES, peaks
+    assert peaks["real"] <= 2 * peaks["stand-in"], peaks
+
+
+@pytest.fixture(scope="module")
+def paper_readers():
+    """A paper-shape model of each kind and the 4-member ensemble of
+    ``paper_outputs``."""
+    shared = paper_model(FACTORED_SHARED)
+    fused, audio = paper_model(FACTORED, 6, "fused", (200,)), paper_model(FACTORED, 7, "audio")
+    return {"bilinear": shared, "fused": fused, "unimodal": audio,
+            "ensemble": Ensemble([shared, paper_model(FACTORED, 5), fused, audio])}
+
+
+def paper_split(path, n):
+    """A split of n rows of paper-width features, saved at ``path``."""
+    rng = np.random.default_rng(n)
+    split = Dataset(rng.standard_normal((n, 360)), rng.standard_normal((n, 540)),
+                    rng.integers(0, 1328, n), PAPER_TREE, "test")
+    save_dataset(split, path)
+    return split
+
+
+@pytest.mark.parametrize("n,blocks", [(148, 2), (205, 3)])
+def test_a_paper_shape_read_runs_its_blocks_in_pairs(lanes, paper_readers, tmp_path, n, blocks):
+    # each pair hands its second block to the worker; an odd last block runs
+    # alone, and every metric is the one-lane metric
+    assert len(row_blocks(n, eval_rows(1328))) == blocks
+    loaded = paper_split(tmp_path / "split.bin", n)
+    with open_dataset(tmp_path / "split.bin") as streamed:
+        for kind, model in paper_readers.items():
+            metrics = {}
+            for source, split in (("loaded", loaded), ("streamed", streamed)):
+                for mode in ("closed", "stand-in", "real"):
+                    lanes.set(mode)
+                    lanes.dispatches.clear()
+                    metrics[source, mode] = evaluate(model, split)
+                    handed = [name for _, name in lanes.dispatches].count("block")
+                    assert handed == (blocks // 2 if mode == "stand-in" else 0), (kind, source)
+            assert all(m == metrics["loaded", "closed"] for m in metrics.values()), (kind, metrics)
+
+
+def test_a_bad_feature_in_a_pairs_second_block_is_the_one_lane_error(lanes, paper_readers,
+                                                                      tmp_path):
+    # both blocks of a pair are read on the calling thread before the pair
+    # runs, so the error is the one a read on one lane raises, and no block
+    # is handed to the worker
+    path = tmp_path / "split.bin"
+    paper_split(path, 148)
+    with open_dataset(path) as reader:
+        row_at = reader._x2_off + 8 * 540 * 100  # row 100, in the second block
+    with open(path, "r+b") as fh:
+        fh.seek(row_at + 8 * 7)
+        fh.write(np.float64(np.nan).tobytes())
+    messages = {}
+    for mode in ("closed", "stand-in", "real"):
+        lanes.set(mode)
+        lanes.dispatches.clear()
+        with open_dataset(path) as streamed:
+            with pytest.raises(FormatError) as error:
+                evaluate(paper_readers["bilinear"], streamed)
+        messages[mode] = str(error.value)
+        assert "block" not in {name for _, name in lanes.dispatches}
+    assert set(messages.values()) == {
+        f"non-finite second-modality feature in row 100 at byte offset {row_at}"}, messages
 
 
 def small_task():

@@ -102,18 +102,26 @@ def test_full_mode_digests_are_the_ones_saved_before_lanes():
     # the saved file's digests predate modality lanes, so this compares the
     # code's bits with the one-lane code lanes replaced. They were saved with
     # BLAS on one thread; run here on two, they still may not move, since the
-    # library's arithmetic runs on one whatever the environment says. Exit 2:
-    # another platform
+    # library's arithmetic runs on one whatever the environment says. The
+    # check runs twice: on the CPUs this process may use, where lanes open on
+    # two or more, and confined to one CPU, where they stay closed; that
+    # child sets its affinity before the library loads. Exit 2: another
+    # platform
     pythonpath = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)),
                OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
-    child = subprocess.run([sys.executable, os.path.join(SCRIPTS, "digest.py"), "--check",
-                            os.path.join(SCRIPTS, "digest_baseline.txt")],
-                           env=env, stdout=subprocess.PIPE, text=True, timeout=600)
-    if child.returncode == 2:
-        pytest.skip("the digests were saved on another platform")
-    assert child.returncode == 0, child.stdout
-    assert child.stdout.splitlines()[-1] == "0 of 111 digests moved"
+    argv = [os.path.join(SCRIPTS, "digest.py"), "--check",
+            os.path.join(SCRIPTS, "digest_baseline.txt")]
+    cpu = min(os.sched_getaffinity(0))
+    one_cpu = (f"import os, runpy, sys; os.sched_setaffinity(0, {{{cpu}}}); "
+               f"sys.argv = {argv!r}; runpy.run_path(sys.argv[0], run_name='__main__')")
+    for command in ([sys.executable, *argv], [sys.executable, "-c", one_cpu]):
+        child = subprocess.run(command, env=env, stdout=subprocess.PIPE, text=True,
+                               timeout=600)
+        if child.returncode == 2:
+            pytest.skip("the digests were saved on another platform")
+        assert child.returncode == 0, child.stdout
+        assert child.stdout.splitlines()[-1] == "0 of 111 digests moved"
 
 
 def test_rss_cycle_one_pass_of_train_small():

@@ -163,7 +163,10 @@ class TestSgdStep:
 
 
 class _StubModel:
-    """Posteriors ``probs[i]`` for the input row whose x1 is ``[i]``."""
+    """Posteriors ``probs[i]`` for the input row whose x1 is ``[i]``, read on
+    one lane."""
+
+    leaf_row_work = 0
 
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=np.float64)
@@ -252,11 +255,11 @@ class TestEvaluationBlocks:
         def sizes(n, c):
             return [b - a for a, b in row_blocks(n, eval_rows(c))]
 
-        assert eval_rows(1328) == EVAL_BLOCK_BYTES // (8 * 1328) == 394
+        assert eval_rows(1328) == EVAL_BLOCK_BYTES // (8 * 1328) == 74
         assert eval_rows(8) == EVAL_CHUNK
-        assert sizes(512, 1328) == [256, 256]
-        assert len(sizes(2048, 1328)) == 6 and set(sizes(2048, 1328)) == {341, 342}
-        assert len(sizes(4096, 1328)) == 11 and set(sizes(4096, 1328)) == {372, 373}
+        assert len(sizes(512, 1328)) == 7 and set(sizes(512, 1328)) == {73, 74}
+        assert len(sizes(2048, 1328)) == 28 and set(sizes(2048, 1328)) == {73, 74}
+        assert len(sizes(4096, 1328)) == 56 and set(sizes(4096, 1328)) == {73, 74}
         assert sizes(1024, 8) == [1024]
         assert sizes(2000, 8) == [1000, 1000]
 
@@ -274,7 +277,7 @@ class TestEvaluationBlocks:
         tree = _paper_tree()
         model = _bilinear(FACTORED_SHARED, 1328, tree, seed=7)
         ds = _random_split(1000, 4, 5, tree, seed=8)
-        assert len(row_blocks(ds.n, eval_rows(1328))) == 3
+        assert len(row_blocks(ds.n, eval_rows(1328))) == 14
         split = evaluate(model, ds)
         monkeypatch.setattr(training, "EVAL_CHUNK", ds.n)
         monkeypatch.setattr(training, "EVAL_BLOCK_BYTES", 8 * 1328 * ds.n)
@@ -284,7 +287,11 @@ class TestEvaluationBlocks:
 
 
 class TestEvaluationMemory:
-    """A read holds a few leaf-width arrays of one block, whatever n is."""
+    """A read on one lane holds a few leaf-width arrays of one block, whatever
+    n is. These models' heads are 3 features wide, so their 74-row blocks
+    weigh 74 * 3 * 1328 multiply-adds, under LANE_MIN_WORK: they run one at
+    a time even where lanes could open (a pair's peak is bounded in
+    ``tests/test_lanes.py``)."""
 
     @pytest.fixture(scope="class")
     def models(self):
@@ -310,7 +317,7 @@ class TestEvaluationMemory:
     def test_read_peak_is_bounded_and_flat_in_n(self, models):
         tree, shared, ensemble = models
         small, large = (_random_split(n, 4, 5, tree, seed=9) for n in (2048, 8192))
-        # the largest block: 342 rows at n=2,048, 391 at n=8,192
+        # the largest block: 74 rows at both n (28 and 111 blocks)
         rows_small, rows_large = (max(b - a for a, b in row_blocks(ds.n, eval_rows(1328)))
                                   for ds in (small, large))
         # a bilinear read holds one leaf-width array, its logits, and one
@@ -349,7 +356,7 @@ class TestStreamedEvaluate:
         models["ensemble"] = Ensemble(members)
         return models
 
-    @pytest.mark.parametrize("c,groups,n,blocks", [(8, 4, 2500, 3), (1328, 42, 1000, 3)])
+    @pytest.mark.parametrize("c,groups,n,blocks", [(8, 4, 2500, 3), (1328, 42, 1000, 14)])
     def test_open_file_gives_the_loaded_metrics(self, tmp_path, c, groups, n, blocks):
         tree = _paper_tree() if c == 1328 else LabelTree.balanced(c, groups)
         path = tmp_path / "split.bin"
@@ -675,9 +682,11 @@ class TestGradientLifetime:
     """A training run holds the model's gradient vector only while an epoch's
     steps run: not during the epoch's evaluation, not after it returns."""
 
-    def test_evaluation_does_not_stack_on_the_gradients(self):
+    def test_evaluation_does_not_stack_on_the_gradients(self, monkeypatch, one_lane):
         # C=1328 over small towers: a 1.4 MB gradient vector, mostly V1 and V2,
-        # beside evaluation blocks of 394 rows whose leaf-width arrays are 4.2 MB
+        # beside evaluation blocks of 394 rows (4 MiB blocks, as set here) whose
+        # leaf-width arrays are 4.2 MB, on one lane
+        monkeypatch.setattr(training, "EVAL_BLOCK_BYTES", 4 << 20)
         tree = _paper_tree()
         train = _random_split(788, 4, 5, tree, seed=3)
         cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(4, 64),
@@ -730,10 +739,11 @@ class TestEpochSnapshot:
     """The parameters are copied for a rollback only when an epoch runs, and
     the copy is kept in a temporary file, not beside the parameters."""
 
-    def test_no_vector_copy_beside_the_evaluation(self):
+    def test_no_vector_copy_beside_the_evaluation(self, monkeypatch, one_lane):
         # as in TestGradientLifetime: a 1.4 MB vector beside evaluation blocks
-        # whose leaf-width arrays are 4.2 MB; two epochs and a test split, so
-        # the snapshot is written again after epoch 1
+        # whose leaf-width arrays are 4.2 MB, on one lane; two epochs and a
+        # test split, so the snapshot is written again after epoch 1
+        monkeypatch.setattr(training, "EVAL_BLOCK_BYTES", 4 << 20)
         tree = _paper_tree()
         train = _random_split(788, 4, 5, tree, seed=3)
         test = _random_split(394, 4, 5, tree, seed=4)
