@@ -179,9 +179,10 @@ class BilinearHead:
                 setattr(self, _ATTRS[name], np.zeros(shapes[name]))
         _check_shapes(self.param_arrays(), shapes)
         # multiply-adds per feature row of the smaller of the two leaf-width
-        # products f1 @ V1 and f2 @ V2, which a lane's work is measured in; 0 for
-        # the full variant, which runs on one lane
-        self._lane_row_work = 0 if self.variant == FULL else min(k1, k2) * c
+        # products f1 @ V1 and f2 @ V2, which the head's lanes and a read's
+        # block pairs (``training.evaluate``) weigh their work by; the full
+        # variant's products run on one lane whatever it says
+        self.leaf_row_work = min(k1, k2) * c
 
     @property
     def shared_tree(self) -> Optional[LabelTree]:
@@ -310,7 +311,7 @@ def _piece_logits(head: BilinearHead, scores, f1: np.ndarray, f2: np.ndarray, ou
     (``GATHER_BYTES``), as on one lane such a block would raise a read's
     peak. b is added last.
     """
-    lanes = lanes_open(len(f1) * head._lane_row_work)  # never for the full variant
+    lanes = lanes_open(len(f1) * head.leaf_row_work)
     logits = np.empty((len(f1), head.num_classes)) if out is None else out
     if head.variant == FACTORED_SHARED and not lanes:
         # the tree's ids are in range; "clip" writes into logits with no buffer
@@ -423,7 +424,7 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
     np.matmul((a1 * a2).T, delta_eff, out=grads["w"])
     side1 = (f1, delta_l, wd * a2, head.u1, head.v1, grads["U1"], grads["V1"], input_delta)
     side2 = (f2, delta_l, wd * a1, head.u2, head.v2, grads["U2"], grads["V2"], input_delta)
-    if not lanes_open(len(f1) * head._lane_row_work):
+    if not lanes_open(len(f1) * head.leaf_row_work):
         return probs, grads, _side_grads(*side1), _side_grads(*side2)
     # tower 2's signal is formed in arrays of this thread's heap, not of the
     # worker's glibc arena

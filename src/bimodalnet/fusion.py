@@ -72,6 +72,12 @@ class SoftmaxHead:
     def num_classes(self) -> int:
         return self.weights.shape[1]
 
+    @property
+    def leaf_row_work(self) -> int:
+        """Multiply-adds per feature row of the leaf-width product by W, which
+        a read's block pairs (``training.evaluate``) weigh their work by."""
+        return self.weights.size
+
     def param_arrays(self) -> dict[str, np.ndarray]:
         named = {} if self.top is None else {
             f"{TOP}.{k}": a for k, a in self.top.param_arrays().items()}
@@ -193,9 +199,6 @@ class Classifier:
                      if kind.head == "bilinear" else
                      SoftmaxHead.from_arrays(views[-1], _finite=True))
         self.tree = getattr(self.head, "shared_tree", None)
-        # multiply-adds per input row of the head's first leaf-width product, by
-        # V1 or out.W, which ``training.evaluate`` weighs a block pair by
-        self.leaf_row_work = (self.head.v1 if kind.head == "bilinear" else self.head.weights).size
         for name, tower in zip(kind.towers, self.towers):
             setattr(self, name, tower)  # model.tower, model.tower_a, model.tower1, ...
         # each part's name map: param_arrays name -> the model's parameter name
@@ -569,11 +572,6 @@ class Ensemble:
     @property
     def num_classes(self) -> int:
         return self.members[0].num_classes
-
-    @property
-    def leaf_row_work(self) -> int:
-        """The least ``leaf_row_work`` of the members."""
-        return min(m.leaf_row_work for m in self.members)
 
     def posterior_batch(self, x1, x2) -> np.ndarray:
         """Mean member posterior, renormalised per row; bit-identical to

@@ -198,9 +198,9 @@ def evaluate(model, dataset: Dataset | DatasetFile) -> Metrics:
     per-row log-likelihoods are summed once, so the metrics do not depend on
     the split wherever the posteriors do not.
 
-    When lanes open for a block's rows times the model's ``leaf_row_work``
-    (the multiply-adds per row of its head's leaf-width product, the least
-    of an ensemble's members), the blocks run in pairs: block 2j on the
+    When lanes open for a block's rows times its head's ``leaf_row_work``
+    (the multiply-adds per row of its leaf-width product; for an ensemble,
+    the least of its members' heads), the blocks run in pairs: block 2j on the
     calling thread and block 2j+1 on the lane worker (``linalg.both``),
     each read beforehand on this thread, in block order, block 2j+1 into
     the dataset's second buffer pair; a last block without a partner runs
@@ -236,8 +236,9 @@ def evaluate(model, dataset: Dataset | DatasetFile) -> Metrics:
         return leaf_wrong, group_wrong
 
     blocks = row_blocks(dataset.n, eval_rows(model.num_classes))
-    # the smallest block's rows, n // k, times the head's leaf-width entries
-    pairs = len(blocks) // 2 if lanes_open(dataset.n // len(blocks) * model.leaf_row_work) else 0
+    # the smallest block's rows, n // k, times the least head's leaf-width work
+    row_work = min(m.head.leaf_row_work for m in getattr(model, "members", [model]))
+    pairs = len(blocks) // 2 if lanes_open(dataset.n // len(blocks) * row_work) else 0
     counts = []
     for j in range(pairs):
         (a, b), (c, d) = blocks[2 * j], blocks[2 * j + 1]

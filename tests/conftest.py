@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import gc
 import importlib.util
 import os
@@ -24,6 +25,27 @@ def one_lane(monkeypatch):
     reach theirs."""
     from bimodalnet import linalg
     monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """Lanes open in the test wherever the work is worth it, as on two CPUs,
+    whatever the machine has. The list returned names each job handed to
+    the lane worker (the second of ``linalg.both``), in order. Skipped where
+    OpenBLAS's thread count cannot be set, as lanes then stay closed."""
+    from bimodalnet import linalg
+    if linalg._openblas("openblas_set_num_threads", None, (ctypes.c_int,)) is None:
+        pytest.skip("lanes stay closed without an OpenBLAS handle")
+    real = linalg.both
+    handed = []
+
+    def both(first, first_args, second, second_args):
+        handed.append(second.__name__)
+        return real(first, first_args, second, second_args)
+
+    monkeypatch.setattr(linalg, "both", both)
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0, 1})
+    return handed
 
 
 def finite_difference(objective, arrays, h=1e-5):

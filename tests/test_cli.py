@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bimodalnet.bilinear import FACTORED_SHARED, LabelTree
+from bimodalnet.bilinear import FACTORED_SHARED, GATHER_BYTES, LabelTree
 from bimodalnet.cli import ArchParseError, build_parser, main, parse_arch
 from bimodalnet.data import Dataset, load_dataset, load_model, save_dataset, save_model
 from bimodalnet.training import TrainConfig, build_model, eval_rows
@@ -738,36 +738,84 @@ class TestStreamedReads:
 
 
 class TestStreamedReadMemory:
+    C, D = 1328, 64
+
+    @classmethod
+    def _reads(cls, tmp_path):
+        """(n, ``eval`` argv) of a paper-leaves model, whose 74-row blocks are
+        worth two lanes, over splits of 6 and 21 whole blocks."""
+        c, d = cls.C, cls.D
+        tree = LabelTree(np.arange(c) * 42 // c, 42)
+        model = tmp_path / "paper-leaves.model"
+        save_model(build_model(TrainConfig(mode="bilinear", variant=FACTORED_SHARED,
+                                           dims_a=(d, 8), dims_v=(d, 8), fused_dim=4,
+                                           epochs=0, seed=1), d, d, c, tree), model)
+        rng = np.random.default_rng(5)
+        reads = []
+        for n in (6 * eval_rows(c), 21 * eval_rows(c)):
+            data = tmp_path / f"split-{n}.bin"
+            save_dataset(Dataset(rng.standard_normal((n, d)), rng.standard_normal((n, d)),
+                                 rng.integers(0, c, n), tree, "test"), data)
+            reads.append((n, ["eval", "--model", str(model), "--data", str(data)]))
+        assert main(reads[0][1]) == 0  # builds the cached parser outside the trace
+        return reads
+
+    @staticmethod
+    def _peak(argv) -> int:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_eval_peak_grows_only_by_the_per_row_vectors(self, tmp_path, capsys, one_lane):
         """The features are read a block at a time: from n_small to n_large
         rows, the peak of an ``eval`` grows by the labels, group targets and
         log-likelihoods (24 bytes a row), not by the 8 (d1 + d2) bytes a row
         of the features. Both n are whole numbers of 74-row blocks, so the
         blocks' leaf-width arrays are the same size at both. The read runs
-        on one lane: on two, a pair's two blocks reach
-        their peaks at times the scheduler sets, so two reads' peaks differ
-        by up to a block's arrays."""
-        c, d = 1328, 64
-        tree = LabelTree(np.arange(c) * 42 // c, 42)
-        model = tmp_path / "paper-leaves.model"
-        save_model(build_model(TrainConfig(mode="bilinear", variant=FACTORED_SHARED,
-                                           dims_a=(d, 8), dims_v=(d, 8), fused_dim=4,
-                                           epochs=0, seed=1), d, d, c, tree), model)
-        n_small, n_large = 6 * eval_rows(c), 21 * eval_rows(c)
-        rng = np.random.default_rng(5)
-        peaks = []
-        for n in (n_small, n_large):
-            data = tmp_path / f"split-{n}.bin"
-            save_dataset(Dataset(rng.standard_normal((n, d)), rng.standard_normal((n, d)),
-                                 rng.integers(0, c, n), tree, "test"), data)
-            argv = ["eval", "--model", str(model), "--data", str(data)]
-            assert main(argv) == 0  # builds the cached parser outside the trace
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        on one lane: on two, a pair's two blocks reach their peaks at times
+        the scheduler sets, so two reads' peaks differ by up to a block's
+        arrays (``test_a_paired_eval_holds_one_block_more``)."""
+        (n_small, small), (n_large, large) = self._reads(tmp_path)
+        peaks = [self._peak(small), self._peak(large)]
         capsys.readouterr()
         growth = peaks[1] - peaks[0]
         assert growth <= 1.1 * 40 * (n_large - n_small), (peaks, growth / (n_large - n_small))
+
+    def test_a_paired_eval_holds_one_block_more(self, tmp_path, capsys, monkeypatch,
+                                                two_lanes):
+        """On two lanes the blocks run in pairs, each pair read beforehand,
+        the second block into the file's second buffer pair. Run one block
+        after the other on the calling thread, the pairs hold, over the same
+        read on one lane, the second buffer pair and a gather block, as the
+        head takes its lane arrangement: no more buffers or blocks at any n.
+        On the lane worker, a pair may hold at most the worker's block more,
+        whenever each thread reaches its peak: its logits, one more
+        leaf-width array, a gather block and its tower features, and an
+        eighth of a leaf-width array for its group-width arrays and per-row
+        values."""
+        from bimodalnet import linalg
+
+        def one_after_the_other(first, first_args, second, second_args):
+            return first(*first_args), second(*second_args)
+
+        rows = eval_rows(self.C)
+        leaf_bytes = 8 * rows * self.C
+        pair_bytes = GATHER_BYTES + 8 * rows * 2 * self.D
+        block_bytes = (2 + 1 / 8) * leaf_bytes + GATHER_BYTES + 8 * rows * (8 + 8)
+        worker = linalg.both
+        for n, argv in self._reads(tmp_path):
+            monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0})
+            one = self._peak(argv)
+            monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: {0, 1})
+            monkeypatch.setattr(linalg, "both", one_after_the_other)
+            sequential = self._peak(argv)
+            monkeypatch.setattr(linalg, "both", worker)
+            two_lanes.clear()
+            paired = [self._peak(argv) for _ in range(3)]
+            assert two_lanes.count("block") == 3 * (n // rows // 2), (n, two_lanes)
+            assert sequential - one <= pair_bytes, (n, one, sequential, pair_bytes)
+            assert max(paired) - sequential <= block_bytes, (n, sequential, paired, block_bytes)
+        capsys.readouterr()

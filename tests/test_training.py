@@ -4,6 +4,7 @@ import re
 import tempfile
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ class _StubModel:
     """Posteriors ``probs[i]`` for the input row whose x1 is ``[i]``, read on
     one lane."""
 
-    leaf_row_work = 0
+    head = SimpleNamespace(leaf_row_work=0)
 
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=np.float64)
@@ -678,6 +679,27 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _held_at_evaluations(monkeypatch, run) -> list[int]:
+    """The traced bytes that ``run()`` holds when each ``evaluate`` it makes
+    starts: what the run keeps through the evaluation, whatever the
+    evaluation itself holds at its peak."""
+    exact = training.evaluate
+    held = []
+
+    def traced(model, dataset):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return exact(model, dataset)
+
+    monkeypatch.setattr(training, "evaluate", traced)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+    finally:
+        tracemalloc.stop()
+    return held
+
+
 class TestGradientLifetime:
     """A training run holds the model's gradient vector only while an epoch's
     steps run: not during the epoch's evaluation, not after it returns."""
@@ -701,6 +723,25 @@ class TestGradientLifetime:
         # file); a gradient vector kept through it would add vector_bytes
         assert train_peak - eval_peak < vector_bytes / 2, (
             train_peak, eval_peak, vector_bytes)
+
+    def test_a_paired_evaluation_does_not_stack_on_the_gradients(self, monkeypatch,
+                                                                 two_lanes):
+        # as above at the shipped block size, whose pairs of 74-row blocks
+        # on two lanes and the steps' arrays set the run's peak by turns:
+        # each evaluation starts with no gradient vector held
+        tree = _paper_tree()
+        train = _random_split(788, 4, 5, tree, seed=3)
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(4, 64),
+                          dims_v=(5, 64), fused_dim=2, epochs=1, init_scale=0.5, seed=3)
+        model = build_model(cfg, 4, 5, 1328, tree)
+        vector_bytes = model.params().flat.nbytes  # of the gradients
+        evaluate(model, train)  # fills caches such as the tree's group indicator
+        two_lanes.clear()
+        held = _held_at_evaluations(monkeypatch, lambda: train_model(model, cfg, train))
+        assert len(held) == cfg.epochs + 1
+        # 788 rows read as 11 blocks: five pairs and a lone block
+        assert two_lanes.count("block") == len(held) * 5, two_lanes
+        assert max(held) < vector_bytes / 2, (held, vector_bytes)
 
     @pytest.mark.parametrize("diverge", [False, True])
     def test_no_gradient_vector_outlives_the_steps(self, monkeypatch, diverge):
@@ -758,6 +799,24 @@ class TestEpochSnapshot:
         # a copy of the vector held through the run would add vector_bytes
         assert train_peak - eval_peak < vector_bytes / 2, (
             train_peak, eval_peak, vector_bytes)
+
+    def test_no_vector_copy_reaches_a_paired_evaluation(self, monkeypatch, two_lanes):
+        # as above at the shipped block size, on two lanes: each evaluation
+        # starts with no copy of the vector held
+        tree = _paper_tree()
+        train = _random_split(788, 4, 5, tree, seed=3)
+        test = _random_split(394, 4, 5, tree, seed=4)
+        cfg = TrainConfig(mode="bilinear", variant=FACTORED_SHARED, dims_a=(4, 64),
+                          dims_v=(5, 64), fused_dim=2, epochs=2, init_scale=0.5, seed=3)
+        model = build_model(cfg, 4, 5, 1328, tree)
+        vector_bytes = model.params().flat.nbytes
+        evaluate(model, train)  # fills caches such as the tree's group indicator
+        two_lanes.clear()
+        held = _held_at_evaluations(monkeypatch, lambda: train_model(model, cfg, train, test))
+        assert len(held) == 2 * (cfg.epochs + 1)
+        # 788 and 394 rows read as 11 and 6 blocks: five pairs and three
+        assert two_lanes.count("block") == (cfg.epochs + 1) * (5 + 3), two_lanes
+        assert max(held) < vector_bytes / 2, (held, vector_bytes)
 
     def test_unwritable_temp_directory_fails_before_the_first_step(self, monkeypatch,
                                                                   tmp_path):
