@@ -319,23 +319,21 @@ def _piece_logits(head: BilinearHead, scores, f1: np.ndarray, f2: np.ndarray, ou
         logits += f1 @ head.v1
         logits += f2 @ head.v2
     elif head.variant == FACTORED_SHARED:
-        other = np.empty(logits.shape)
-        linalg.both(np.matmul, (f1, head.v1, logits), np.matmul, (f2, head.v2, other))
+        _, other = linalg.both(np.matmul, (f1, head.v1, logits), np.matmul, (f2, head.v2))
         gather_rows = max(1, GATHER_BYTES // (8 * head.num_classes))
         for start, stop in row_blocks(len(logits), gather_rows):
             rows = logits[start:stop]
             rows += np.take(scores[start:stop], head.tree.group_of, axis=1, mode="clip")
         logits += other
     else:
-        other = np.empty(logits.shape)
         if head.variant == FULL:
             np.matmul(f1, head.v1, out=logits)
-            np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True, out=other)
+            other = np.einsum("bi,cij,bj->bc", f1, head.w_stack, f2, optimize=True)
         elif lanes:
-            linalg.both(np.matmul, (f1, head.v1, logits), np.matmul, (scores, head.w, other))
+            _, other = linalg.both(np.matmul, (f1, head.v1, logits), np.matmul, (scores, head.w))
         else:
             np.matmul(f1, head.v1, out=logits)
-            np.matmul(scores, head.w, out=other)
+            other = scores @ head.w
         logits += other
         logits += np.matmul(f2, head.v2, out=other)
     logits += head.b
@@ -424,30 +422,24 @@ def _grads_batch(head: BilinearHead, f1, f2, targets: np.ndarray, scale: float, 
     np.matmul((a1 * a2).T, delta_eff, out=grads["w"])
     side1 = (f1, delta_l, wd * a2, head.u1, head.v1, grads["U1"], grads["V1"], input_delta)
     side2 = (f2, delta_l, wd * a1, head.u2, head.v2, grads["U2"], grads["V2"], input_delta)
-    if not lanes_open(len(f1) * head.leaf_row_work):
-        return probs, grads, _side_grads(*side1), _side_grads(*side2)
-    # tower 2's signal is formed in arrays of this thread's heap, not of the
-    # worker's glibc arena
-    out2 = (np.empty((len(f2), head.dim2)), np.empty((len(f2), head.dim2)))
-    delta1, delta2 = linalg.both(_side_grads, side1, _side_grads, (*side2, out2))
-    return probs, grads, delta1, delta2
+    if lanes_open(len(f1) * head.leaf_row_work):
+        return (probs, grads, *linalg.both(_side_grads, side1, _side_grads, side2))
+    return probs, grads, _side_grads(*side1), _side_grads(*side2)
 
 
-def _side_grads(f, delta_l, wd_a, u, v, grad_u, grad_v, input_delta: bool, out=None):
+def _side_grads(f, delta_l, wd_a, u, v, grad_u, grad_v, input_delta: bool):
     """One tower's side of a factored head's step, the one statement of its
     formulas, from its feature rows f: the gradients f^T delta_L of V and
     f^T (W delta_G * a) of U, written into ``grad_v`` and ``grad_u``, and,
     with ``input_delta``, the tower's error signal
     (W delta_G * a) U^T + delta_L V^T, else None. ``wd_a`` is W delta_G * a
-    of the other tower's a. The signal is formed in ``out[0]`` and its
-    second product in ``out[1]`` when ``out`` is given (the lane worker's
-    side), else in new arrays; the bits are the same."""
+    of the other tower's a."""
     np.matmul(f.T, delta_l, out=grad_v)
     np.matmul(f.T, wd_a, out=grad_u)
     if not input_delta:
         return None
-    delta = wd_a @ u.T if out is None else np.matmul(wd_a, u.T, out=out[0])
-    delta += delta_l @ v.T if out is None else np.matmul(delta_l, v.T, out=out[1])
+    delta = wd_a @ u.T
+    delta += delta_l @ v.T
     return delta
 
 

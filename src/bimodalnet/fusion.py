@@ -32,7 +32,6 @@ from . import linalg
 from .linalg import FlatArrays, ShapeError, _check_shapes, lanes_open, leaf_pieces
 from .mlp import (
     MlpTower,
-    activation_arrays,
     backward,
     forward,
     forward_features,
@@ -179,8 +178,9 @@ class Classifier:
     The two towers of a bimodal model meet only in the head, so their
     forward and backward passes run on two lanes (``linalg.both``) when
     ``linalg.lanes_open`` says a batch is worth it: the first tower's on the
-    calling thread, the second's on the lane worker, into arrays allocated
-    here. Each pass is the one it would be on one lane, bit for bit.
+    calling thread, the second's on the lane worker. Each pass is the same
+    call on either thread, forms its own arrays and is the one it would be
+    on one lane, bit for bit.
     """
 
     def __init__(self, spec: ModelSpec, params: FlatArrays):
@@ -251,26 +251,13 @@ class Classifier:
 
     def _tower_passes(self, run, x1, x2) -> list:
         """``run(tower, x)`` (``forward`` or ``forward_features``) of each tower
-        on its input rows, in tower order.
-
-        On two lanes, when they are open, the lane worker runs the second
-        tower, forming its layers in ``activation_arrays`` allocated here, so
-        that it allocates none of them. For ``forward_features`` it runs all
-        but the last layer, which this thread runs after the first tower is
-        done and has dropped its own hidden layers: a read then never holds
-        both towers' hidden layers beside both their features.
-        """
+        on its input rows, in tower order; on two lanes, when they are open,
+        the lane worker runs the second tower."""
         xs = (x1, x2)
         if not lanes_open(len(x1) * self._lane_row_work):
             return [run(tower, xs[slot]) for tower, slot in zip(self.towers, self.inputs)]
         (tower_a, tower_b), (x_a, x_b) = self.towers, (xs[slot] for slot in self.inputs)
-        split = tower_b.num_layers - 1 if run is forward_features else 0
-        lane = tower_b.layers(0, split) if split else tower_b
-        first, second = linalg.both(run, (tower_a, x_a),
-                                    run, (lane, x_b, activation_arrays(lane, len(x_b))))
-        if split:
-            second = run(tower_b.layers(split, split + 1), second)
-        return [first, second]
+        return list(linalg.both(run, (tower_a, x_a), run, (tower_b, x_b)))
 
     def posterior_batch(self, x1, x2) -> np.ndarray:
         """Class posteriors (B, C) of the input rows, in a fresh array that the

@@ -258,7 +258,8 @@ if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
 def both(first, first_args, second, second_args):
     """``(first(*first_args), second(*second_args))``, with the second job run
     by the lane worker, started on first use, while the calling thread runs
-    the first; the two must not touch each other's outputs.
+    the first. The jobs are ordinary calls, each allocating what it forms on
+    the thread that runs it; the two must not touch each other's outputs.
 
     The worker runs its job in a copy of the caller's ``contextvars`` context,
     which holds numpy's error state, and hands back its result, or its

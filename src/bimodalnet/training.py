@@ -144,22 +144,22 @@ def sgd_step(params: FlatArrays, grads, learning_rate: float, lam: float,
         if k >= 0:
             name = next(n for n in params if params.layout[n][1] > start + k)
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-    scratch = np.empty(min(STEP_CHUNK, p.size))
     if lanes_open(sum(stop - start for start, stop in params.runs) // 2):
         first, second = _halves(params.runs)
-        linalg.both(_scaled_add, (p, g, learning_rate, first, scratch),
-                    _scaled_add, (p, g, learning_rate, second, np.empty_like(scratch)))
+        linalg.both(_scaled_add, (p, g, learning_rate, first),
+                    _scaled_add, (p, g, learning_rate, second))
     else:
-        _scaled_add(p, g, learning_rate, params.runs, scratch)
+        _scaled_add(p, g, learning_rate, params.runs)
     for name in project:
         if name in params:
             frobenius_project(params[name], lam)
     return params
 
 
-def _scaled_add(p, g, learning_rate: float, runs, scratch) -> None:
+def _scaled_add(p, g, learning_rate: float, runs) -> None:
     """p += learning_rate * g over the ``[start, stop)`` runs of entries,
-    ``STEP_CHUNK`` entries at a time through ``scratch``."""
+    ``STEP_CHUNK`` entries at a time through one scratch array."""
+    scratch = np.empty(min(STEP_CHUNK, p.size))
     for start, stop in runs:
         for lo in range(start, stop, STEP_CHUNK):
             hi = min(lo + STEP_CHUNK, stop)

@@ -14,6 +14,8 @@ thread and restores the caller's count when the last scope closes.
 """
 
 import ctypes
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -36,6 +38,7 @@ from bimodalnet.training import (
     sgd_step,
     train_model,
 )
+from tests.conftest import ROOT
 
 PAPER_DIMS = dict(dims_a=(360, 500, 200), dims_v=(540, 500, 200), fused_dim=200)
 PAPER_TREE = LabelTree(np.arange(1328) * 42 // 1328, 42)
@@ -150,24 +153,30 @@ def test_paper_shape_head_step_is_the_bilinear_formulas(lanes, mode, variant):
 
 
 def read_models():
-    """A factored-shared model and a 4-member ensemble led by it, at the
-    paper's class count and feature widths, over 4- and 5-wide inputs."""
-    common = dict(dims_a=(4, 200), dims_v=(5, 200), epochs=0, init_scale=0.5)
+    """At the paper's class count and feature widths, over 4- and 5-wide
+    inputs: a factored-shared model whose towers are one layer deep, and a
+    4-member ensemble led by such a model whose towers have a 500-wide
+    hidden layer."""
+    def model(seed, dims_a=(4, 200), dims_v=(5, 200), **fields):
+        config = TrainConfig(seed=seed, dims_a=dims_a, dims_v=dims_v, epochs=0,
+                             init_scale=0.5, **fields)
+        return build_model(config, 4, 5, 1328, PAPER_TREE)
 
-    def model(seed, **fields):
-        return build_model(TrainConfig(seed=seed, **common, **fields), 4, 5, 1328, PAPER_TREE)
-
-    shared = model(1, mode="bilinear", variant=FACTORED_SHARED, fused_dim=2)
-    members = [shared, model(2, mode="bilinear", variant=FACTORED, fused_dim=2),
-               model(3, mode="fused", fusion_top=(2,)), model(4, mode="audio")]
-    return {"factored-shared": shared, "ensemble": Ensemble(members)}
+    deep = dict(dims_a=(4, 500, 200), dims_v=(5, 500, 200))
+    members = [model(1, mode="bilinear", variant=FACTORED_SHARED, fused_dim=2, **deep),
+               model(2, mode="bilinear", variant=FACTORED, fused_dim=2, **deep),
+               model(3, mode="fused", fusion_top=(2,), **deep), model(4, mode="audio", **deep)]
+    return {"factored-shared": model(1, mode="bilinear", variant=FACTORED_SHARED, fused_dim=2),
+            "ensemble": Ensemble(members)}
 
 
 @pytest.mark.parametrize("kind", ["factored-shared", "ensemble"])
 def test_lanes_add_no_leaf_width_array_to_a_read(lanes, kind):
     # a block on two lanes holds the leaf-width arrays of one lane, and at
     # most a gather block more. The ensemble's fused member, a 2-wide top,
-    # keeps its blocks on one lane, so a real read holds no more than that.
+    # keeps its blocks on one lane, so a real read adds only what its two
+    # towers hold at once: the worker's second tower may hold its hidden
+    # layer and features while the calling thread's first holds its own.
     # The factored-shared model's 74-row blocks run in pairs, which the
     # stand-in runs one block after the other; the real worker's block may
     # reach its peak while the calling thread's is at its own, so a real
@@ -193,13 +202,60 @@ def test_lanes_add_no_leaf_width_array_to_a_read(lanes, kind):
     paired = "block" in {name for _, name in lanes.dispatches}
     assert paired == (kind == "factored-shared")
     assert peaks["stand-in"] - peaks["closed"] <= GATHER_BYTES, peaks
+    rows = max(b - a for a, b in row_blocks(split.n, eval_rows(1328)))
     if not paired:
-        assert peaks["real"] - peaks["closed"] <= GATHER_BYTES, peaks
+        assert "forward_features" in {name for name, _ in lanes.dispatches}
+        tower_bytes = 8 * rows * (500 + 200)
+        assert peaks["real"] - peaks["closed"] <= GATHER_BYTES + tower_bytes, peaks
     else:
-        rows = max(b - a for a, b in row_blocks(split.n, eval_rows(1328)))
         leaf_bytes = 8 * rows * 1328
         block_bytes = (2 + 1 / 8) * leaf_bytes + GATHER_BYTES + 8 * rows * (200 + 200)
         assert peaks["real"] - peaks["stand-in"] <= block_bytes, (peaks, block_bytes)
+
+
+# A paper-shape factored-shared training run, confined to one CPU first when
+# {cpus} names one; it prints whether lanes open and its peak resident set
+TRAIN_CHILD = """
+import os, resource
+if {cpus}:
+    os.sched_setaffinity(0, {cpus})
+import numpy as np
+from bimodalnet.bilinear import LabelTree
+from bimodalnet.data import Dataset
+from bimodalnet.linalg import LANE_MIN_WORK, lanes_open, one_blas_thread
+from bimodalnet.training import TrainConfig, build_model, train_model
+tree = LabelTree(np.arange(1328) * 42 // 1328, 42)
+rng = np.random.default_rng(1)
+splits = [Dataset(rng.standard_normal((n, 360)), rng.standard_normal((n, 540)),
+                  rng.integers(0, 1328, n), tree, split)
+          for n, split in ((1024, "train"), (512, "test"))]
+config = TrainConfig(dims_a=(360, 500, 200), dims_v=(540, 500, 200), fused_dim=200,
+                     epochs=2, seed=3, lam=8.0)
+train_model(build_model(config, 360, 540, 1328, tree), config, *splits)
+with one_blas_thread():
+    print(lanes_open(LANE_MIN_WORK), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_lanes_add_little_to_a_paper_trains_resident_peak(blas_count):
+    # the lane worker allocates what it forms, in its own glibc arena, which
+    # tracemalloc does not see; the same run confined to one CPU, where lanes
+    # stay closed, bounds what lanes add to the resident peak (+3.1 to
+    # +3.5 MiB measured on a 2-CPU Xeon VM)
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("lanes need two CPUs")
+    pythonpath = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    peaks = {}
+    for confined in (set(), {cpus[0]}):
+        child = subprocess.run([sys.executable, "-c", TRAIN_CHILD.format(cpus=confined)],
+                               env=env, stdout=subprocess.PIPE, text=True, timeout=300,
+                               check=True)
+        opened, peak_kib = child.stdout.split()
+        assert opened == str(not confined)
+        peaks[bool(confined)] = int(peak_kib)
+    assert peaks[False] - peaks[True] <= 8 * 1024, peaks
 
 
 @pytest.fixture(scope="module")
